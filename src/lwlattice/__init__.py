@@ -13,7 +13,6 @@ from .diagrams import (
     sigma1,
     sigma2,
     sigma_term,
-    truncated_sigma,
 )
 from .duality import LwReport, exact_self_energy, inverse_map, lw_evaluate, rho_g_logdensity
 from .errors import (
@@ -42,7 +41,6 @@ from .interactions import (
     ScaledInteraction,
     ZeroInteraction,
     compose,
-    eval_interaction,
     restrict,
     validate_growth,
 )
@@ -50,7 +48,6 @@ from .matrices import (
     LinearMap,
     SpdMatrix,
     SymMatrix,
-    cholesky,
     congruence,
     logdet_spd,
 )

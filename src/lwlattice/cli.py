@@ -110,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cfg(model, args):
-    cfg = model.oracle
+def _resolve_cfg(base: OracleConfig, args) -> OracleConfig:
     overrides = {}
     if getattr(args, "mode", None):
         overrides["mode"] = "monte_carlo" if args.mode == "mc" else args.mode
@@ -121,7 +120,7 @@ def _resolve_cfg(model, args):
         overrides["samples"] = args.mc_samples
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(base, **overrides) if overrides else base
 
 
 def _emit(text: str, out_path):
@@ -164,7 +163,7 @@ def _parse_eps_grid(text: str) -> np.ndarray:
 
 def _cmd_oracle(args) -> int:
     model = load_model(args.model)
-    cfg = _resolve_cfg(model, args)
+    cfg = _resolve_cfg(model.oracle, args)
     report = evaluate_moments(model.a, model.interaction, cfg)
     _emit_json(report.to_dict(), args.out)
     return 0
@@ -172,7 +171,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_invert(args) -> int:
     model = load_model(args.model)
-    cfg = _resolve_cfg(model, args)
+    cfg = _resolve_cfg(model.oracle, args)
     green = _load_green(args.green)
     a = inverse_map(
         green,
@@ -187,7 +186,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_lw(args) -> int:
     model = load_model(args.model)
-    cfg = _resolve_cfg(model, args)
+    cfg = _resolve_cfg(model.oracle, args)
     green = _load_green(args.green)
     report = lw_evaluate(
         green,
@@ -214,7 +213,7 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_solver(args, minimize: bool) -> int:
     model = load_model(args.model)
-    cfg = _resolve_cfg(model, args)
+    cfg = _resolve_cfg(model.oracle, args)
     modelkind = SigmaModel(args.sigma_model)
     tol = args.tol if args.tol is not None else 1e-8
     max_iter = args.max_iter or 200
@@ -246,12 +245,8 @@ def _cmd_solver(args, minimize: bool) -> int:
     return 0 if trace.converged else 2
 
 
-class _DefaultOracle:
-    oracle = OracleConfig()
-
-
 def _cmd_verify(args) -> int:
-    cfg = _resolve_cfg(_DefaultOracle, args)
+    cfg = _resolve_cfg(OracleConfig(), args)
     reports = run_suite(args.suite, cfg)
     widths = max((len(r.name) for r in reports), default=4)
     for report in reports:
@@ -266,7 +261,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     model = load_model(args.model)
-    cfg = _resolve_cfg(model, args)
+    cfg = _resolve_cfg(model.oracle, args)
     green = _load_green(args.green)
     scale, v = as_diagonal_quartic(model.interaction)
     series = BoldSeries.build(green, v, args.order)

@@ -15,8 +15,6 @@ from .errors import DimensionMismatch, NotPositiveDefinite, UnsupportedOrder, Va
 from .matrices import SpdMatrix, SymMatrix
 
 MAX_ORDER = 2
-#: Tolerance of the trace identity linking phi and sigma coefficients.
-PHI_SIGMA_TOLERANCE = 1e-12
 
 
 def _prepare(g, v):
@@ -67,27 +65,18 @@ def phi_term(g: SpdMatrix, v: SymMatrix, order: int) -> float:
     return float(np.trace(g.mat @ sig.mat)) / (2.0 * order)
 
 
-def truncated_sigma(g: SpdMatrix, v: SymMatrix, eps: float, order: int) -> SymMatrix:
-    """Partial sum sum_{k<=N} eps^k Sigma^(k) at interaction strength eps."""
+def g0_of_truncation(g: SpdMatrix, v: SymMatrix, eps: float, order: int) -> SpdMatrix:
+    """Non-interacting Green's function matching the truncated self-energy.
+
+    Returns (G^-1 + sum_{k<=order} eps^k Sigma^(k))^-1; raises
+    NotPositiveDefinite when eps is too large for this G.
+    """
     if order not in _SIGMA_BY_ORDER:
         raise UnsupportedOrder(f"truncation order must be in 1..{MAX_ORDER}")
     if eps < 0.0:
         raise ValidationError("interaction strength must be >= 0")
-    g, v = _prepare(g, v)
-    total = np.zeros((g.n, g.n))
-    for k in range(1, order + 1):
-        total += eps**k * sigma_term(g, v, k).mat
-    return SymMatrix(total)
-
-
-def g0_of_truncation(g: SpdMatrix, v: SymMatrix, eps: float, order: int) -> SpdMatrix:
-    """Non-interacting Green's function matching the truncated self-energy.
-
-    Returns (G^-1 + partial sum)^-1; raises NotPositiveDefinite when eps is
-    too large for this G.
-    """
     g = SpdMatrix.coerce(g)
-    bar = truncated_sigma(g, v, eps, order)
+    bar = BoldSeries.build(g, v, order).truncated_sigma(eps)
     core = g.inverse() + bar.mat
     try:
         return SpdMatrix(np.linalg.inv(SpdMatrix(core).mat))
@@ -99,11 +88,8 @@ def g0_of_truncation(g: SpdMatrix, v: SymMatrix, eps: float, order: int) -> SpdM
 
 @dataclass(frozen=True)
 class BoldSeries:
-    """Coefficients Sigma^(k), Phi^(k) up to the requested order.
-
-    Construction verifies Phi^(k) = (1/2k) Tr[G Sigma^(k)] to
-    PHI_SIGMA_TOLERANCE on every instance.
-    """
+    """Coefficients Sigma^(k) and Phi^(k) = (1/2k) Tr[G Sigma^(k)] up to the
+    requested order."""
 
     order: int
     sigma_terms: tuple
@@ -115,14 +101,10 @@ class BoldSeries:
             raise UnsupportedOrder(f"series order must be in 1..{MAX_ORDER}")
         g = SpdMatrix.coerce(g)
         sigmas = tuple(sigma_term(g, v, k) for k in range(1, order + 1))
-        phis = tuple(phi_term(g, v, k) for k in range(1, order + 1))
-        for k, (sig, phi) in enumerate(zip(sigmas, phis), start=1):
-            direct = float(np.trace(g.mat @ sig.mat)) / (2.0 * k)
-            if abs(phi - direct) > PHI_SIGMA_TOLERANCE:
-                raise ValidationError(
-                    f"phi/sigma trace identity violated at order {k}: "
-                    f"{abs(phi - direct):.3e}"
-                )
+        phis = tuple(
+            float(np.trace(g.mat @ sig.mat)) / (2.0 * k)
+            for k, sig in enumerate(sigmas, start=1)
+        )
         return cls(order=order, sigma_terms=sigmas, phi_terms=phis)
 
     def truncated_phi(self, eps: float) -> float:

@@ -3,8 +3,9 @@ self-energy.
 
 F is evaluated through its dual route: solve G[A] = G_target for A by a damped
 Newton iteration, then F = 1/2 Tr[A G] - Omega[A]. The Newton Jacobian is the
-second-moment sensitivity dG/dA = -1/2 Cov(x_i x_j, x_k x_l) assembled from
-oracle fourth moments on the symmetric-matrix basis {E_ii} u {E_ij + E_ji}.
+second-moment sensitivity dG/dA = -1/2 Cov(x_i x_j, x_k x_l), read from the
+oracle's fourth moments over the n(n+1)/2 pairs i <= j, on the
+symmetric-matrix basis {E_ii} u {E_ij + E_ji}.
 """
 
 from __future__ import annotations
@@ -56,25 +57,19 @@ class LwReport:
         }
 
 
-def _sym_pairs(n: int):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def _newton_step(report: MomentReport, g_target: np.ndarray) -> np.ndarray:
-    """Solve the linearized moment-matching equation for a symmetric update."""
+    """Solve the linearized moment-matching equation for a symmetric update.
+
+    Unknowns and equations run over the pairs i <= j; an off-diagonal unknown
+    moves both A_kl and A_lk, so its Jacobian column is doubled.
+    """
     green = report.green.mat
-    m4 = report.fourth_moments
     n = green.shape[0]
-    pairs = _sym_pairs(n)
-    dim = len(pairs)
-    cov = m4 - np.einsum("ij,kl->ijkl", green, green)
-    jac = np.empty((dim, dim))
-    rhs = np.empty(dim)
-    for row, (i, j) in enumerate(pairs):
-        rhs[row] = green[i, j] - g_target[i, j]
-        for col, (k, l) in enumerate(pairs):
-            mult = 1.0 if k == l else 2.0
-            jac[row, col] = -0.5 * cov[i, j, k, l] * mult
+    rows, cols = np.triu_indices(n)
+    g_pairs = green[rows, cols]
+    cov = report.fourth_moments[rows, cols][:, rows, cols] - np.outer(g_pairs, g_pairs)
+    jac = -0.5 * cov * np.where(rows == cols, 1.0, 2.0)
+    rhs = g_pairs - g_target[rows, cols]
     try:
         delta = np.linalg.solve(jac, -rhs)
     except np.linalg.LinAlgError:
@@ -83,10 +78,7 @@ def _newton_step(report: MomentReport, g_target: np.ndarray) -> np.ndarray:
             residual=float(np.linalg.norm(rhs)),
         ) from None
     step = np.zeros((n, n))
-    for col, (k, l) in enumerate(pairs):
-        step[k, l] += delta[col]
-        if k != l:
-            step[l, k] += delta[col]
+    step[rows, cols] = step[cols, rows] = delta
     return step
 
 

@@ -249,18 +249,9 @@ class ComposedInteraction(Interaction):
         return f"ComposedInteraction({self.inner!r}, {self.map!r})"
 
 
-def eval_interaction(u: Interaction, x):
-    """U(x); accepts a single point or a batch of points."""
-    return u.evaluate(x)
-
-
 def compose(u: Interaction, t: LinearMap) -> Interaction:
     """Interaction x -> U(T x). Kept lazy; ``materialize`` expands it."""
     return ComposedInteraction(u, t)
-
-
-def scale(factor: float, u: Interaction) -> Interaction:
-    return ScaledInteraction(factor, u)
 
 
 def restrict(u: Interaction, p: int) -> Interaction:

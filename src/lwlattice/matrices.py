@@ -163,11 +163,6 @@ class LinearMap:
         return f"LinearMap({self.mat.tolist()!r})"
 
 
-def cholesky(s: SymMatrix) -> np.ndarray:
-    """Lower-triangular factor of a symmetric matrix (raises if not SPD)."""
-    return cholesky_factor(SymMatrix.coerce(s).mat)
-
-
 def logdet_spd(s: SpdMatrix) -> float:
     """log det of an SPD matrix, from its Cholesky factor."""
     s = SpdMatrix.coerce(s)

@@ -10,7 +10,6 @@ from lwlattice.diagrams import (
     sigma1,
     sigma2,
     sigma_term,
-    truncated_sigma,
 )
 from lwlattice.errors import DimensionMismatch, NotPositiveDefinite, UnsupportedOrder
 from lwlattice.matrices import SpdMatrix, SymMatrix
@@ -69,15 +68,15 @@ class TestPhiTerm:
 
 class TestTruncation:
     def test_zero_strength(self):
-        out = truncated_sigma(SpdMatrix(np.eye(2)), SymMatrix(np.eye(2)), 0.0, 2)
+        out = BoldSeries.build(SpdMatrix(np.eye(2)), SymMatrix(np.eye(2)), 2).truncated_sigma(0.0)
         assert np.all(out.mat == 0.0)
 
     def test_first_order(self):
-        out = truncated_sigma(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 0.1, 1)
+        out = BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 1).truncated_sigma(0.1)
         assert out.mat[0, 0] == pytest.approx(-0.15)
 
     def test_second_order(self):
-        out = truncated_sigma(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 0.1, 2)
+        out = BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2).truncated_sigma(0.1)
         assert out.mat[0, 0] == pytest.approx(-0.135)
 
     def test_g0_identity_at_zero(self):
@@ -149,3 +148,26 @@ class TestBoldSeries:
     def test_order_validation(self):
         with pytest.raises(UnsupportedOrder):
             BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_phi_gradient_is_sigma(self, seed):
+        # independent route: along G + tD, Phi^(k) is a polynomial of degree
+        # 2k <= 4 in t, so the five-point stencil derivative is exact up to
+        # roundoff and must equal Tr[Sigma^(k) D]
+        g, v = random_case(seed, n=3)
+        rng = np.random.default_rng(100 + seed)
+        series = BoldSeries.build(g, v, 2)
+        h = 0.05
+        for _ in range(3):
+            d = rng.standard_normal((3, 3))
+            d = 0.5 * (d + d.T)
+            d /= np.linalg.norm(d)
+            phis = [
+                BoldSeries.build(SpdMatrix(g.mat + t * h * d), v, 2).phi_terms
+                for t in (-2, -1, 1, 2)
+            ]
+            for k in (1, 2):
+                m2, m1, p1, p2 = (p[k - 1] for p in phis)
+                stencil = (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * h)
+                exact = float(np.sum(series.sigma_terms[k - 1].mat * d))
+                assert abs(stencil - exact) <= 1e-10

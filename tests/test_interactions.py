@@ -14,7 +14,6 @@ from lwlattice.interactions import (
     ZeroInteraction,
     as_diagonal_quartic,
     compose,
-    eval_interaction,
     interaction_from_dict,
     materialize,
     restrict,
@@ -29,7 +28,7 @@ def random_points(n, count, seed=0):
 
 class TestEvaluate:
     def test_zero(self):
-        assert eval_interaction(ZeroInteraction(2), [5.0, -3.0]) == 0.0
+        assert ZeroInteraction(2).evaluate([5.0, -3.0]) == 0.0
 
     def test_scalar_quartic(self):
         u = DiagonalQuartic([[1.0]])

@@ -9,7 +9,7 @@ import oracles
 from lwlattice.errors import DimensionCap, DimensionMismatch, DivergentIntegral
 from lwlattice.interactions import DiagonalQuartic, ScaledInteraction, ZeroInteraction
 from lwlattice.matrices import SymMatrix
-from lwlattice.oracle import MC_BATCHES, OracleConfig, evaluate_moments, green_of_a
+from lwlattice.oracle import MC_BATCHES, QUAD_CHUNK, OracleConfig, evaluate_moments, green_of_a
 
 QUAD = OracleConfig()
 QUAD_TIGHT = OracleConfig(nodes_per_dim=192)
@@ -23,6 +23,18 @@ def random_spd(n, rng, lo=0.5, hi=2.5):
 def gaussian_omega(a):
     sign, logdet = np.linalg.slogdet(a)
     return 0.5 * logdet - 0.5 * a.shape[0] * np.log(2.0 * np.pi)
+
+
+def wick(g):
+    """Gaussian fourth moments by Wick pairing."""
+    return (
+        np.einsum("ij,kl->ijkl", g, g)
+        + np.einsum("ik,jl->ijkl", g, g)
+        + np.einsum("il,jk->ijkl", g, g)
+    )
+
+
+A3 = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]])
 
 
 class TestGaussianClosedForm:
@@ -145,13 +157,18 @@ class TestFourthMoments:
         cfg = OracleConfig(want_fourth_moments=True)
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
         rep = evaluate_moments(SymMatrix(a), ZeroInteraction(2), cfg)
-        g = np.linalg.inv(a)
-        wick = (
-            np.einsum("ij,kl->ijkl", g, g)
-            + np.einsum("ik,jl->ijkl", g, g)
-            + np.einsum("il,jk->ijkl", g, g)
-        )
-        assert np.abs(rep.fourth_moments - wick).max() <= 1e-10
+        assert np.abs(rep.fourth_moments - wick(np.linalg.inv(a))).max() <= 1e-10
+
+    def test_gaussian_across_chunks(self):
+        # the grid spans several chunks and ends in a partial one
+        nodes = 50
+        assert nodes**3 > QUAD_CHUNK and nodes**3 % QUAD_CHUNK != 0
+        cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
+        rep = evaluate_moments(SymMatrix(A3), ZeroInteraction(3), cfg)
+        g = np.linalg.inv(A3)
+        assert rep.omega == pytest.approx(gaussian_omega(A3), abs=1e-10)
+        assert np.abs(rep.green.mat - g).max() <= 1e-10
+        assert np.abs(rep.fourth_moments - wick(g)).max() <= 1e-10
 
     def test_absent_unless_requested(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), ZeroInteraction(1), QUAD)
@@ -187,6 +204,22 @@ class TestMonteCarlo:
         rep = evaluate_moments(SymMatrix([[1.0]]), DiagonalQuartic([[1.0]]), self.MC)
         assert rep.std_errors.omega > 0.0
         assert np.all(rep.std_errors.green > 0.0)
+
+    def test_fourth_moment_errors_symmetric_positive(self):
+        cfg = OracleConfig(mode="monte_carlo", samples=200_000, seed=9, want_fourth_moments=True)
+        u = DiagonalQuartic([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        se = evaluate_moments(SymMatrix(A3), u, cfg).std_errors.fourth_moments
+        assert se.shape == (3, 3, 3, 3)
+        assert np.all(se > 0.0)
+        for perm in itertools.permutations(range(4)):
+            assert np.abs(se - np.transpose(se, perm)).max() <= 1e-10 * se.max()
+
+    def test_gaussian_fourth_moments_within_errors(self):
+        # independent oracle: Wick pairing; plain sampling of N(0, A^-1)
+        cfg = OracleConfig(mode="monte_carlo", samples=200_000, seed=9, want_fourth_moments=True)
+        rep = evaluate_moments(SymMatrix(A3), ZeroInteraction(3), cfg)
+        err = np.abs(rep.fourth_moments - wick(np.linalg.inv(A3)))
+        assert np.all(err <= 4.0 * rep.std_errors.fourth_moments)
 
     def test_quadrature_has_no_std_errors(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), ZeroInteraction(1), QUAD)
