@@ -232,8 +232,11 @@ def _cmd_solver(args, minimize: bool) -> int:
             cfg=cfg,
         )
     payload = trace.to_dict()
-    payload["free_energy"] = free_energy(
-        model.a, trace.final_green, model.interaction, modelkind, cfg
+    # a converged run's last record was taken at final_green
+    payload["free_energy"] = (
+        trace.iterates[-1].free_energy
+        if trace.converged
+        else free_energy(model.a, trace.final_green, model.interaction, modelkind, cfg)
     )
     _emit_json(payload, args.out)
     if args.trace_csv:

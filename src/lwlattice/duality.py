@@ -109,13 +109,11 @@ def _forward_residual(a: np.ndarray, u, cfg, g_target: np.ndarray) -> float:
     return float(np.linalg.norm(report.green.mat - g_target))
 
 
-def default_tolerance(cfg: OracleConfig, report: MomentReport | None = None) -> float:
+def default_tolerance(cfg: OracleConfig, report: MomentReport) -> float:
     """1e-8 in quadrature mode; three standard errors in Monte Carlo mode."""
     if cfg.mode == "quadrature":
         return DEFAULT_TOL_QUADRATURE
-    if report is not None and report.std_errors is not None:
-        return 3.0 * float(np.linalg.norm(report.std_errors.green))
-    return 3e-3
+    return 3.0 * float(np.linalg.norm(report.std_errors.green))
 
 
 def _solve_inverse(
@@ -144,11 +142,10 @@ def _solve_inverse(
     if tol is None:
         tol = default_tolerance(cfg, report)
     residual = float(np.linalg.norm(report.green.mat - gt))
-    best = (a, residual)
 
     for iteration in range(1, max_iter + 1):
         if residual <= tol:
-            return SymMatrix(a), report, iteration - 1, residual, tol
+            return SymMatrix(a), report, iteration - 1, residual
         step = _newton_step(report, gt)
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
@@ -165,18 +162,17 @@ def _solve_inverse(
                 f"line search stalled at residual {residual:.3e} (tol {tol:.1e})",
                 residual=residual,
             )
-        a = a + scale * step
+        # trials must lower the residual, so the last point is the best one
+        a = trial
         report = evaluate_moments(SymMatrix(a), u, full_cfg)
         residual = float(np.linalg.norm(report.green.mat - gt))
-        if residual < best[1]:
-            best = (a, residual)
 
     if residual <= tol:
-        return SymMatrix(a), report, max_iter, residual, tol
+        return SymMatrix(a), report, max_iter, residual
     raise NoConvergence(
-        f"no convergence in {max_iter} iterations; best residual {best[1]:.3e} "
+        f"no convergence in {max_iter} iterations; best residual {residual:.3e} "
         f"(tol {tol:.1e})",
-        residual=best[1],
+        residual=residual,
     )
 
 
@@ -195,7 +191,7 @@ def inverse_map(
     BoundaryTooClose when G_target sits within BOUNDARY_GUARD of the cone
     boundary.
     """
-    a, _, _, _, _ = _solve_inverse(g_target, u, cfg, tol, max_iter, a_init)
+    a, _, _, _ = _solve_inverse(g_target, u, cfg, tol, max_iter, a_init)
     return a
 
 
@@ -216,7 +212,7 @@ def lw_evaluate(
     F = entropy - <U> up to solver tolerance.
     """
     g = SpdMatrix.coerce(g)
-    a, report, iterations, residual, _ = _solve_inverse(g, u, cfg, tol, max_iter, a_init)
+    a, report, iterations, residual = _solve_inverse(g, u, cfg, tol, max_iter, a_init)
     omega = report.omega
     universal_f = 0.5 * float(np.trace(a.mat @ g.mat)) - omega
     phi0 = g.n * np.log(2.0 * np.pi * np.e)
@@ -251,7 +247,7 @@ def exact_self_energy(
 ) -> SymMatrix:
     """Sigma[G] = A[G] - G^-1."""
     g = SpdMatrix.coerce(g)
-    a, _, _, _, _ = _solve_inverse(g, u, cfg, tol, max_iter, a_init)
+    a, _, _, _ = _solve_inverse(g, u, cfg, tol, max_iter, a_init)
     return SymMatrix(a.mat - g.inverse())
 
 
@@ -269,7 +265,7 @@ def rho_g_logdensity(
     to one by construction.
     """
     g = SpdMatrix.coerce(g)
-    a, report, _, _, _ = _solve_inverse(g, u, cfg, tol, max_iter)
+    a, report, _, _ = _solve_inverse(g, u, cfg, tol, max_iter)
     xv = np.asarray(x, dtype=float)
     quad = 0.5 * float(xv @ a.mat @ xv)
     # -log Z = Omega

@@ -12,7 +12,6 @@ from enum import Enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from .errors import DimensionMismatch, ParseError, UnsupportedInteraction, ValidationError
 from .matrices import LinearMap, SymMatrix
@@ -315,6 +314,7 @@ def as_diagonal_quartic(u: Interaction):
 
 
 def _direction_grid(n: int) -> np.ndarray:
+    from scipy.stats import norm, qmc  # here, not at module load: it takes ~1 s to import
     engine = qmc.Sobol(d=n, scramble=True, seed=GROWTH_GRID_SEED)
     u01 = engine.random(GROWTH_GRID_SIZE)
     z = norm.ppf(np.clip(u01, 1e-12, 1.0 - 1e-12))

@@ -84,6 +84,22 @@ def quartic_lw_reference(g: float, eps: float = 1.0) -> dict:
     return {"a": a, "omega": omega, "f": f, "phi": phi, "sigma": a - 1.0 / g}
 
 
+# --- bold vacuum diagrams of a diagonal quartic coupling ---------------------
+
+
+def vacuum_phi(g: np.ndarray, v: np.ndarray, order: int) -> float:
+    """Phi^(k), k = 1, 2, summed index by index from Wick's theorem.
+
+    First order: tadpole and exchange contractions of one vertex; second
+    order: ring and exchange contractions of two. No self-energy is formed.
+    """
+    if order == 1:
+        return -0.25 * np.einsum("ij,ii,jj->", v, g, g) - 0.5 * np.einsum("ij,ij,ij->", v, g, g)
+    ring = np.einsum("ik,jl,ij,ij,kl,kl->", v, v, g, g, g, g)
+    exchange = np.einsum("ik,jl,ij,kj,kl,li->", v, v, g, g, g, g)
+    return 0.125 * ring + 0.25 * exchange
+
+
 def _regenerate():
     ref = quartic_lw_reference(1.0)
     print("Z_QUARTIC_1D          =", repr(quartic_z(1.0)))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lwlattice import cli
 from lwlattice.cli import dispatch
 
 GAUSS_1D = {"n": 1, "A": [[1.0]], "interaction": {"type": "zero"}}
@@ -163,6 +164,19 @@ class TestSolverCommands:
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iter,residual,free_energy"
         assert len(lines) > 2
+
+    @pytest.mark.parametrize("command", ["dyson", "minimize"])
+    def test_converged_free_energy_is_last_record(self, capsys, model_path, monkeypatch, command):
+        def no_second_solve(*args, **kwargs):
+            raise AssertionError("free_energy recomputed after a converged run")
+
+        monkeypatch.setattr(cli, "free_energy", no_second_solve)
+        code, payload = run_json(
+            capsys, [command, "--model", model_path(QUARTIC_1D), "--sigma-model", "bold1"]
+        )
+        assert code == 0
+        assert payload["converged"] is True
+        assert payload["free_energy"] == payload["iterates"][-1]["free_energy"]
 
     def test_non_convergence_exit_two(self, capsys, model_path):
         code = dispatch(

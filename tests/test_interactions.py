@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lwlattice
 from lwlattice.errors import DimensionMismatch, ParseError, UnsupportedInteraction, ValidationError
 from lwlattice.interactions import (
     ComposedInteraction,
@@ -172,6 +177,13 @@ class TestGrowth:
         w[0, 0, 0, 0] = 1.0
         w[1, 1, 1, 1] = -1.0  # negative along e_2
         assert validate_growth(GeneralQuartic(w)).kind is Growth.UNVERIFIED
+
+    def test_import_does_not_load_scipy_stats(self):
+        # only the general-quartic screen needs scipy.stats, about 1 s of import
+        src = os.path.dirname(os.path.dirname(lwlattice.__file__))
+        code = "import lwlattice, sys; assert 'scipy.stats' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestTensorValidation:
