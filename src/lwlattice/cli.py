@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import duality, solver
 from .diagrams import BoldSeries, sigma_term
 from .duality import inverse_map, lw_evaluate
 from .errors import LwlatticeError, ValidationError
@@ -33,16 +34,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+#: OracleConfig fields the oracle flags override; each flag's dest is its field.
+_ORACLE_FIELDS = ("mode", "nodes_per_dim", "samples", "seed")
+
+
 def _add_oracle_flags(parser):
     parser.add_argument("--mode", choices=["quadrature", "mc"], help="oracle backend")
-    parser.add_argument("--quad-nodes", type=int, help="Gauss-Hermite nodes per dimension")
-    parser.add_argument("--mc-samples", type=int, help="Monte Carlo sample count")
+    parser.add_argument(
+        "--quad-nodes", type=int, dest="nodes_per_dim", help="Gauss-Hermite nodes per dimension"
+    )
+    parser.add_argument("--mc-samples", type=int, dest="samples", help="Monte Carlo sample count")
     parser.add_argument("--seed", type=int, help="Monte Carlo seed")
 
 
-def _add_solver_flags(parser):
-    parser.add_argument("--tol", type=float, help="convergence tolerance")
-    parser.add_argument("--max-iter", type=int, help="iteration budget")
+def _add_solver_flags(parser, max_iter: int, tol: float | None = None):
+    parser.add_argument("--tol", type=float, default=tol, help="convergence tolerance")
+    parser.add_argument("--max-iter", type=int, default=max_iter, help="iteration budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,14 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_invert.add_argument("--G", required=True, dest="green")
     p_invert.add_argument("--out")
     _add_oracle_flags(p_invert)
-    _add_solver_flags(p_invert)
+    _add_solver_flags(p_invert, duality.DEFAULT_MAX_ITER)
 
     p_lw = sub.add_parser("lw", help="universal functional, LW functional, self-energy at G")
     p_lw.add_argument("--model", required=True)
     p_lw.add_argument("--G", required=True, dest="green")
     p_lw.add_argument("--out")
     _add_oracle_flags(p_lw)
-    _add_solver_flags(p_lw)
+    _add_solver_flags(p_lw, duality.DEFAULT_MAX_ITER)
 
     p_sigma = sub.add_parser("sigma", help="bold self-energy coefficient of one order")
     p_sigma.add_argument("--model", required=True)
@@ -86,11 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
             default="exact",
             dest="sigma_model",
         )
-        p_solve.add_argument("--damping", type=float, default=0.5)
+        if name == "dyson":
+            p_solve.add_argument("--damping", type=float, default=solver.DEFAULT_DAMPING)
         p_solve.add_argument("--trace-csv", dest="trace_csv")
         p_solve.add_argument("--out")
         _add_oracle_flags(p_solve)
-        _add_solver_flags(p_solve)
+        _add_solver_flags(p_solve, solver.DEFAULT_MAX_ITER, solver.DEFAULT_TOL)
 
     p_verify = sub.add_parser("verify", help="run theorem-check suites")
     p_verify.add_argument("--suite", default="all", choices=list(suite_names()))
@@ -105,22 +113,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--order", type=int, default=2)
     p_sweep.add_argument("--out")
     _add_oracle_flags(p_sweep)
-    _add_solver_flags(p_sweep)
+    _add_solver_flags(p_sweep, 80)
 
     return parser
 
 
 def _resolve_cfg(base: OracleConfig, args) -> OracleConfig:
-    overrides = {}
-    if getattr(args, "mode", None):
-        overrides["mode"] = "monte_carlo" if args.mode == "mc" else args.mode
-    if getattr(args, "quad_nodes", None):
-        overrides["nodes_per_dim"] = args.quad_nodes
-    if getattr(args, "mc_samples", None):
-        overrides["samples"] = args.mc_samples
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return replace(base, **overrides) if overrides else base
+    overrides = {
+        name: getattr(args, name)
+        for name in _ORACLE_FIELDS
+        if getattr(args, name) is not None
+    }
+    if overrides.get("mode") == "mc":
+        overrides["mode"] = "monte_carlo"
+    return replace(base, **overrides)
 
 
 def _emit(text: str, out_path):
@@ -178,7 +184,7 @@ def _cmd_invert(args) -> int:
         model.interaction,
         cfg,
         tol=args.tol,
-        max_iter=args.max_iter or 60,
+        max_iter=args.max_iter,
     )
     _emit_json({"a_of_g": a.mat.tolist()}, args.out)
     return 0
@@ -193,7 +199,7 @@ def _cmd_lw(args) -> int:
         model.interaction,
         cfg,
         tol=args.tol,
-        max_iter=args.max_iter or 60,
+        max_iter=args.max_iter,
     )
     _emit_json(report.to_dict(), args.out)
     return 0
@@ -211,15 +217,13 @@ def _cmd_sigma(args) -> int:
     return 0
 
 
-def _cmd_solver(args, minimize: bool) -> int:
+def _cmd_solver(args) -> int:
     model = load_model(args.model)
     cfg = _resolve_cfg(model.oracle, args)
     modelkind = SigmaModel(args.sigma_model)
-    tol = args.tol if args.tol is not None else 1e-8
-    max_iter = args.max_iter or 200
-    if minimize:
+    if args.command == "minimize":
         trace = minimize_free_energy(
-            model.a, model.interaction, modelkind, cfg, tol=tol, max_iter=max_iter
+            model.a, model.interaction, modelkind, cfg, tol=args.tol, max_iter=args.max_iter
         )
     else:
         trace = dyson_solve(
@@ -227,8 +231,8 @@ def _cmd_solver(args, minimize: bool) -> int:
             model.interaction,
             modelkind,
             damping=args.damping,
-            tol=tol,
-            max_iter=max_iter,
+            tol=args.tol,
+            max_iter=args.max_iter,
             cfg=cfg,
         )
     payload = trace.to_dict()
@@ -273,7 +277,7 @@ def _cmd_sweep(args) -> int:
     for eps in _parse_eps_grid(args.eps):
         u_eps = ScaledInteraction(eps * scale, DiagonalQuartic(v))
         report = lw_evaluate(
-            green, u_eps, cfg, tol=args.tol, max_iter=args.max_iter or 80, a_init=warm
+            green, u_eps, cfg, tol=args.tol, max_iter=args.max_iter, a_init=warm
         )
         warm = report.a_of_g
         if args.quantity == "phi":
@@ -305,6 +309,8 @@ _COMMANDS = {
     "invert": _cmd_invert,
     "lw": _cmd_lw,
     "sigma": _cmd_sigma,
+    "dyson": _cmd_solver,
+    "minimize": _cmd_solver,
     "verify": _cmd_verify,
     "sweep": _cmd_sweep,
 }
@@ -315,10 +321,6 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "dyson":
-            return _cmd_solver(args, minimize=False)
-        if args.command == "minimize":
-            return _cmd_solver(args, minimize=True)
         return _COMMANDS[args.command](args)
     except LwlatticeError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -367,15 +367,15 @@ def interaction_from_dict(obj: dict, n: int | None = None) -> Interaction:
         dim = obj.get("n", n)
         if dim is None:
             raise ParseError("zero interaction needs a dimension ('n')")
-        return ZeroInteraction(int(dim))
+        return ZeroInteraction(_numeric(int, dim, "n"))
     if kind == "diagonal_quartic":
         return DiagonalQuartic(_require(obj, "v"))
     if kind == "general_quartic":
-        flat = np.asarray(_require(obj, "w"), dtype=float).ravel()
+        flat = _numeric(lambda w: np.asarray(w, dtype=float), _require(obj, "w"), "w").ravel()
         dim = obj.get("n", n)
         if dim is None:
             dim = round(len(flat) ** 0.25)
-        dim = int(dim)
+        dim = _numeric(int, dim, "n")
         if dim**4 != flat.size:
             raise ParseError(
                 f"general_quartic tensor has {flat.size} entries, not a fourth power of {dim}"
@@ -383,7 +383,7 @@ def interaction_from_dict(obj: dict, n: int | None = None) -> Interaction:
         return GeneralQuartic(flat.reshape((dim,) * 4))
     if kind == "scaled":
         inner = interaction_from_dict(_require(obj, "inner"), n)
-        return ScaledInteraction(float(_require(obj, "factor")), inner)
+        return ScaledInteraction(_numeric(float, _require(obj, "factor"), "factor"), inner)
     if kind == "composed":
         inner = interaction_from_dict(_require(obj, "inner"), n)
         return ComposedInteraction(inner, LinearMap(_require(obj, "map")))
@@ -394,3 +394,11 @@ def _require(obj: dict, key: str):
     if key not in obj:
         raise ParseError(f"interaction of type {obj.get('type')!r} misses field {key!r}")
     return obj[key]
+
+
+def _numeric(convert, value, key: str):
+    """convert(value) for an interaction field; a non-number is a ParseError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"interaction field {key!r} is not numeric") from None

@@ -20,7 +20,10 @@ INV_TOLERANCE = 1e-12
 
 
 def _square_array(entries, what: str) -> np.ndarray:
-    arr = np.array(entries, dtype=float)
+    try:
+        arr = np.array(entries, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.size == 0:

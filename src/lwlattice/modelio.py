@@ -114,7 +114,10 @@ def load_matrix(path) -> np.ndarray:
                 break
         else:
             raise ParseError(f"matrix file {path} has no 'G', 'A' or 'matrix' field")
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"matrix file {path} does not hold an array of numbers") from None
     if arr.ndim != 2:
         raise ParseError(f"matrix file {path} does not hold a 2-d array")
     return arr

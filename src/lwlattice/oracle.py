@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -75,14 +76,21 @@ class OracleConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("nodes_per_dim", "samples", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nodes_per_dim < 1:
             raise ValidationError("nodes_per_dim must be positive")
         if self.samples < MC_BATCHES:
             raise ValidationError(f"samples must be at least {MC_BATCHES}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 unsigned bits")
-        if not (np.isfinite(self.envelope_floor) and self.envelope_floor > 0.0):
-            raise ValidationError("envelope_floor must be positive")
+        if not (
+            isinstance(self.envelope_floor, Real)
+            and np.isfinite(self.envelope_floor)
+            and self.envelope_floor > 0.0
+        ):
+            raise ValidationError("envelope_floor must be a positive number")
 
 
 @dataclass(frozen=True)

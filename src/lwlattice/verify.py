@@ -1,10 +1,10 @@
 """Executable theorem checks: gradient identities, bijection, asymptotic
 order, transformation rule, boundary continuity, truncation consistency.
 
-Every check is deterministic given (seed, config) and returns a CheckReport;
-``run_suite`` executes named groups over a fixed case matrix. Threshold
-constants live in THRESHOLDS, with a tight quadrature profile and a looser
-Monte Carlo profile.
+Every check is deterministic given its config and returns a CheckReport;
+``run_suite`` executes named groups over a fixed case matrix. Pass bounds
+live in THRESHOLDS, a tight set for quadrature and a looser one for Monte
+Carlo; the config's mode picks the set.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagrams import BoldSeries
-from .duality import BOUNDARY_GUARD, lw_evaluate
-from .errors import BoundaryTooClose, ValidationError
+from .duality import inverse_map, lw_evaluate
+from .errors import ValidationError
 from .interactions import (
     DiagonalQuartic,
     Interaction,
@@ -27,10 +27,10 @@ from .interactions import (
 from .matrices import LinearMap, SpdMatrix, SymMatrix, congruence
 from .oracle import OracleConfig, evaluate_moments, green_of_a
 
-#: Per-check pass thresholds. "asymptotic" and "truncation_lemma" are slope
-#: margins (fitted slope must exceed N + margin); the rest bound the metric
-#: from above. The mc profile excludes the slope checks: their residuals sit
-#: far below the statistical noise floor at any affordable sample count.
+#: Per-check pass thresholds. "asymptotic_margin" and "truncation_margin"
+#: are slope margins (fitted slope must exceed N + margin); the rest bound the
+#: metric from above. The mc set excludes the slope checks: their residuals
+#: sit far below the statistical noise floor at any affordable sample count.
 THRESHOLDS = {
     "quadrature": {
         "gradient_omega": 1e-5,
@@ -50,8 +50,10 @@ THRESHOLDS = {
     },
 }
 
-#: Grid defaults shared by the asymptotic checks.
+#: Coupling grids of the slope checks (ascending) and boundary distances of
+#: the continuity check (descending).
 EPS_GRID = tuple(np.logspace(-3, -1, 9))
+LEMMA_EPS_GRID = (2e-3, 5e-3, 1e-2, 2e-2, 5e-2)
 DELTA_GRID = (1e-1, 3e-2, 1e-2, 3e-3)
 #: Residuals below this value are quadrature-noise dominated and dropped
 #: before slope fitting.
@@ -82,12 +84,15 @@ class CheckReport:
         }
 
 
-def _profile_for(cfg: OracleConfig, profile: str | None) -> dict:
-    if profile is None:
-        profile = "quadrature" if cfg.mode == "quadrature" else "mc"
-    if profile not in THRESHOLDS:
-        raise ValidationError(f"unknown threshold profile {profile!r}")
-    return THRESHOLDS[profile]
+def _bound(cfg: OracleConfig, key: str) -> float:
+    """The pass bound of one check in the THRESHOLDS set of cfg's mode."""
+    bounds = THRESHOLDS["quadrature" if cfg.mode == "quadrature" else "mc"]
+    if key not in bounds:
+        raise ValidationError(
+            f"no Monte Carlo bound for {key!r}: slope checks fit residuals below "
+            "the Monte Carlo noise floor; run them in quadrature mode"
+        )
+    return bounds[key]
 
 
 def _random_symmetric_directions(n: int, count: int, seed: int):
@@ -107,23 +112,18 @@ def _max_relative_error(analytic, fd):
     return float(np.abs(fd - analytic).max() / scale)
 
 
-def check_gradient_omega(
-    a: SymMatrix,
-    u: Interaction,
-    cfg: OracleConfig,
-    threshold: float = THRESHOLDS["quadrature"]["gradient_omega"],
-    seed: int = 101,
-) -> CheckReport:
+def check_gradient_omega(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> CheckReport:
     """Directional derivatives of Omega against 1/2 Tr[G dA].
 
     Central differences with step FD_STEP along 6 random symmetric
     directions; metric = max relative error over the directions.
     """
+    threshold = _bound(cfg, "gradient_omega")
     a = SymMatrix.coerce(a)
     report = evaluate_moments(a, u, cfg)
     green = report.green.mat
     analytic, fd = [], []
-    for direction in _random_symmetric_directions(a.n, 6, seed):
+    for direction in _random_symmetric_directions(a.n, 6, 101):
         analytic.append(0.5 * float(np.sum(green * direction)))
         plus = evaluate_moments(SymMatrix(a.mat + FD_STEP * direction), u, cfg).omega
         minus = evaluate_moments(SymMatrix(a.mat - FD_STEP * direction), u, cfg).omega
@@ -138,19 +138,11 @@ def check_gradient_omega(
     )
 
 
-def check_bijection(
-    a: SymMatrix,
-    u: Interaction,
-    cfg: OracleConfig,
-    threshold: float = THRESHOLDS["quadrature"]["bijection"],
-    tol: float | None = None,
-) -> CheckReport:
+def check_bijection(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> CheckReport:
     """Round trip A -> G[A] -> A via the duality solver, in max norm."""
-    from .duality import inverse_map
-
+    threshold = _bound(cfg, "bijection")
     a = SymMatrix.coerce(a)
-    if tol is None and cfg.mode == "quadrature":
-        tol = 1e-9
+    tol = 1e-9 if cfg.mode == "quadrature" else None
     green = green_of_a(a, u, cfg)
     recovered = inverse_map(green, u, cfg, tol=tol)
     metric = float(np.abs(recovered.mat - a.mat).max())
@@ -174,22 +166,18 @@ def _fit_slope(eps_values: np.ndarray, residuals: np.ndarray) -> float:
 
 
 def check_asymptotic_order(
-    g: SpdMatrix,
-    v: SymMatrix,
-    order: int,
-    cfg: OracleConfig,
-    eps_grid=EPS_GRID,
-    margin: float = THRESHOLDS["quadrature"]["asymptotic_margin"],
+    g: SpdMatrix, v: SymMatrix, order: int, cfg: OracleConfig
 ) -> CheckReport:
     """Fitted log-log slopes of the truncation residuals of Sigma and Phi.
 
     The N-term partial sums must leave O(eps^{N+1}) residuals, so both fitted
     slopes must exceed N + margin.
     """
+    threshold = order + _bound(cfg, "asymptotic_margin")
     g = SpdMatrix.coerce(g)
     v = SymMatrix.coerce(v)
     series = BoldSeries.build(g, v, order)
-    eps_values = np.asarray(sorted(eps_grid))
+    eps_values = np.asarray(EPS_GRID)
     sigma_res = np.empty(len(eps_values))
     phi_res = np.empty(len(eps_values))
     warm = None
@@ -204,7 +192,6 @@ def check_asymptotic_order(
     slope_sigma = _fit_slope(eps_values, sigma_res)
     slope_phi = _fit_slope(eps_values, phi_res)
     metric = float(min(slope_sigma, slope_phi))
-    threshold = order + margin
     return CheckReport(
         name=f"asymptotic_order_n{order}",
         passed=bool(metric >= threshold),
@@ -221,19 +208,15 @@ def check_asymptotic_order(
 
 
 def check_transformation_rule(
-    g: SpdMatrix,
-    u: Interaction,
-    t: LinearMap,
-    cfg: OracleConfig,
-    threshold: float = THRESHOLDS["quadrature"]["transformation"],
-    tol: float | None = None,
+    g: SpdMatrix, u: Interaction, t: LinearMap, cfg: OracleConfig
 ) -> CheckReport:
     """Phi[T G T'; U] against Phi[G; U o T]."""
+    threshold = _bound(cfg, "transformation")
     g = SpdMatrix.coerce(g)
     t = LinearMap.coerce(t)
+    tol = None
     if cfg.mode == "quadrature":
-        if tol is None:
-            tol = 1e-9
+        tol = 1e-9
         # anisotropic maps stretch G and drive A[G] deep into the
         # repaired-envelope regime, where 64 nodes leave ~1e-5 bias
         cfg = replace(cfg, nodes_per_dim=max(cfg.nodes_per_dim, 96))
@@ -249,9 +232,9 @@ def check_transformation_rule(
     )
 
 
-def _polynomial_extrapolation(xs: np.ndarray, ys: np.ndarray, order: int) -> float:
-    """Neville extrapolation to x = 0 through the (order+1) smallest points."""
-    idx = np.argsort(xs)[: order + 1]
+def _polynomial_extrapolation(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Neville extrapolation to x = 0 through all points, smallest x first."""
+    idx = np.argsort(xs)
     x = xs[idx]
     q = ys[idx].astype(float).copy()
     for k in range(1, len(x)):
@@ -261,12 +244,7 @@ def _polynomial_extrapolation(xs: np.ndarray, ys: np.ndarray, order: int) -> flo
 
 
 def check_boundary_continuity(
-    g_p: SpdMatrix,
-    u: Interaction,
-    cfg: OracleConfig,
-    delta_grid=DELTA_GRID,
-    threshold: float = THRESHOLDS["quadrature"]["boundary"],
-    extrapolation_order: int | None = None,
+    g_p: SpdMatrix, u: Interaction, cfg: OracleConfig
 ) -> CheckReport:
     """Continuity of Phi at the cone boundary via rank-deficient limits.
 
@@ -276,24 +254,19 @@ def check_boundary_continuity(
     rather than delta^2. The limit must match Phi_p of the restricted
     interaction.
     """
+    threshold = _bound(cfg, "boundary")
     g_p = SpdMatrix.coerce(g_p)
     p, n = g_p.n, u.n
     if p >= n:
         raise ValidationError(f"restricted dimension {p} must be below {n}")
-    deltas = np.asarray(sorted(delta_grid, reverse=True), dtype=float)
-    if deltas.min() < BOUNDARY_GUARD:
-        raise BoundaryTooClose(
-            f"delta {deltas.min():.1e} below the boundary guard {BOUNDARY_GUARD:.0e}"
-        )
-    if extrapolation_order is None:
-        extrapolation_order = len(deltas) - 1
+    deltas = np.asarray(DELTA_GRID)
     phis = np.empty(len(deltas))
     for k, delta in enumerate(deltas):
         full = np.zeros((n, n))
         full[:p, :p] = g_p.mat
         full[range(p, n), range(p, n)] = delta
         phis[k] = lw_evaluate(SpdMatrix(full), u, cfg).phi
-    limit = _polynomial_extrapolation(deltas, phis, extrapolation_order)
+    limit = _polynomial_extrapolation(deltas, phis)
     target = float(lw_evaluate(g_p, restrict(u, p), cfg).phi)
     metric = abs(limit - target)
     return CheckReport(
@@ -310,19 +283,14 @@ def check_boundary_continuity(
     )
 
 
-def check_selfenergy_gradient(
-    g: SpdMatrix,
-    u: Interaction,
-    cfg: OracleConfig,
-    threshold: float = THRESHOLDS["quadrature"]["selfenergy_gradient"],
-    seed: int = 202,
-) -> CheckReport:
+def check_selfenergy_gradient(g: SpdMatrix, u: Interaction, cfg: OracleConfig) -> CheckReport:
     """Directional derivatives of Phi against Tr[Sigma dG]."""
+    threshold = _bound(cfg, "selfenergy_gradient")
     g = SpdMatrix.coerce(g)
     base = lw_evaluate(g, u, cfg, tol=1e-10)
     sigma = base.sigma_exact.mat
     analytic, fd = [], []
-    for direction in _random_symmetric_directions(g.n, 6, seed):
+    for direction in _random_symmetric_directions(g.n, 6, 202):
         analytic.append(float(np.sum(sigma * direction)))
         plus = lw_evaluate(SpdMatrix(g.mat + FD_STEP * direction), u, cfg, tol=1e-10).phi
         minus = lw_evaluate(SpdMatrix(g.mat - FD_STEP * direction), u, cfg, tol=1e-10).phi
@@ -338,12 +306,7 @@ def check_selfenergy_gradient(
 
 
 def check_truncation_lemma(
-    g: SpdMatrix,
-    v: SymMatrix,
-    order: int,
-    cfg: OracleConfig,
-    eps_grid=(2e-3, 5e-3, 1e-2, 2e-2, 5e-2),
-    margin: float = THRESHOLDS["quadrature"]["truncation_margin"],
+    g: SpdMatrix, v: SymMatrix, order: int, cfg: OracleConfig
 ) -> CheckReport:
     """Truncated self-energy as the exact one of a shifted bare problem.
 
@@ -351,10 +314,11 @@ def check_truncation_lemma(
     bold G under interaction eps U up to O(eps^{N+1}); the fitted slope of
     the regeneration residual must exceed N + margin.
     """
+    threshold = order + _bound(cfg, "truncation_margin")
     g = SpdMatrix.coerce(g)
     v = SymMatrix.coerce(v)
     series = BoldSeries.build(g, v, order)
-    eps_values = np.asarray(sorted(eps_grid))
+    eps_values = np.asarray(LEMMA_EPS_GRID)
     residuals = np.empty(len(eps_values))
     for k, eps in enumerate(eps_values):
         bare = SymMatrix(g.inverse() + series.truncated_sigma(eps).mat)
@@ -362,7 +326,6 @@ def check_truncation_lemma(
         regenerated = green_of_a(bare, u_eps, cfg)
         residuals[k] = np.linalg.norm(regenerated.mat - g.mat)
     slope = _fit_slope(eps_values, residuals)
-    threshold = order + margin
     return CheckReport(
         name="truncation_lemma",
         passed=bool(slope >= threshold),
@@ -383,91 +346,82 @@ def _random_spd(n: int, rng) -> SpdMatrix:
     return SpdMatrix(q @ np.diag(lam) @ q.T)
 
 
-def _is_mc_profile(th) -> bool:
-    return "asymptotic_margin" not in th
-
-
-def _suite_gaussian(cfg, th):
+def _suite_gaussian(cfg):
     rng = np.random.default_rng(11)
     reports = [
-        check_gradient_omega(SymMatrix(np.eye(2)), ZeroInteraction(2), cfg, th["gradient_omega"]),
-        check_bijection(_random_spd(2, rng), ZeroInteraction(2), cfg, th["bijection"]),
-        check_bijection(_random_spd(3, rng), ZeroInteraction(3), cfg, th["bijection"]),
+        check_gradient_omega(SymMatrix(np.eye(2)), ZeroInteraction(2), cfg),
+        check_bijection(_random_spd(2, rng), ZeroInteraction(2), cfg),
+        check_bijection(_random_spd(3, rng), ZeroInteraction(3), cfg),
     ]
     third = _random_spd(2, rng)
-    if not _is_mc_profile(th):
+    if cfg.mode == "quadrature":
         # zero interaction means both derivative routes vanish; under Monte
         # Carlo this compares noise against noise, so it is quadrature-only
-        reports.append(
-            check_selfenergy_gradient(third, ZeroInteraction(2), cfg, th["selfenergy_gradient"])
-        )
+        reports.append(check_selfenergy_gradient(third, ZeroInteraction(2), cfg))
     reports += [
-        check_transformation_rule(_random_spd(2, rng), ZeroInteraction(2), _rotation(np.pi / 4), cfg, th["transformation"]),
-        check_boundary_continuity(SpdMatrix([[1.0]]), ZeroInteraction(2), cfg, threshold=th["boundary"]),
+        check_transformation_rule(_random_spd(2, rng), ZeroInteraction(2), _rotation(np.pi / 4), cfg),
+        check_boundary_continuity(SpdMatrix([[1.0]]), ZeroInteraction(2), cfg),
     ]
     return reports
 
 
-def _suite_gradients(cfg, th):
+def _suite_gradients(cfg):
     v2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
     return [
-        check_gradient_omega(SymMatrix([[1.0]]), DiagonalQuartic([[1.0]]), cfg, th["gradient_omega"]),
-        check_gradient_omega(SymMatrix([[1.0, 0.0], [0.0, -0.2]]), DiagonalQuartic(v2), cfg, th["gradient_omega"]),
-        check_selfenergy_gradient(SpdMatrix([[1.0]]), DiagonalQuartic([[1.0]]), cfg, th["selfenergy_gradient"]),
-        check_selfenergy_gradient(SpdMatrix([[1.0, 0.2], [0.2, 0.8]]), DiagonalQuartic(v2), cfg, th["selfenergy_gradient"]),
+        check_gradient_omega(SymMatrix([[1.0]]), DiagonalQuartic([[1.0]]), cfg),
+        check_gradient_omega(SymMatrix([[1.0, 0.0], [0.0, -0.2]]), DiagonalQuartic(v2), cfg),
+        check_selfenergy_gradient(SpdMatrix([[1.0]]), DiagonalQuartic([[1.0]]), cfg),
+        check_selfenergy_gradient(SpdMatrix([[1.0, 0.2], [0.2, 0.8]]), DiagonalQuartic(v2), cfg),
     ]
 
 
-def _suite_bijection(cfg, th):
+def _suite_bijection(cfg):
     rng = np.random.default_rng(23)
     v2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
     quartic1 = DiagonalQuartic([[1.0]])
     quartic2 = DiagonalQuartic(v2)
-    reports = [
-        check_bijection(SymMatrix([[1.0]]), quartic1, cfg, th["bijection"]),
-        check_bijection(SymMatrix([[-0.3]]), quartic1, cfg, th["bijection"]),
-        check_bijection(_random_spd(2, rng), quartic2, cfg, th["bijection"]),
-        check_bijection(SymMatrix([[1.0, 0.3], [0.3, -0.2]]), quartic2, cfg, th["bijection"]),
+    return [
+        check_bijection(SymMatrix([[1.0]]), quartic1, cfg),
+        check_bijection(SymMatrix([[-0.3]]), quartic1, cfg),
+        check_bijection(_random_spd(2, rng), quartic2, cfg),
+        check_bijection(SymMatrix([[1.0, 0.3], [0.3, -0.2]]), quartic2, cfg),
     ]
-    return reports
 
 
-def _suite_theorem3(cfg, th):
+def _suite_theorem3(cfg):
     v2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
     return [
-        check_asymptotic_order(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 1, cfg, margin=th["asymptotic_margin"]),
-        check_asymptotic_order(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2, cfg, margin=th["asymptotic_margin"]),
-        check_asymptotic_order(SpdMatrix(np.eye(2)), v2, 2, cfg, margin=th["asymptotic_margin"]),
+        check_asymptotic_order(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 1, cfg),
+        check_asymptotic_order(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2, cfg),
+        check_asymptotic_order(SpdMatrix(np.eye(2)), v2, 2, cfg),
     ]
 
 
-def _suite_transformation(cfg, th):
+def _suite_transformation(cfg):
     v2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
     g = SpdMatrix([[1.0, 0.2], [0.2, 0.7]])
     u = DiagonalQuartic(v2)
     # strong stretching degenerates the importance weights at fixed sample
     # count, so the Monte Carlo matrix uses a milder anisotropy
-    stretch = [[1.25, 0.0], [0.0, 0.8]] if _is_mc_profile(th) else [[2.0, 0.0], [0.0, 0.5]]
+    stretch = [[2.0, 0.0], [0.0, 0.5]] if cfg.mode == "quadrature" else [[1.25, 0.0], [0.0, 0.8]]
     return [
-        check_transformation_rule(g, u, LinearMap.identity(2), cfg, th["transformation"]),
-        check_transformation_rule(g, u, _rotation(np.pi / 4), cfg, th["transformation"]),
-        check_transformation_rule(g, u, LinearMap(stretch), cfg, th["transformation"]),
+        check_transformation_rule(g, u, LinearMap.identity(2), cfg),
+        check_transformation_rule(g, u, _rotation(np.pi / 4), cfg),
+        check_transformation_rule(g, u, LinearMap(stretch), cfg),
     ]
 
 
-def _suite_boundary(cfg, th):
+def _suite_boundary(cfg):
     coupled = DiagonalQuartic([[1.0, 0.5], [0.5, 1.0]])
     decoupled = DiagonalQuartic([[1.0, 0.0], [0.0, 0.8]])
     return [
-        check_boundary_continuity(SpdMatrix([[1.0]]), coupled, cfg, threshold=th["boundary"]),
-        check_boundary_continuity(SpdMatrix([[1.0]]), decoupled, cfg, threshold=th["boundary"]),
+        check_boundary_continuity(SpdMatrix([[1.0]]), coupled, cfg),
+        check_boundary_continuity(SpdMatrix([[1.0]]), decoupled, cfg),
     ]
 
 
-def _suite_lemma1(cfg, th):
-    return [
-        check_truncation_lemma(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2, cfg, margin=th["truncation_margin"]),
-    ]
+def _suite_lemma1(cfg):
+    return [check_truncation_lemma(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2, cfg)]
 
 
 _SUITES = {
@@ -479,7 +433,8 @@ _SUITES = {
     "boundary": _suite_boundary,
     "lemma1": _suite_lemma1,
 }
-#: Slope-based suites are meaningless under Monte Carlo noise.
+#: Slope-based suites are meaningless under Monte Carlo noise; "all" skips
+#: them there, and run alone their first check raises.
 _QUADRATURE_ONLY_SUITES = ("theorem3", "lemma1")
 
 
@@ -487,28 +442,17 @@ def suite_names():
     return ("all",) + tuple(_SUITES)
 
 
-def run_suite(
-    suite: str = "all",
-    cfg: OracleConfig | None = None,
-    profile: str | None = None,
-) -> list:
+def run_suite(suite: str = "all", cfg: OracleConfig | None = None) -> list:
     """Run a named check suite; every report is deterministic given cfg."""
     if cfg is None:
         cfg = OracleConfig()
-    thresholds = _profile_for(cfg, profile)
-    quadrature_like = "asymptotic_margin" in thresholds
     if suite == "all":
         names = [
             name
             for name in _SUITES
-            if quadrature_like or name not in _QUADRATURE_ONLY_SUITES
+            if cfg.mode == "quadrature" or name not in _QUADRATURE_ONLY_SUITES
         ]
     elif suite in _SUITES:
-        if suite in _QUADRATURE_ONLY_SUITES and not quadrature_like:
-            raise ValidationError(
-                f"suite {suite!r} fits slopes below the Monte Carlo noise "
-                "floor; run it in quadrature mode"
-            )
         names = [suite]
     else:
         raise ValidationError(
@@ -516,5 +460,5 @@ def run_suite(
         )
     reports = []
     for name in names:
-        reports.extend(_SUITES[name](cfg, thresholds))
+        reports.extend(_SUITES[name](cfg))
     return reports

@@ -67,6 +67,13 @@ class TestOracleCommand:
         code = dispatch(["oracle"])  # --model missing
         assert code == 1
 
+    def test_zero_sample_count_rejected(self, capsys, model_path):
+        code = dispatch(
+            ["oracle", "--model", model_path(GAUSS_1D), "--mode", "mc", "--mc-samples", "0"]
+        )
+        assert code == 1
+        assert "error: samples" in capsys.readouterr().err
+
 
 class TestInvertAndLw:
     def test_invert_gaussian(self, capsys, model_path, tmp_path):
@@ -91,6 +98,24 @@ class TestInvertAndLw:
         assert code == 0
         assert payload["phi"] == pytest.approx(-0.61015233527279275, abs=1e-8)
         assert payload["sigma_exact"][0][0] == pytest.approx(-1.0785281441273579, abs=1e-8)
+
+    def test_zero_node_count_rejected(self, capsys, model_path, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1.0]]))
+        code = dispatch(
+            ["lw", "--model", model_path(QUARTIC_1D), "--G", str(g), "--quad-nodes", "0"]
+        )
+        assert code == 1
+        assert "error: nodes_per_dim" in capsys.readouterr().err
+
+    def test_zero_iteration_budget_is_kept(self, capsys, model_path, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1.0]]))
+        code = dispatch(
+            ["lw", "--model", model_path(QUARTIC_1D), "--G", str(g), "--max-iter", "0"]
+        )
+        assert code == 2
+        assert "no convergence in 0 iterations" in capsys.readouterr().err
 
     def test_boundary_too_close_exit(self, capsys, model_path, tmp_path):
         g = tmp_path / "g.json"
@@ -187,6 +212,16 @@ class TestSolverCommands:
         )
         capsys.readouterr()
         assert code == 2
+
+    def test_minimize_has_no_damping(self, capsys, model_path):
+        code = dispatch(
+            [
+                "minimize", "--model", model_path(QUARTIC_1D),
+                "--sigma-model", "bold1", "--damping", "0.3",
+            ]
+        )
+        assert code == 1
+        assert "--damping" in capsys.readouterr().err
 
     def test_minimize_matches(self, capsys, model_path):
         code, payload = run_json(
@@ -321,3 +356,36 @@ class TestSweepCommand:
             ]
         )
         assert code == 1
+
+
+class TestMalformedInput:
+    """Malformed numbers in input files are usage errors, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"n": 1, "A": [["x"]], "interaction": {"type": "zero"}},
+            {**GAUSS_1D, "oracle": {"nodes_per_dim": "64"}},
+            {
+                "n": 1,
+                "A": [[1.0]],
+                "interaction": {
+                    "type": "scaled",
+                    "factor": "abc",
+                    "inner": {"type": "diagonal_quartic", "v": [[1.0]]},
+                },
+            },
+        ],
+        ids=["matrix-entry", "oracle-field", "scaled-factor"],
+    )
+    def test_model_file(self, capsys, model_path, model):
+        code = dispatch(["oracle", "--model", model_path(model)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_ragged_green_file(self, capsys, model_path, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1.0], [2.0, 3.0]]))
+        code = dispatch(["lw", "--model", model_path(QUARTIC_1D), "--G", str(g)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lwlattice.errors import BoundaryTooClose, ValidationError
+from lwlattice import verify
+from lwlattice.errors import ValidationError
 from lwlattice.interactions import DiagonalQuartic, ZeroInteraction
 from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix
 from lwlattice.oracle import OracleConfig
@@ -122,12 +123,6 @@ class TestBoundaryContinuity:
         report = check_boundary_continuity(SpdMatrix([[1.0]]), u, QUAD)
         assert report.passed and report.metric <= 1e-4
 
-    def test_delta_below_guard(self):
-        with pytest.raises(BoundaryTooClose):
-            check_boundary_continuity(
-                SpdMatrix([[1.0]]), DiagonalQuartic(V2), QUAD, delta_grid=(1e-2, 1e-8)
-            )
-
     def test_requires_lower_dimension(self):
         with pytest.raises(ValidationError):
             check_boundary_continuity(SpdMatrix(np.eye(2)), DiagonalQuartic(V2), QUAD)
@@ -185,6 +180,21 @@ class TestSuites:
         cfg = OracleConfig(mode="monte_carlo", samples=1000)
         with pytest.raises(ValidationError):
             run_suite("theorem3", cfg)
+
+    def test_mc_suite_uses_mc_bounds(self):
+        cfg = OracleConfig(mode="monte_carlo", samples=50_000, seed=3)
+        reports = run_suite("boundary", cfg)
+        assert reports and all(r.passed for r in reports)
+        assert all(r.threshold == THRESHOLDS["mc"]["boundary"] for r in reports)
+
+    def test_mc_slope_check_raises_before_oracle_work(self, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(verify, "lw_evaluate", no_oracle)
+        cfg = OracleConfig(mode="monte_carlo", samples=1000)
+        with pytest.raises(ValidationError):
+            check_asymptotic_order(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 1, cfg)
 
     def test_default_delta_grid(self):
         assert DELTA_GRID == (1e-1, 3e-2, 1e-2, 3e-3)
