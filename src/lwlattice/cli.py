@@ -325,6 +325,10 @@ def dispatch(argv) -> int:
     except LwlatticeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
+    except OSError as exc:
+        # modelio turns unreadable inputs into ParseError, so this is an output path
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
 
 
 def main() -> None:

@@ -53,16 +53,12 @@ _SIGMA_BY_ORDER = {1: sigma1, 2: sigma2}
 
 def sigma_term(g: SpdMatrix, v: SymMatrix, order: int) -> SymMatrix:
     """Bold self-energy coefficient of the given order."""
-    if order not in _SIGMA_BY_ORDER:
-        raise UnsupportedOrder(f"bold self-energy implemented for orders 1..{MAX_ORDER}")
-    return _SIGMA_BY_ORDER[order](g, v)
+    return BoldSeries.build(g, v, order).sigma_terms[-1]
 
 
 def phi_term(g: SpdMatrix, v: SymMatrix, order: int) -> float:
     """Bold free-energy coefficient: (1 / 2k) Tr[G Sigma^(k)]."""
-    sig = sigma_term(g, v, order)
-    g = SpdMatrix.coerce(g)
-    return float(np.trace(g.mat @ sig.mat)) / (2.0 * order)
+    return BoldSeries.build(g, v, order).phi_terms[-1]
 
 
 def g0_of_truncation(g: SpdMatrix, v: SymMatrix, eps: float, order: int) -> SpdMatrix:
@@ -71,13 +67,11 @@ def g0_of_truncation(g: SpdMatrix, v: SymMatrix, eps: float, order: int) -> SpdM
     Returns (G^-1 + sum_{k<=order} eps^k Sigma^(k))^-1; raises
     NotPositiveDefinite when eps is too large for this G.
     """
-    if order not in _SIGMA_BY_ORDER:
-        raise UnsupportedOrder(f"truncation order must be in 1..{MAX_ORDER}")
+    g = SpdMatrix.coerce(g)
+    series = BoldSeries.build(g, v, order)
     if eps < 0.0:
         raise ValidationError("interaction strength must be >= 0")
-    g = SpdMatrix.coerce(g)
-    bar = BoldSeries.build(g, v, order).truncated_sigma(eps)
-    core = g.inverse() + bar.mat
+    core = g.inverse() + series.truncated_sigma(eps).mat
     try:
         return SpdMatrix(np.linalg.inv(SpdMatrix(core).mat))
     except NotPositiveDefinite:
@@ -97,10 +91,10 @@ class BoldSeries:
 
     @classmethod
     def build(cls, g: SpdMatrix, v: SymMatrix, order: int = MAX_ORDER) -> "BoldSeries":
-        if order not in (1, 2):
-            raise UnsupportedOrder(f"series order must be in 1..{MAX_ORDER}")
+        if order not in _SIGMA_BY_ORDER:
+            raise UnsupportedOrder(f"bold diagrams implemented for orders 1..{MAX_ORDER}")
         g = SpdMatrix.coerce(g)
-        sigmas = tuple(sigma_term(g, v, k) for k in range(1, order + 1))
+        sigmas = tuple(_SIGMA_BY_ORDER[k](g, v) for k in range(1, order + 1))
         phis = tuple(
             float(np.trace(g.mat @ sig.mat)) / (2.0 * k)
             for k, sig in enumerate(sigmas, start=1)

@@ -3,9 +3,10 @@ self-energy.
 
 F is evaluated through its dual route: solve G[A] = G_target for A by a damped
 Newton iteration, then F = 1/2 Tr[A G] - Omega[A]. The Newton Jacobian is the
-second-moment sensitivity dG/dA = -1/2 Cov(x_i x_j, x_k x_l), read from the
-oracle's fourth moments over the n(n+1)/2 pairs i <= j, on the
-symmetric-matrix basis {E_ii} u {E_ij + E_ji}.
+second-moment sensitivity dG/dA = -1/2 Cov(x_i x_j, x_k x_l), the covariance
+of the n(n+1)/2 pair statistics x_i x_j (i <= j), on the symmetric-matrix
+basis {E_ii} u {E_ij + E_ji}. The oracle reports exactly that block of fourth
+moments (``MomentReport.pair_moments``), in the same pair order.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _newton_step(report: MomentReport, g_target: np.ndarray) -> np.ndarray:
     n = green.shape[0]
     rows, cols = np.triu_indices(n)
     g_pairs = green[rows, cols]
-    cov = report.fourth_moments[rows, cols][:, rows, cols] - np.outer(g_pairs, g_pairs)
+    cov = report.pair_moments - np.outer(g_pairs, g_pairs)
     jac = -0.5 * cov * np.where(rows == cols, 1.0, 2.0)
     rhs = g_pairs - g_target[rows, cols]
     try:

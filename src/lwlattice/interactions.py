@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, UnsupportedInteraction, ValidationError
-from .matrices import LinearMap, SymMatrix
+from .matrices import LinearMap, SymMatrix, float_array
 
 #: Deviation from full index-permutation symmetry accepted for symmetrization.
 TENSOR_SYM_TOLERANCE = 1e-9
@@ -140,7 +141,7 @@ class GeneralQuartic(Interaction):
     """U(x) = sum_ijkl W_ijkl x_i x_j x_k x_l with fully symmetric W."""
 
     def __init__(self, w):
-        arr = np.array(w, dtype=float)
+        arr = float_array(w, "quartic tensor")
         if arr.ndim != 4 or len(set(arr.shape)) != 1:
             raise ValidationError(f"quartic tensor must be n^4, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -371,7 +372,7 @@ def interaction_from_dict(obj: dict, n: int | None = None) -> Interaction:
     if kind == "diagonal_quartic":
         return DiagonalQuartic(_require(obj, "v"))
     if kind == "general_quartic":
-        flat = _numeric(lambda w: np.asarray(w, dtype=float), _require(obj, "w"), "w").ravel()
+        flat = float_array(_require(obj, "w"), "general_quartic field 'w'").ravel()
         dim = obj.get("n", n)
         if dim is None:
             dim = round(len(flat) ** 0.25)
@@ -397,8 +398,8 @@ def _require(obj: dict, key: str):
 
 
 def _numeric(convert, value, key: str):
-    """convert(value) for an interaction field; a non-number is a ParseError."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"interaction field {key!r} is not numeric") from None
+    """convert(value) for a field that must be a JSON number (an integer for int)."""
+    noun = "an integer" if convert is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, Integral if convert is int else Real):
+        raise ParseError(f"interaction field {key!r} must be {noun}, got {value!r}")
+    return convert(value)

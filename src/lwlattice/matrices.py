@@ -19,11 +19,19 @@ SYM_TOLERANCE = 1e-9
 INV_TOLERANCE = 1e-12
 
 
-def _square_array(entries, what: str) -> np.ndarray:
+def float_array(entries, what: str) -> np.ndarray:
+    """A float copy of a rectangular array of ints or floats, never of strings or bools."""
     try:
-        arr = np.array(entries, dtype=float)
+        arr = np.asarray(entries)
     except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be a rectangular array of numbers")
+    return arr.astype(float)
+
+
+def _square_array(entries, what: str) -> np.ndarray:
+    arr = float_array(entries, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.size == 0:
@@ -54,19 +62,19 @@ def cholesky_factor(arr: np.ndarray) -> np.ndarray:
 class SymMatrix:
     """Real symmetric matrix.
 
-    Construction symmetrizes inputs whose asymmetry is at most ``sym_tol``
-    (tolerates file-I/O roundoff) and rejects anything worse (catches user
-    error).
+    Construction symmetrizes inputs whose asymmetry is at most
+    ``SYM_TOLERANCE`` (tolerates file-I/O roundoff) and rejects anything worse
+    (catches user error).
     """
 
     __slots__ = ("mat",)
 
-    def __init__(self, entries, sym_tol: float = SYM_TOLERANCE):
+    def __init__(self, entries):
         arr = _square_array(entries, "symmetric matrix")
         asym = np.abs(arr - arr.T).max()
-        if asym > sym_tol:
+        if asym > SYM_TOLERANCE:
             raise ValidationError(
-                f"matrix not symmetric: max asymmetry {asym:.3e} exceeds {sym_tol:.1e}"
+                f"matrix not symmetric: max asymmetry {asym:.3e} exceeds {SYM_TOLERANCE:.1e}"
             )
         arr = 0.5 * (arr + arr.T)
         arr.setflags(write=False)
@@ -103,8 +111,8 @@ class SpdMatrix(SymMatrix):
 
     __slots__ = ("chol",)
 
-    def __init__(self, entries, sym_tol: float = SYM_TOLERANCE):
-        super().__init__(entries, sym_tol=sym_tol)
+    def __init__(self, entries):
+        super().__init__(entries)
         object.__setattr__(self, "chol", cholesky_factor(self.mat))
         self.chol.setflags(write=False)
 
@@ -128,11 +136,11 @@ class LinearMap:
 
     __slots__ = ("mat",)
 
-    def __init__(self, entries, inv_tol: float = INV_TOLERANCE):
+    def __init__(self, entries):
         arr = _square_array(entries, "linear map")
         det = np.linalg.det(arr)
-        if abs(det) < inv_tol:
-            raise SingularMap(f"|det T| = {abs(det):.3e} below {inv_tol:.0e}")
+        if abs(det) < INV_TOLERANCE:
+            raise SingularMap(f"|det T| = {abs(det):.3e} below {INV_TOLERANCE:.0e}")
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
 

@@ -8,13 +8,13 @@ is printed with 17 significant digits so doubles round-trip losslessly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .interactions import Interaction, interaction_from_dict
-from .matrices import SymMatrix
+from .matrices import SymMatrix, float_array
 from .oracle import OracleConfig
 
 
@@ -36,19 +36,21 @@ class ModelFile:
         }
 
 
-_ORACLE_FIELDS = tuple(f.name for f in fields(OracleConfig))
+#: OracleConfig fields a model file sets; the duality solver asks for fourth moments.
+_ORACLE_FIELDS = tuple(f.name for f in fields(OracleConfig) if f.name != "want_fourth_moments")
 
 
 def _oracle_to_dict(cfg: OracleConfig) -> dict:
     return {name: getattr(cfg, name) for name in _ORACLE_FIELDS}
 
 
-def oracle_from_dict(obj: dict, base: OracleConfig | None = None) -> OracleConfig:
-    base = base or OracleConfig()
+def oracle_from_dict(obj: dict) -> OracleConfig:
+    if not isinstance(obj, dict):
+        raise ParseError("'oracle' must be a JSON object")
     unknown = set(obj) - set(_ORACLE_FIELDS)
     if unknown:
         raise ParseError(f"unknown oracle fields: {sorted(unknown)}")
-    return replace(base, **obj)
+    return OracleConfig(**obj)
 
 
 def model_from_dict(obj: dict) -> ModelFile:
@@ -58,7 +60,7 @@ def model_from_dict(obj: dict) -> ModelFile:
         if key not in obj:
             raise ParseError(f"model file misses required field {key!r}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValidationError(f"'n' must be a positive integer, got {n!r}")
     a = SymMatrix(obj["A"])
     if a.n != n:
@@ -72,22 +74,26 @@ def model_from_dict(obj: dict) -> ModelFile:
     return ModelFile(n=n, a=a, interaction=interaction, oracle=oracle)
 
 
+def _read_json(path, what: str):
+    """Parsed JSON of a file; unreadable files and malformed JSON are ParseErrors."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise ParseError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # the former names line and column
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
+
+
 def load_model(path) -> ModelFile:
     """Load and fully validate a model file.
 
-    Raises ParseError with line/column diagnostics on malformed JSON and
+    Raises ParseError on an unreadable file or malformed JSON and
     ValidationError naming the violated invariant otherwise.
     """
-    try:
-        with open(path) as handle:
-            obj = json.load(handle)
-    except FileNotFoundError:
-        raise ParseError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from None
-    return model_from_dict(obj)
+    return model_from_dict(_read_json(path, "model file"))
 
 
 def save_model(model: ModelFile, path) -> None:
@@ -98,15 +104,7 @@ def save_model(model: ModelFile, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     """Load a bare matrix file: either [[...]] or {"G": [[...]]} / {"matrix": ...}."""
-    try:
-        with open(path) as handle:
-            obj = json.load(handle)
-    except FileNotFoundError:
-        raise ParseError(f"matrix file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON in {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from None
+    obj = _read_json(path, "matrix file")
     if isinstance(obj, dict):
         for key in ("G", "matrix", "A"):
             if key in obj:
@@ -114,10 +112,7 @@ def load_matrix(path) -> np.ndarray:
                 break
         else:
             raise ParseError(f"matrix file {path} has no 'G', 'A' or 'matrix' field")
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError(f"matrix file {path} does not hold an array of numbers") from None
+    arr = float_array(obj, f"matrix file {path}")
     if arr.ndim != 2:
         raise ParseError(f"matrix file {path} does not hold a 2-d array")
     return arr

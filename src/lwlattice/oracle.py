@@ -10,7 +10,8 @@ y with their probabilities p (summing to one over the whole set):
   equally weighted draws and batch-means standard errors.
 
 The kernel maps y to x = L^-T y (B = L L') and accumulates log-weighted sums
-over the chunks; fourth moments come from the n(n+1)/2 pair products x_i x_j.
+over the chunks; fourth moments are the block over the n(n+1)/2 pair products
+x_i x_j (i <= j), the statistics behind the duality solver's Newton Jacobian.
 
 The envelope matrix is B = A when lambda_min(A) >= tau and
 B = A + (tau - lambda_min(A)) I otherwise: A may be indefinite as long as the
@@ -77,8 +78,9 @@ class OracleConfig:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("nodes_per_dim", "samples", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.nodes_per_dim < 1:
             raise ValidationError("nodes_per_dim must be positive")
         if self.samples < MC_BATCHES:
@@ -87,6 +89,7 @@ class OracleConfig:
             raise ValidationError("seed must fit in 64 unsigned bits")
         if not (
             isinstance(self.envelope_floor, Real)
+            and not isinstance(self.envelope_floor, bool)
             and np.isfinite(self.envelope_floor)
             and self.envelope_floor > 0.0
         ):
@@ -100,18 +103,21 @@ class StdErrors:
     z: float
     omega: float
     green: np.ndarray
-    fourth_moments: np.ndarray | None = None
+    pair_moments: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Partition function, free energy and moments of one (A, U) instance."""
+    """Partition function, free energy and moments of one (A, U) instance.
+
+    ``pair_moments`` (on request) is <x_i x_j x_k x_l> over the pairs i <= j
+    of ``np.triu_indices(n)``: a P x P block, P = n(n+1)/2."""
 
     z: float
     omega: float
     green: SpdMatrix
     mean_interaction: float
-    fourth_moments: np.ndarray | None = None
+    pair_moments: np.ndarray | None = None
     std_errors: StdErrors | None = None
 
     def to_dict(self) -> dict:
@@ -121,18 +127,12 @@ class MomentReport:
             "green": self.green.mat.tolist(),
             "mean_interaction": self.mean_interaction,
         }
-        if self.fourth_moments is not None:
-            out["fourth_moments"] = self.fourth_moments.ravel().tolist()
         if self.std_errors is not None:
             out["std_errors"] = {
                 "z": self.std_errors.z,
                 "omega": self.std_errors.omega,
                 "green": self.std_errors.green.tolist(),
             }
-            if self.std_errors.fourth_moments is not None:
-                out["std_errors"]["fourth_moments"] = (
-                    self.std_errors.fourth_moments.ravel().tolist()
-                )
         return out
 
 
@@ -175,7 +175,7 @@ def _check_preconditions(a: SymMatrix, u: Interaction) -> bool:
 
 
 def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentReport:
-    """Z, Omega = -log Z, G = <x x'> and optionally <x_i x_j x_k x_l>.
+    """Z, Omega = -log Z, G = <x x'> and optionally the pair block of <x_i x_j x_k x_l>.
 
     Parameters
     ----------
@@ -275,10 +275,10 @@ def _moments(
         raise NonFinite("partition function overflowed or vanished")
     green = np.einsum("b,bij->ij", scale, s2) / tot0
     mean_u = float(scale @ su) / tot0
-    m4_pairs = None
+    pair_moments = None
     if cfg.want_fourth_moments:
         s4 = np.array(s4)
-        m4_pairs = np.einsum("b,bpq->pq", scale, s4) / tot0
+        pair_moments = np.einsum("b,bpq->pq", scale, s4) / tot0
 
     errors = None
     if cfg.mode == "monte_carlo":
@@ -290,11 +290,9 @@ def _moments(
             z=_floor_se(np.exp(log_z_b).std(ddof=1) / root, float(np.exp(log_z))),
             omega=_floor_se(log_z_b.std(ddof=1) / root, float(-log_z)),
             green=_floor_se((s2 / s0[:, None, None]).std(axis=0, ddof=1) / root, green),
-            fourth_moments=(
-                _dense_fourth(
-                    _floor_se((s4 / s0[:, None, None]).std(axis=0, ddof=1) / root, m4_pairs), n
-                )
-                if m4_pairs is not None
+            pair_moments=(
+                _floor_se((s4 / s0[:, None, None]).std(axis=0, ddof=1) / root, pair_moments)
+                if pair_moments is not None
                 else None
             ),
         )
@@ -303,17 +301,9 @@ def _moments(
         omega=float(-log_z),
         green=SpdMatrix(green),
         mean_interaction=mean_u,
-        fourth_moments=_dense_fourth(m4_pairs, n) if m4_pairs is not None else None,
+        pair_moments=pair_moments,
         std_errors=errors,
     )
-
-
-def _dense_fourth(block: np.ndarray, n: int) -> np.ndarray:
-    """Dense [i, j, k, l] tensor scattered from a block over the pairs of triu_indices(n)."""
-    rows, cols = np.triu_indices(n)
-    index = np.empty((n, n), dtype=int)
-    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-    return block[index[:, :, None, None], index[None, None, :, :]]
 
 
 def _floor_se(se, value):

@@ -375,8 +375,39 @@ class TestMalformedInput:
                     "inner": {"type": "diagonal_quartic", "v": [[1.0]]},
                 },
             },
+            # numbers given as strings or bools load as numbers nowhere
+            {"n": 1, "A": [["1.0"]], "interaction": {"type": "zero"}},
+            {**GAUSS_1D, "interaction": {"type": "diagonal_quartic", "v": [["1"]]}},
+            {**GAUSS_1D, "interaction": {"type": "general_quartic", "w": ["1.0"]}},
+            {
+                **GAUSS_1D,
+                "interaction": {
+                    "type": "composed",
+                    "map": [["1.0"]],
+                    "inner": {"type": "diagonal_quartic", "v": [[1.0]]},
+                },
+            },
+            {
+                **GAUSS_1D,
+                "interaction": {
+                    "type": "scaled",
+                    "factor": "0.5",
+                    "inner": {"type": "diagonal_quartic", "v": [[1.0]]},
+                },
+            },
+            {**GAUSS_1D, "n": True},
+            {**GAUSS_1D, "oracle": {"seed": True}},
+            {"n": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "interaction": {"type": "zero", "n": 2.7}},
+            # the duality solver asks for fourth moments; a model file does not
+            {**GAUSS_1D, "oracle": {"want_fourth_moments": True}},
+            {**GAUSS_1D, "oracle": 5},
         ],
-        ids=["matrix-entry", "oracle-field", "scaled-factor"],
+        ids=[
+            "matrix-entry", "oracle-field", "scaled-factor",
+            "matrix-string", "coupling-string", "tensor-string", "map-string",
+            "factor-string", "n-bool", "seed-bool", "zero-n-fraction",
+            "want-fourth-moments", "oracle-not-object",
+        ],
     )
     def test_model_file(self, capsys, model_path, model):
         code = dispatch(["oracle", "--model", model_path(model)])
@@ -387,5 +418,37 @@ class TestMalformedInput:
         g = tmp_path / "g.json"
         g.write_text(json.dumps([[1.0], [2.0, 3.0]]))
         code = dispatch(["lw", "--model", model_path(QUARTIC_1D), "--G", str(g)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_boolean_green_file(self, capsys, model_path, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[True]]))
+        code = dispatch(["lw", "--model", model_path(QUARTIC_1D), "--G", str(g)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestFileSystemErrors:
+    """Unreadable inputs and unwritable outputs end in ``error:``, not a traceback."""
+
+    @pytest.mark.parametrize("flag", ["--model", "--G"])
+    def test_input_is_a_directory(self, capsys, model_path, tmp_path, flag):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[0.5]]))
+        argv = ["lw", "--model", model_path(QUARTIC_1D), "--G", str(g)]
+        argv[argv.index(flag) + 1] = str(tmp_path)
+        code = dispatch(argv)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace-csv"])
+    def test_output_in_missing_directory(self, capsys, model_path, tmp_path, flag):
+        argv = [
+            "dyson", "--model", model_path(QUARTIC_1D), "--sigma-model", "bold1",
+            "--out", str(tmp_path / "o.json"), "--trace-csv", str(tmp_path / "trace.csv"),
+        ]
+        argv[argv.index(flag) + 1] = str(tmp_path / "missing" / "x")
+        code = dispatch(argv)
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -117,9 +119,13 @@ class TestJacobian:
         n = a0.shape[0]
         cfg = OracleConfig(want_fourth_moments=True)
         rep = evaluate_moments(SymMatrix(a0), u, cfg)
-        cov = rep.fourth_moments - np.einsum(
-            "ij,kl->ijkl", rep.green.mat, rep.green.mat
-        )
+        pair = {}
+        for p, (i, j) in enumerate(zip(*np.triu_indices(n))):
+            pair[i, j] = pair[j, i] = p
+        m4 = np.empty((n, n, n, n))
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            m4[i, j, k, l] = rep.pair_moments[pair[i, j], pair[k, l]]
+        cov = m4 - np.einsum("ij,kl->ijkl", rep.green.mat, rep.green.mat)
         h = 1e-4
         rng = np.random.default_rng(5)
         d = rng.standard_normal((n, n))

@@ -66,6 +66,12 @@ class TestLoadModel:
         with pytest.raises(ParseError, match="line 1"):
             load_model(path)
 
+    def test_binary_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_model(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="not found"):
             load_model(tmp_path / "absent.json")
@@ -102,6 +108,13 @@ class TestLoadModel:
 
 
 class TestRoundTrip:
+    def test_fourth_moments_not_a_model_setting(self, tmp_path):
+        gauss = {"n": 1, "A": [[1.0]], "interaction": {"type": "zero"}}
+        path = write(tmp_path, "m.json", {**gauss, "oracle": {"want_fourth_moments": True}})
+        with pytest.raises(ParseError, match="want_fourth_moments"):
+            load_model(path)
+        assert "want_fourth_moments" not in model_from_dict(gauss).to_dict()["oracle"]
+
     def test_save_load_identity(self, tmp_path):
         model = ModelFile(
             n=2,

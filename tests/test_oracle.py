@@ -34,6 +34,34 @@ def wick(g):
     )
 
 
+def at_pairs(m4):
+    """The [ij, kl] block of a dense fourth-moment tensor over the pairs i <= j."""
+    rows, cols = np.triu_indices(m4.shape[0])
+    return m4[rows, cols][:, rows, cols]
+
+
+def pairings(n):
+    """Block indices of (ij, kl), (ik, jl), (il, jk) and (kl, ij) for every i, j, k, l.
+
+    The four entries are the same moment <x_i x_j x_k x_l>, accumulated as
+    separate weighted sums.
+    """
+    index = {}
+    for p, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        index[i, j] = index[j, i] = p
+    quads = list(itertools.product(range(n), repeat=4))
+    return [
+        tuple(np.array([index[q[a], q[b]] for q in quads]) for a, b in pair)
+        for pair in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)), ((2, 3), (0, 1)))
+    ]
+
+
+def assert_pairings_agree(block, n, rel):
+    first, *others = (block[rows, cols] for rows, cols in pairings(n))
+    for other in others:
+        assert np.abs(first - other).max() <= rel * np.abs(block).max()
+
+
 A3 = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]])
 
 
@@ -145,19 +173,19 @@ class TestGradientIdentity:
 
 
 class TestFourthMoments:
-    def test_symmetry(self):
+    def test_pairings_agree(self):
         cfg = OracleConfig(want_fourth_moments=True)
         u = DiagonalQuartic([[1.0, 0.3], [0.3, 1.0]])
-        m4 = evaluate_moments(SymMatrix(np.eye(2)), u, cfg).fourth_moments
-        for perm in itertools.permutations(range(4)):
-            assert np.abs(m4 - np.transpose(m4, perm)).max() <= 1e-10 * np.abs(m4).max()
+        m4 = evaluate_moments(SymMatrix(np.eye(2)), u, cfg).pair_moments
+        assert m4.shape == (3, 3)
+        assert_pairings_agree(m4, 2, 1e-10)
 
     def test_gaussian_wick(self):
         # independent oracle: Wick pairing of Gaussian fourth moments
         cfg = OracleConfig(want_fourth_moments=True)
         a = np.array([[2.0, 0.5], [0.5, 1.0]])
         rep = evaluate_moments(SymMatrix(a), ZeroInteraction(2), cfg)
-        assert np.abs(rep.fourth_moments - wick(np.linalg.inv(a))).max() <= 1e-10
+        assert np.abs(rep.pair_moments - at_pairs(wick(np.linalg.inv(a)))).max() <= 1e-10
 
     def test_gaussian_across_chunks(self):
         # the grid spans several chunks and ends in a partial one
@@ -168,11 +196,11 @@ class TestFourthMoments:
         g = np.linalg.inv(A3)
         assert rep.omega == pytest.approx(gaussian_omega(A3), abs=1e-10)
         assert np.abs(rep.green.mat - g).max() <= 1e-10
-        assert np.abs(rep.fourth_moments - wick(g)).max() <= 1e-10
+        assert np.abs(rep.pair_moments - at_pairs(wick(g))).max() <= 1e-10
 
     def test_absent_unless_requested(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), ZeroInteraction(1), QUAD)
-        assert rep.fourth_moments is None
+        assert rep.pair_moments is None
 
 
 class TestConcavity:
@@ -208,18 +236,17 @@ class TestMonteCarlo:
     def test_fourth_moment_errors_symmetric_positive(self):
         cfg = OracleConfig(mode="monte_carlo", samples=200_000, seed=9, want_fourth_moments=True)
         u = DiagonalQuartic([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        se = evaluate_moments(SymMatrix(A3), u, cfg).std_errors.fourth_moments
-        assert se.shape == (3, 3, 3, 3)
+        se = evaluate_moments(SymMatrix(A3), u, cfg).std_errors.pair_moments
+        assert se.shape == (6, 6)
         assert np.all(se > 0.0)
-        for perm in itertools.permutations(range(4)):
-            assert np.abs(se - np.transpose(se, perm)).max() <= 1e-10 * se.max()
+        assert_pairings_agree(se, 3, 1e-10)
 
     def test_gaussian_fourth_moments_within_errors(self):
         # independent oracle: Wick pairing; plain sampling of N(0, A^-1)
         cfg = OracleConfig(mode="monte_carlo", samples=200_000, seed=9, want_fourth_moments=True)
         rep = evaluate_moments(SymMatrix(A3), ZeroInteraction(3), cfg)
-        err = np.abs(rep.fourth_moments - wick(np.linalg.inv(A3)))
-        assert np.all(err <= 4.0 * rep.std_errors.fourth_moments)
+        err = np.abs(rep.pair_moments - at_pairs(wick(np.linalg.inv(A3))))
+        assert np.all(err <= 4.0 * rep.std_errors.pair_moments)
 
     def test_quadrature_has_no_std_errors(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), ZeroInteraction(1), QUAD)
