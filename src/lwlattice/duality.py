@@ -86,16 +86,17 @@ def _newton_step(report: MomentReport, g_target: np.ndarray) -> np.ndarray:
 def _initial_guess(g_target: SpdMatrix, u: Interaction, cfg: OracleConfig) -> np.ndarray:
     """G^-1 corrected by the first bold diagram when the coupling is known.
 
-    The diagram correction targets the perturbative regime; when it lands
-    farther from the solution than plain G^-1 (strong coupling, large G), the
-    plain inverse is used instead.
+    A[G] = G^-1 + Sigma[G] and Sigma = eps Sigma^(1) + O(eps^2), so the
+    corrected guess is off by O(eps^2). The correction targets the
+    perturbative regime; when it lands farther from the solution than plain
+    G^-1 (strong coupling, large G), the plain inverse is used instead.
     """
     g_inv = g_target.inverse()
     try:
         factor, v = as_diagonal_quartic(u)
     except LwlatticeError:
         return g_inv
-    corrected = g_inv - factor * sigma1(g_target, v).mat
+    corrected = g_inv + factor * sigma1(g_target, v).mat
     probe = replace(cfg, want_fourth_moments=False)
     try:
         res_corr = _forward_residual(corrected, u, probe, g_target.mat)

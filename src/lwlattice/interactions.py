@@ -130,6 +130,19 @@ class DiagonalQuartic(Interaction):
         return f"DiagonalQuartic({self.v.mat.tolist()!r})"
 
 
+def pair_products(x: np.ndarray) -> np.ndarray:
+    """x_i x_j over the pairs i <= j of ``np.triu_indices(n)``, per point.
+
+    Returns an F-ordered (m, P) array, P = n(n+1)/2, filled column by column
+    from the columns of the (m, n) batch x.
+    """
+    rows, cols = np.triu_indices(x.shape[1])
+    out = np.empty((x.shape[0], rows.size), order="F")
+    for p, (i, j) in enumerate(zip(rows, cols)):
+        np.multiply(x[:, i], x[:, j], out=out[:, p])
+    return out
+
+
 def _symmetrize_quartic_tensor(w: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(w)
     for perm in itertools.permutations(range(4)):
@@ -155,13 +168,15 @@ class GeneralQuartic(Interaction):
         sym.setflags(write=False)
         self.w = sym
         self.n = sym.shape[0]
+        # U = sum_pq s_p M_pq s_q over the pair products s_p = x_i x_j, i <= j;
+        # an off-diagonal pair stands for both (i, j) and (j, i)
+        rows, cols = np.triu_indices(self.n)
+        mult = np.where(rows == cols, 1.0, 2.0)
+        self._pair_weights = sym[rows, cols][:, rows, cols] * np.outer(mult, mult)
 
     def _evaluate(self, batch):
-        # pair the indices once: s_ij = x_i x_j, then contract the n^2 x n^2 form
-        m = batch.shape[0]
-        pairs = np.einsum("mi,mj->mij", batch, batch).reshape(m, -1)
-        wmat = self.w.reshape(self.n * self.n, self.n * self.n)
-        return np.einsum("mp,pq,mq->m", pairs, wmat, pairs)
+        pairs = pair_products(batch)
+        return np.einsum("mp,mp->m", pairs @ self._pair_weights, pairs)
 
     def restricted(self, p):
         self._check_restriction(p)

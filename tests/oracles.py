@@ -3,7 +3,7 @@
 The frozen constants below were computed with the adaptive-quadrature /
 root-finding pipeline in this module (scipy.integrate.quad at 1e-13
 tolerances, cross-checked against 40-digit mpmath evaluation of the same
-integrals). They are deliberately computed with none of the package's own
+integrals; the 2-D constants with scipy.integrate.dblquad at 1e-13). They are deliberately computed with none of the package's own
 quadrature or Newton code, so round trips against them are genuine two-route
 checks. Re-run ``python tests/oracles.py`` to regenerate.
 """
@@ -37,6 +37,21 @@ ENTROPY_AT_UNIT_G = 1.3834944016001158332
 A_OF_UNIT_G_EPS001 = 0.98514371067769439281
 #: Sigma[G = 1] at eps = 0.01
 SIGMA_AT_UNIT_G_EPS001 = -0.014856289322305607189
+
+
+# --- 2-D coupled quartic theory with an indefinite A -------------------------
+# A = A_2D, U(x) = (1/8) sum_ij V_2D[i, j] x_i^2 x_j^2; lambda_min(A) < 0, so
+# the package's quadrature runs on its repaired (lifted) envelope.
+
+A_2D = ((1.0, 0.3), (0.3, -0.2))
+V_2D = ((1.0, 0.5), (0.5, 1.0))
+#: Omega = -log Z for (A_2D, V_2D)
+OMEGA_QUARTIC_2D = -1.9129600247124212
+#: G = <x x'> for (A_2D, V_2D)
+GREEN_QUARTIC_2D = (
+    (0.541263255735179, -0.14319320642537842),
+    (-0.14319320642537842, 1.0216308208350662),
+)
 
 
 def quartic_z(a: float, eps: float = 1.0) -> float:
@@ -75,13 +90,38 @@ def quartic_a_of_g(g: float, eps: float = 1.0, bracket=(-6.0, 6.0)) -> float:
     )
 
 
-def quartic_lw_reference(g: float, eps: float = 1.0) -> dict:
+def quartic_lw_reference(g: float, eps: float = 1.0, bracket=(-6.0, 6.0)) -> dict:
     """A[G], Omega, F, Phi, Sigma for the scalar quartic theory."""
-    a = quartic_a_of_g(g, eps)
+    a = quartic_a_of_g(g, eps, bracket)
     omega = -np.log(quartic_z(a, eps))
     f = 0.5 * a * g - omega
     phi = 2.0 * f - np.log(g) - np.log(2.0 * np.pi * np.e)
     return {"a": a, "omega": omega, "f": f, "phi": phi, "sigma": a - 1.0 / g}
+
+
+def quartic_2d_moments(a, v, box: float = 10.0):
+    """(Omega, G) of exp(-x'Ax/2 - (1/8) sum_ij v_ij x_i^2 x_j^2) in two dimensions.
+
+    Nested adaptive quadrature (scipy.integrate.dblquad) over the square
+    |x_i| <= box, outside which the quartic tail leaves nothing at double
+    precision for couplings of order one.
+    """
+    a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
+
+    def density(x2, x1):
+        quad = a[0, 0] * x1 * x1 + 2.0 * a[0, 1] * x1 * x2 + a[1, 1] * x2 * x2
+        quartic = v[0, 0] * x1**4 + 2.0 * v[0, 1] * x1 * x1 * x2 * x2 + v[1, 1] * x2**4
+        return np.exp(-0.5 * quad - quartic / 8.0)
+
+    def integral(f):
+        val, _ = integrate.dblquad(f, -box, box, -box, box, epsabs=1e-14, epsrel=1e-13)
+        return val
+
+    z = integral(density)
+    g11 = integral(lambda x2, x1: x1 * x1 * density(x2, x1)) / z
+    g12 = integral(lambda x2, x1: x1 * x2 * density(x2, x1)) / z
+    g22 = integral(lambda x2, x1: x2 * x2 * density(x2, x1)) / z
+    return -np.log(z), np.array([[g11, g12], [g12, g22]])
 
 
 # --- bold vacuum diagrams of a diagonal quartic coupling ---------------------
@@ -112,9 +152,13 @@ def _regenerate():
     print("SIGMA_AT_UNIT_G       =", repr(ref["sigma"]))
     print("MEAN_U_AT_UNIT_G      =", repr(quartic_moment(ref["a"], 4) / 8.0))
     print("ENTROPY_AT_UNIT_G     =", repr(ref["f"] + quartic_moment(ref["a"], 4) / 8.0))
-    ref001 = quartic_lw_reference(1.0, eps=0.01)
+    # at weak coupling a negative a overflows the integrand; A[G] is near 1
+    ref001 = quartic_lw_reference(1.0, eps=0.01, bracket=(0.5, 1.5))
     print("A_OF_UNIT_G_EPS001    =", repr(ref001["a"]))
     print("SIGMA_AT_UNIT_G_EPS001=", repr(ref001["sigma"]))
+    omega_2d, green_2d = quartic_2d_moments(A_2D, V_2D)
+    print("OMEGA_QUARTIC_2D      =", repr(float(omega_2d)))
+    print("GREEN_QUARTIC_2D      =", repr(green_2d.tolist()))
 
 
 if __name__ == "__main__":

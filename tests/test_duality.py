@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
+from lwlattice.diagrams import sigma1
 from lwlattice.duality import (
+    _initial_guess,
     exact_self_energy,
     inverse_map,
     lw_evaluate,
@@ -103,6 +105,22 @@ class TestInverseMap:
         g = green_of_a(SymMatrix(a0), u, cfg)
         recovered = inverse_map(g, u, cfg, tol=1e-9)
         assert np.abs(recovered.mat - a0).max() <= 1e-6
+
+
+class TestInitialGuess:
+    def test_first_order_guess_at_weak_coupling(self):
+        # A[G] = G^-1 + eps Sigma^(1) + O(eps^2): the corrected guess wins its
+        # comparison with G^-1, and halving eps quarters its distance to A[G]
+        g = SpdMatrix([[0.8, 0.1], [0.1, 0.6]])
+        dist = []
+        for eps in (0.02, 0.01):
+            u = ScaledInteraction(eps, DiagonalQuartic(V2))
+            guess = _initial_guess(g, u, QUAD)
+            assert np.array_equal(guess, g.inverse() + eps * sigma1(g, SymMatrix(V2)).mat)
+            a = inverse_map(g, u, QUAD, tol=1e-12).mat
+            dist.append(np.abs(guess - a).max())
+            assert dist[-1] <= eps**2
+        assert dist[1] / dist[0] == pytest.approx(0.25, abs=0.03)
 
 
 class TestJacobian:

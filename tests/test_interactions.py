@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -61,6 +62,32 @@ class TestEvaluate:
         scaled = ScaledInteraction(factor, u)
         x = np.random.default_rng(seed).standard_normal(2)
         assert scaled.evaluate(x) == factor * u.evaluate(x)
+
+
+def direct_quartic(w, x):
+    """sum_ijkl W_ijkl x_i x_j x_k x_l per point, with no pairing of indices."""
+    return np.einsum("ijkl,mi,mj,mk,ml->m", w, x, x, x, x)
+
+
+class TestGeneralQuarticPairs:
+    """The P x P contraction over pairs i <= j against the full n^4 sum."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_symmetric_tensor(self, n):
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((n,) * 4)
+        w = sum(np.transpose(raw, perm) for perm in itertools.permutations(range(4))) / 24.0
+        pts = random_points(n, 200, seed=n)
+        direct = direct_quartic(w, pts)
+        assert np.abs(GeneralQuartic(w).evaluate(pts) - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    def test_materialized_composition(self):
+        u = DiagonalQuartic([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        t = LinearMap([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+        dense = materialize(compose(u, t))
+        pts = random_points(3, 200, seed=6)
+        direct = direct_quartic(dense.w, pts)
+        assert np.abs(dense.evaluate(pts) - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 class TestCompose:
