@@ -47,9 +47,15 @@ DEFAULT_ENVELOPE_FLOOR = 0.5
 MC_BATCHES = 64
 #: Hard cap on tensor-grid size (nodes_per_dim ** n). The grid is evaluated
 #: in chunks, so memory does not bound it; time does: at 64^4 = 16.7M points
-#: one G-only evaluation takes 1.4 s (2.4 s with fourth moments) on a 2-core
+#: one G-only evaluation takes 1.1 s (2.5 s with fourth moments) on a 2-core
 #: Xeon, and a Newton solve makes about a dozen evaluations.
 QUAD_POINT_CAP = 20_000_000
+#: Hard cap on Gauss-Hermite nodes per dimension, checked before the rule is
+#: built (hermgauss forms a dense nodes x nodes matrix). With numpy 2.4.6
+#: hermgauss overflows from 371 nodes on and its smallest weights underflow to
+#: zero soon after, so log p turns infinite; the cap keeps a margin below that
+#: and keeps nodes <= QUAD_CHUNK, which the slab split of _grid_chunks needs.
+QUAD_NODE_CAP = 360
 #: Grid points per quadrature chunk; bounds the working set (points, pair
 #: products, the interaction's intermediates) whatever the grid size.
 QUAD_CHUNK = 1 << 15
@@ -202,6 +208,11 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
         return _moments(a, u, cfg, confining, _sample_chunks(n, cfg))
     if n > QUAD_DIM_CAP:
         raise DimensionCap(f"quadrature limited to n <= {QUAD_DIM_CAP}, got {n}")
+    if cfg.nodes_per_dim > QUAD_NODE_CAP:
+        raise DimensionCap(
+            f"quadrature limited to {QUAD_NODE_CAP} nodes per dimension, "
+            f"got {cfg.nodes_per_dim}"
+        )
     if cfg.nodes_per_dim**n > QUAD_POINT_CAP:
         raise DimensionCap(
             f"tensor grid of {cfg.nodes_per_dim}^{n} points exceeds the "
@@ -218,15 +229,35 @@ def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
 def _grid_chunks(n: int, nodes: int):
     """Tensor Gauss-Hermite grid for N(0, I) as (y, log p) chunks of QUAD_CHUNK points.
 
-    A grid that fits in one chunk is built once and reused; larger grids are
-    streamed, so they are never held whole.
+    A grid that fits in one chunk is built once and reused. A larger grid is
+    streamed in row-major order as slabs: the first ``lead`` axes are the
+    fewest that leave a tail of at most QUAD_CHUNK points (nodes <= QUAD_CHUNK
+    must hold), the tail is the cached one-chunk grid of the other axes, and a
+    chunk pairs QUAD_CHUNK // tail consecutive leading indices with the whole
+    tail. The chunks are filled into one buffer per call, so a yielded chunk
+    is valid only until the next one is requested.
     """
     total = nodes**n
     if total <= QUAD_CHUNK:
         yield _one_chunk_grid(n, nodes)
         return
-    for start in range(0, total, QUAD_CHUNK):
-        yield _grid_block(n, nodes, start, min(start + QUAD_CHUNK, total))
+    lead = 1
+    while nodes ** (n - lead) > QUAD_CHUNK:
+        lead += 1
+    tail_y, _ = _one_chunk_grid(n - lead, nodes)
+    tail = len(tail_y)
+    heads = nodes**lead
+    step = QUAD_CHUNK // tail
+    logp1 = _hermgauss(nodes)[1]
+    buf = np.empty((n, step, tail))
+    buf[lead:] = tail_y.T[:, None, :]
+    for start in range(0, heads, step):
+        k = min(step, heads - start)
+        head_y, logp = _grid_block(lead, nodes, start, start + k)
+        buf[:lead, :k] = head_y.T[:, :, None]
+        for _ in range(n - lead):  # ((l0 + l1) + l2) as in _grid_block
+            logp = np.add.outer(logp, logp1)
+        yield buf[:, :k].reshape(n, -1).T, logp.ravel()
 
 
 @lru_cache(maxsize=16)

@@ -5,6 +5,7 @@ import pytest
 
 from lwlattice import cli
 from lwlattice.cli import dispatch
+from lwlattice.oracle import QUAD_NODE_CAP
 
 GAUSS_1D = {"n": 1, "A": [[1.0]], "interaction": {"type": "zero"}}
 QUARTIC_1D = {"n": 1, "A": [[1.0]], "interaction": {"type": "diagonal_quartic", "v": [[1.0]]}}
@@ -66,6 +67,12 @@ class TestOracleCommand:
     def test_usage_error_is_validation(self, capsys):
         code = dispatch(["oracle"])  # --model missing
         assert code == 1
+
+    def test_node_count_above_cap_rejected(self, capsys, model_path):
+        nodes = str(QUAD_NODE_CAP + 1)
+        code = dispatch(["oracle", "--model", model_path(GAUSS_1D), "--quad-nodes", nodes])
+        assert code == 1
+        assert "error: quadrature limited to" in capsys.readouterr().err
 
     def test_zero_sample_count_rejected(self, capsys, model_path):
         code = dispatch(

@@ -2,18 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lwlattice import oracle
 from lwlattice.errors import DimensionCap, DimensionMismatch, DivergentIntegral
 from lwlattice.interactions import DiagonalQuartic, ScaledInteraction, ZeroInteraction
 from lwlattice.matrices import SymMatrix
 from lwlattice.oracle import (
     MC_BATCHES,
     QUAD_CHUNK,
+    QUAD_NODE_CAP,
     OracleConfig,
+    _check_preconditions,
+    _grid_block,
     _grid_chunks,
+    _moments,
     evaluate_moments,
     green_of_a,
 )
@@ -255,6 +260,98 @@ class TestOneChunkGrid:
         assert np.array_equal(r1.pair_moments, r2.pair_moments)
 
 
+def streamed_grid(n, nodes):
+    """Copies of the chunks of _grid_chunks, concatenated, and the chunk sizes."""
+    ys, logps = [], []
+    for y, logp in _grid_chunks(n, nodes):
+        ys.append(y.copy())
+        logps.append(logp.copy())
+    return np.concatenate(ys), np.concatenate(logps), [len(logp) for logp in logps]
+
+
+class TestGridChunks:
+    """A multi-chunk grid streams as whole slabs: leading indices times the full tail."""
+
+    @staticmethod
+    def assert_slabs(n, nodes):
+        y, logp, sizes = streamed_grid(n, nodes)
+        ref_y, ref_logp = _grid_block(n, nodes, 0, nodes**n)
+        assert np.array_equal(y, ref_y)
+        assert np.array_equal(logp, ref_logp)
+        chunk = oracle.QUAD_CHUNK
+        total = nodes**n
+        tail = total if total <= chunk else max(nodes**j for j in range(n) if nodes**j <= chunk)
+        assert all(size <= chunk and size % tail == 0 for size in sizes)
+        assert len(set(sizes[:-1])) <= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        nodes=st.integers(2, 12),
+        chunk=st.sampled_from([7, 16, 100]),
+    )
+    def test_stream_is_the_row_major_grid(self, n, nodes, chunk):
+        assume(nodes <= chunk)  # what QUAD_NODE_CAP guarantees at the real chunk size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "QUAD_CHUNK", chunk)
+            self.assert_slabs(n, nodes)
+
+    # (4, 32): the tail is exactly one chunk; (3, 50) ends in a partial chunk
+    @pytest.mark.parametrize("n, nodes", [(3, 64), (3, 80), (4, 32), (3, 50)])
+    def test_stream_at_the_real_chunk_size(self, n, nodes):
+        self.assert_slabs(n, nodes)
+
+    def test_default_grid_boundaries(self):
+        assert streamed_grid(3, 64)[2] == [QUAD_CHUNK] * 8
+
+
+class TestChunkBufferReuse:
+    """One buffer per _grid_chunks call is rewritten chunk after chunk."""
+
+    A = SymMatrix([[1.0, 0.3, 0.1], [0.3, -0.2, 0.2], [0.1, 0.2, 0.8]])
+    U = DiagonalQuartic([[1.0, 0.2, 0.1], [0.2, 0.8, 0.3], [0.1, 0.3, 1.2]])
+
+    # (50, QUAD_CHUNK): 4 chunks, the last partial; (11, 100): 14 chunks, the last partial
+    @pytest.mark.parametrize("nodes, chunk", [(50, QUAD_CHUNK), (11, 100)])
+    def test_stream_matches_one_whole_grid_chunk(self, monkeypatch, nodes, chunk):
+        monkeypatch.setattr(oracle, "QUAD_CHUNK", chunk)
+        cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
+        confining = _check_preconditions(self.A, self.U)
+        streamed = _moments(self.A, self.U, cfg, confining, _grid_chunks(3, nodes))
+        whole = _moments(self.A, self.U, cfg, confining, [_grid_block(3, nodes, 0, nodes**3)])
+        assert streamed.omega == pytest.approx(whole.omega, rel=1e-14, abs=0.0)
+        for got, want in [
+            (streamed.green.mat, whole.green.mat),
+            (streamed.pair_moments, whole.pair_moments),
+        ]:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_repeated_calls_bit_identical(self):
+        cfg = OracleConfig(nodes_per_dim=50, want_fourth_moments=True)
+        assert 50**3 > QUAD_CHUNK
+        r1 = evaluate_moments(self.A, self.U, cfg)
+        r2 = evaluate_moments(self.A, self.U, cfg)
+        assert r1.to_dict() == r2.to_dict()
+        assert np.array_equal(r1.pair_moments, r2.pair_moments)
+
+    def test_interleaved_streams_are_independent(self):
+        nodes = 50
+        ref_y, ref_logp = _grid_block(3, nodes, 0, nodes**3)
+        ahead = _grid_chunks(3, nodes)
+        next(ahead)
+        start = 0
+        for y, logp in _grid_chunks(3, nodes):
+            # the other stream fills its next chunk while this one is alive
+            other = next(ahead, None)
+            stop = start + len(y)
+            assert np.array_equal(y, ref_y[start:stop])
+            assert np.array_equal(logp, ref_logp[start:stop])
+            if other is not None:
+                assert np.array_equal(other[0], ref_y[stop : stop + len(other[0])])
+            start = stop
+        assert start == nodes**3
+
+
 class TestConcavity:
     def test_spot_check(self):
         rng = np.random.default_rng(11)
@@ -353,6 +450,20 @@ class TestErrors:
         n = 7
         with pytest.raises(DimensionCap):
             evaluate_moments(SymMatrix(np.eye(n)), ZeroInteraction(n), QUAD)
+
+    def test_node_cap(self):
+        assert QUAD_NODE_CAP <= QUAD_CHUNK  # the slab split keeps a tail axis
+        cfg = OracleConfig(nodes_per_dim=QUAD_NODE_CAP + 1)
+        with pytest.raises(DimensionCap):
+            evaluate_moments(SymMatrix([[1.0]]), ZeroInteraction(1), cfg)
+
+    def test_node_cap_itself_is_warning_free(self):
+        # warnings fail this suite; hermgauss overflows a few nodes above the cap
+        a, u = SymMatrix([[-0.5]]), DiagonalQuartic([[1.0]])
+        rep = evaluate_moments(a, u, OracleConfig(nodes_per_dim=QUAD_NODE_CAP))
+        ref = evaluate_moments(a, u, QUAD_TIGHT)
+        assert rep.omega == pytest.approx(ref.omega, rel=1e-9)
+        assert rep.green.mat[0, 0] == pytest.approx(ref.green.mat[0, 0], rel=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
