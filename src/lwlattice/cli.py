@@ -15,15 +15,15 @@ from dataclasses import replace
 import numpy as np
 
 from . import duality, solver
-from .diagrams import BoldSeries, sigma_term
+from .diagrams import sigma_term
 from .duality import inverse_map, lw_evaluate
 from .errors import LwlatticeError, ValidationError
-from .interactions import DiagonalQuartic, ScaledInteraction, as_diagonal_quartic
+from .interactions import as_diagonal_quartic
 from .matrices import SpdMatrix
 from .modelio import dumps, load_matrix, load_model, write_csv
 from .oracle import OracleConfig, evaluate_moments
 from .solver import SigmaModel, dyson_solve, free_energy, minimize_free_energy
-from .verify import run_suite, suite_names
+from .verify import bold_residuals, run_suite, suite_names
 
 
 class _Parser(argparse.ArgumentParser):
@@ -271,36 +271,18 @@ def _cmd_sweep(args) -> int:
     cfg = _resolve_cfg(model.oracle, args)
     green = _load_green(args.green)
     scale, v = as_diagonal_quartic(model.interaction)
-    series = BoldSeries.build(green, v, args.order)
-    rows = []
-    warm = None
-    for eps in _parse_eps_grid(args.eps):
-        u_eps = ScaledInteraction(eps * scale, DiagonalQuartic(v))
-        report = lw_evaluate(
-            green, u_eps, cfg, tol=args.tol, max_iter=args.max_iter, a_init=warm
-        )
-        warm = report.a_of_g
-        if args.quantity == "phi":
-            rows.append(
-                (
-                    float(eps),
-                    report.phi,
-                    abs(report.phi - series.truncated_phi(eps * scale)),
-                )
-            )
-        else:
-            sig_norm = float(np.linalg.norm(report.sigma_exact.mat))
-            residual = float(
-                np.linalg.norm(
-                    report.sigma_exact.mat - series.truncated_sigma(eps * scale).mat
-                )
-            )
-            rows.append((float(eps), sig_norm, residual))
+    eps_grid = _parse_eps_grid(args.eps)
+    scan = bold_residuals(
+        green, v, args.order, eps_grid * scale, cfg, tol=args.tol, max_iter=args.max_iter
+    )
+    rows = [
+        (float(eps), report.phi, phi_res)
+        if args.quantity == "phi"
+        else (float(eps), float(np.linalg.norm(report.sigma_exact.mat)), sigma_res)
+        for eps, (report, sigma_res, phi_res) in zip(eps_grid, scan)
+    ]
     header = ["eps", args.quantity, "residual_vs_series"]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        write_csv(sys.stdout, header, rows)
+    write_csv(args.out or sys.stdout, header, rows)
     return 0
 
 

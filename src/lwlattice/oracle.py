@@ -108,7 +108,6 @@ class OracleConfig:
 class StdErrors:
     """Per-entry batch-means standard errors (Monte Carlo only)."""
 
-    z: float
     omega: float
     green: np.ndarray
     pair_moments: np.ndarray | None = None
@@ -116,12 +115,12 @@ class StdErrors:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Partition function, free energy and moments of one (A, U) instance.
+    """Free energy Omega = -log Z and moments of one (A, U) instance.
 
+    Z itself is not reported: it overflows a float where log Z does not.
     ``pair_moments`` (on request) is <x_i x_j x_k x_l> over the pairs i <= j
     of ``np.triu_indices(n)``: a P x P block, P = n(n+1)/2."""
 
-    z: float
     omega: float
     green: SpdMatrix
     mean_interaction: float
@@ -130,14 +129,12 @@ class MomentReport:
 
     def to_dict(self) -> dict:
         out = {
-            "z": self.z,
             "omega": self.omega,
             "green": self.green.mat.tolist(),
             "mean_interaction": self.mean_interaction,
         }
         if self.std_errors is not None:
             out["std_errors"] = {
-                "z": self.std_errors.z,
                 "omega": self.std_errors.omega,
                 "green": self.std_errors.green.tolist(),
             }
@@ -161,7 +158,13 @@ def _envelope(a: np.ndarray, tau: float, confining: bool):
     """
     lam_min = np.linalg.eigvalsh(a)[0]
     lift = tau - lam_min if confining and lam_min < tau else 0.0
-    return lift, np.linalg.cholesky(a + lift * np.eye(a.shape[0]))
+    try:
+        return lift, np.linalg.cholesky(a + lift * np.eye(a.shape[0]))
+    except np.linalg.LinAlgError:
+        # the lift is lost to rounding when |A| dwarfs tau
+        raise NonFinite(
+            f"envelope A + {lift:.3e} I is not numerically positive definite"
+        ) from None
 
 
 def _check_preconditions(a: SymMatrix, u: Interaction) -> bool:
@@ -180,7 +183,7 @@ def _check_preconditions(a: SymMatrix, u: Interaction) -> bool:
 
 
 def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentReport:
-    """Z, Omega = -log Z, G = <x x'> and optionally the pair block of <x_i x_j x_k x_l>.
+    """Omega = -log Z, G = <x x'> and optionally the pair block of <x_i x_j x_k x_l>.
 
     Parameters
     ----------
@@ -199,7 +202,8 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
     DimensionCap
         Quadrature requested beyond the tensor-grid cap.
     NonFinite
-        Overflow or NaN in the integrand (envelope misconfiguration).
+        Overflow or NaN in the integrand, or an envelope matrix that is not
+        numerically positive definite.
     """
     a = SymMatrix.coerce(a)
     confining = _check_preconditions(a, u)
@@ -326,6 +330,9 @@ def _moments(
     if not np.isfinite(log_z):
         raise NonFinite("partition function overflowed or vanished")
     green = np.einsum("b,bij->ij", scale, s2) / tot0
+    # the weighted GEMM leaves rounding asymmetry relative to |G|, which the
+    # absolute tolerance of SymMatrix would reject for large G
+    green = 0.5 * (green + green.T)
     mean_u = float(scale @ su) / tot0
     pair_moments = None
     if cfg.want_fourth_moments:
@@ -339,7 +346,6 @@ def _moments(
         log_z_b = log_front + shifts + np.log(s0 * MC_BATCHES)
         root = np.sqrt(MC_BATCHES)
         errors = StdErrors(
-            z=_floor_se(np.exp(log_z_b).std(ddof=1) / root, float(np.exp(log_z))),
             omega=_floor_se(log_z_b.std(ddof=1) / root, float(-log_z)),
             green=_floor_se((s2 / s0[:, None, None]).std(axis=0, ddof=1) / root, green),
             pair_moments=(
@@ -349,7 +355,6 @@ def _moments(
             ),
         )
     return MomentReport(
-        z=float(np.exp(log_z)),
         omega=float(-log_z),
         green=SpdMatrix(green),
         mean_interaction=mean_u,

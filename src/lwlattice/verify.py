@@ -9,7 +9,7 @@ Carlo; the config's mode picks the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +62,8 @@ SLOPE_FIT_POINTS = 4
 #: Scale floor for relative errors of directional derivatives.
 DERIVATIVE_SCALE_FLOOR = 1e-3
 FD_STEP = 1e-4
+#: The coupled n=2 quartic coupling v shared by the suites.
+_V2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "metric": self.metric,
-            "threshold": self.threshold,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _bound(cfg: OracleConfig, key: str) -> float:
@@ -95,46 +91,49 @@ def _bound(cfg: OracleConfig, key: str) -> float:
     return bounds[key]
 
 
-def _random_symmetric_directions(n: int, count: int, seed: int):
+def _report(name, metric, threshold, details, at_least=False) -> CheckReport:
+    """The one pass rule: metric <= threshold, or metric >= threshold for the
+    slope checks (``at_least``); a NaN metric fails either way."""
+    passed = metric >= threshold if at_least else metric <= threshold
+    return CheckReport(name, bool(passed), metric, threshold, details)
+
+
+def _directional_check(name, value, x, gradient, seed, threshold) -> CheckReport:
+    """Central differences of the scalar function ``value`` at the matrix ``x``
+    against Tr[gradient D].
+
+    Step FD_STEP along 6 random symmetric unit directions D drawn from
+    ``seed``; metric = max error over the directions, relative to the largest
+    analytic derivative floored at DERIVATIVE_SCALE_FLOOR.
+    """
     rng = np.random.default_rng(seed)
-    dirs = []
-    for _ in range(count):
-        r = rng.standard_normal((n, n))
-        d = 0.5 * (r + r.T)
-        dirs.append(d / np.linalg.norm(d))
-    return dirs
-
-
-def _max_relative_error(analytic, fd):
-    analytic = np.asarray(analytic)
-    fd = np.asarray(fd)
+    analytic, fd = [], []
+    for _ in range(6):
+        r = rng.standard_normal(x.shape)
+        direction = 0.5 * (r + r.T)
+        direction = direction / np.linalg.norm(direction)
+        analytic.append(float(np.sum(gradient * direction)))
+        plus = value(x + FD_STEP * direction)
+        minus = value(x - FD_STEP * direction)
+        fd.append((plus - minus) / (2.0 * FD_STEP))
     scale = max(np.abs(analytic).max(), DERIVATIVE_SCALE_FLOOR)
-    return float(np.abs(fd - analytic).max() / scale)
+    metric = float(np.abs(np.subtract(fd, analytic)).max() / scale)
+    details = {"analytic": analytic, "finite_difference": fd, "step": FD_STEP}
+    return _report(name, metric, threshold, details)
 
 
 def check_gradient_omega(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> CheckReport:
-    """Directional derivatives of Omega against 1/2 Tr[G dA].
-
-    Central differences with step FD_STEP along 6 random symmetric
-    directions; metric = max relative error over the directions.
-    """
+    """Directional derivatives of Omega against 1/2 Tr[G dA]."""
     threshold = _bound(cfg, "gradient_omega")
     a = SymMatrix.coerce(a)
-    report = evaluate_moments(a, u, cfg)
-    green = report.green.mat
-    analytic, fd = [], []
-    for direction in _random_symmetric_directions(a.n, 6, 101):
-        analytic.append(0.5 * float(np.sum(green * direction)))
-        plus = evaluate_moments(SymMatrix(a.mat + FD_STEP * direction), u, cfg).omega
-        minus = evaluate_moments(SymMatrix(a.mat - FD_STEP * direction), u, cfg).omega
-        fd.append((plus - minus) / (2.0 * FD_STEP))
-    metric = _max_relative_error(analytic, fd)
-    return CheckReport(
-        name="gradient_omega",
-        passed=metric <= threshold,
-        metric=metric,
-        threshold=threshold,
-        details={"analytic": analytic, "finite_difference": fd, "step": FD_STEP},
+    green = evaluate_moments(a, u, cfg).green.mat
+    return _directional_check(
+        "gradient_omega",
+        lambda mat: evaluate_moments(SymMatrix(mat), u, cfg).omega,
+        a.mat,
+        0.5 * green,
+        101,
+        threshold,
     )
 
 
@@ -146,13 +145,8 @@ def check_bijection(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> CheckRep
     green = green_of_a(a, u, cfg)
     recovered = inverse_map(green, u, cfg, tol=tol)
     metric = float(np.abs(recovered.mat - a.mat).max())
-    return CheckReport(
-        name="bijection",
-        passed=metric <= threshold,
-        metric=metric,
-        threshold=threshold,
-        details={"green": green.mat.tolist(), "recovered": recovered.mat.tolist()},
-    )
+    details = {"green": green.mat.tolist(), "recovered": recovered.mat.tolist()}
+    return _report("bijection", metric, threshold, details)
 
 
 def _fit_slope(eps_values: np.ndarray, residuals: np.ndarray) -> float:
@@ -165,6 +159,28 @@ def _fit_slope(eps_values: np.ndarray, residuals: np.ndarray) -> float:
     return float(np.polyfit(np.log(eps_used), np.log(res_used), 1)[0])
 
 
+def bold_residuals(g, v, order, couplings, cfg, tol, max_iter) -> list:
+    """Exact-versus-bold residuals of the interaction eps U_v along ``couplings``.
+
+    At each coupling eps, in the given order, a ``lw_evaluate`` warm-started
+    from the previous A[G] gives the exact Sigma and Phi at G; returns
+    (report, |Sigma - Sigma_N|_F, |Phi - Phi_N|) per coupling, against the
+    order-N bold partial sums.
+    """
+    g = SpdMatrix.coerce(g)
+    v = SymMatrix.coerce(v)
+    series = BoldSeries.build(g, v, order)
+    rows, warm = [], None
+    for eps in couplings:
+        u_eps = ScaledInteraction(eps, DiagonalQuartic(v))
+        report = lw_evaluate(g, u_eps, cfg, tol=tol, max_iter=max_iter, a_init=warm)
+        warm = report.a_of_g
+        sigma_res = np.linalg.norm(report.sigma_exact.mat - series.truncated_sigma(eps).mat)
+        phi_res = abs(report.phi - series.truncated_phi(eps))
+        rows.append((report, float(sigma_res), float(phi_res)))
+    return rows
+
+
 def check_asymptotic_order(
     g: SpdMatrix, v: SymMatrix, order: int, cfg: OracleConfig
 ) -> CheckReport:
@@ -174,37 +190,20 @@ def check_asymptotic_order(
     slopes must exceed N + margin.
     """
     threshold = order + _bound(cfg, "asymptotic_margin")
-    g = SpdMatrix.coerce(g)
-    v = SymMatrix.coerce(v)
-    series = BoldSeries.build(g, v, order)
     eps_values = np.asarray(EPS_GRID)
-    sigma_res = np.empty(len(eps_values))
-    phi_res = np.empty(len(eps_values))
-    warm = None
-    for k, eps in enumerate(eps_values):
-        u_eps = ScaledInteraction(eps, DiagonalQuartic(v))
-        report = lw_evaluate(g, u_eps, cfg, tol=1e-12, max_iter=100, a_init=warm)
-        warm = report.a_of_g
-        sigma_res[k] = np.linalg.norm(
-            report.sigma_exact.mat - series.truncated_sigma(eps).mat
-        )
-        phi_res[k] = abs(report.phi - series.truncated_phi(eps))
+    rows = bold_residuals(g, v, order, eps_values, cfg, tol=1e-12, max_iter=100)
+    sigma_res, phi_res = np.array([row[1:] for row in rows]).T
     slope_sigma = _fit_slope(eps_values, sigma_res)
     slope_phi = _fit_slope(eps_values, phi_res)
+    details = {
+        "slope_sigma": slope_sigma,
+        "slope_phi": slope_phi,
+        "eps": eps_values.tolist(),
+        "sigma_residuals": sigma_res.tolist(),
+        "phi_residuals": phi_res.tolist(),
+    }
     metric = float(min(slope_sigma, slope_phi))
-    return CheckReport(
-        name=f"asymptotic_order_n{order}",
-        passed=bool(metric >= threshold),
-        metric=metric,
-        threshold=threshold,
-        details={
-            "slope_sigma": slope_sigma,
-            "slope_phi": slope_phi,
-            "eps": eps_values.tolist(),
-            "sigma_residuals": sigma_res.tolist(),
-            "phi_residuals": phi_res.tolist(),
-        },
-    )
+    return _report(f"asymptotic_order_n{order}", metric, threshold, details, at_least=True)
 
 
 def check_transformation_rule(
@@ -222,14 +221,8 @@ def check_transformation_rule(
         cfg = replace(cfg, nodes_per_dim=max(cfg.nodes_per_dim, 96))
     lhs = float(lw_evaluate(congruence(t, g), u, cfg, tol=tol).phi)
     rhs = float(lw_evaluate(g, compose(u, t), cfg, tol=tol).phi)
-    metric = abs(lhs - rhs)
-    return CheckReport(
-        name="transformation_rule",
-        passed=metric <= threshold,
-        metric=metric,
-        threshold=threshold,
-        details={"phi_transformed_g": lhs, "phi_composed_u": rhs},
-    )
+    details = {"phi_transformed_g": lhs, "phi_composed_u": rhs}
+    return _report("transformation_rule", abs(lhs - rhs), threshold, details)
 
 
 def _polynomial_extrapolation(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -268,40 +261,27 @@ def check_boundary_continuity(
         phis[k] = lw_evaluate(SpdMatrix(full), u, cfg).phi
     limit = _polynomial_extrapolation(deltas, phis)
     target = float(lw_evaluate(g_p, restrict(u, p), cfg).phi)
-    metric = abs(limit - target)
-    return CheckReport(
-        name="boundary_continuity",
-        passed=metric <= threshold,
-        metric=metric,
-        threshold=threshold,
-        details={
-            "deltas": deltas.tolist(),
-            "phi_values": phis.tolist(),
-            "extrapolated": limit,
-            "restricted_phi": target,
-        },
-    )
+    details = {
+        "deltas": deltas.tolist(),
+        "phi_values": phis.tolist(),
+        "extrapolated": limit,
+        "restricted_phi": target,
+    }
+    return _report("boundary_continuity", abs(limit - target), threshold, details)
 
 
 def check_selfenergy_gradient(g: SpdMatrix, u: Interaction, cfg: OracleConfig) -> CheckReport:
     """Directional derivatives of Phi against Tr[Sigma dG]."""
     threshold = _bound(cfg, "selfenergy_gradient")
     g = SpdMatrix.coerce(g)
-    base = lw_evaluate(g, u, cfg, tol=1e-10)
-    sigma = base.sigma_exact.mat
-    analytic, fd = [], []
-    for direction in _random_symmetric_directions(g.n, 6, 202):
-        analytic.append(float(np.sum(sigma * direction)))
-        plus = lw_evaluate(SpdMatrix(g.mat + FD_STEP * direction), u, cfg, tol=1e-10).phi
-        minus = lw_evaluate(SpdMatrix(g.mat - FD_STEP * direction), u, cfg, tol=1e-10).phi
-        fd.append((plus - minus) / (2.0 * FD_STEP))
-    metric = _max_relative_error(analytic, fd)
-    return CheckReport(
-        name="selfenergy_gradient",
-        passed=metric <= threshold,
-        metric=metric,
-        threshold=threshold,
-        details={"analytic": analytic, "finite_difference": fd, "step": FD_STEP},
+    sigma = lw_evaluate(g, u, cfg, tol=1e-10).sigma_exact.mat
+    return _directional_check(
+        "selfenergy_gradient",
+        lambda mat: lw_evaluate(SpdMatrix(mat), u, cfg, tol=1e-10).phi,
+        g.mat,
+        sigma,
+        202,
+        threshold,
     )
 
 
@@ -326,13 +306,8 @@ def check_truncation_lemma(
         regenerated = green_of_a(bare, u_eps, cfg)
         residuals[k] = np.linalg.norm(regenerated.mat - g.mat)
     slope = _fit_slope(eps_values, residuals)
-    return CheckReport(
-        name="truncation_lemma",
-        passed=bool(slope >= threshold),
-        metric=slope,
-        threshold=threshold,
-        details={"eps": eps_values.tolist(), "residuals": residuals.tolist()},
-    )
+    details = {"eps": eps_values.tolist(), "residuals": residuals.tolist()}
+    return _report("truncation_lemma", slope, threshold, details, at_least=True)
 
 
 def _rotation(angle: float) -> LinearMap:
@@ -348,38 +323,37 @@ def _random_spd(n: int, rng) -> SpdMatrix:
 
 def _suite_gaussian(cfg):
     rng = np.random.default_rng(11)
+    zero2 = ZeroInteraction(2)
     reports = [
-        check_gradient_omega(SymMatrix(np.eye(2)), ZeroInteraction(2), cfg),
-        check_bijection(_random_spd(2, rng), ZeroInteraction(2), cfg),
+        check_gradient_omega(SymMatrix(np.eye(2)), zero2, cfg),
+        check_bijection(_random_spd(2, rng), zero2, cfg),
         check_bijection(_random_spd(3, rng), ZeroInteraction(3), cfg),
     ]
     third = _random_spd(2, rng)
     if cfg.mode == "quadrature":
         # zero interaction means both derivative routes vanish; under Monte
         # Carlo this compares noise against noise, so it is quadrature-only
-        reports.append(check_selfenergy_gradient(third, ZeroInteraction(2), cfg))
+        reports.append(check_selfenergy_gradient(third, zero2, cfg))
     reports += [
-        check_transformation_rule(_random_spd(2, rng), ZeroInteraction(2), _rotation(np.pi / 4), cfg),
-        check_boundary_continuity(SpdMatrix([[1.0]]), ZeroInteraction(2), cfg),
+        check_transformation_rule(_random_spd(2, rng), zero2, _rotation(np.pi / 4), cfg),
+        check_boundary_continuity(SpdMatrix([[1.0]]), zero2, cfg),
     ]
     return reports
 
 
 def _suite_gradients(cfg):
-    v2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
     return [
         check_gradient_omega(SymMatrix([[1.0]]), DiagonalQuartic([[1.0]]), cfg),
-        check_gradient_omega(SymMatrix([[1.0, 0.0], [0.0, -0.2]]), DiagonalQuartic(v2), cfg),
+        check_gradient_omega(SymMatrix([[1.0, 0.0], [0.0, -0.2]]), DiagonalQuartic(_V2), cfg),
         check_selfenergy_gradient(SpdMatrix([[1.0]]), DiagonalQuartic([[1.0]]), cfg),
-        check_selfenergy_gradient(SpdMatrix([[1.0, 0.2], [0.2, 0.8]]), DiagonalQuartic(v2), cfg),
+        check_selfenergy_gradient(SpdMatrix([[1.0, 0.2], [0.2, 0.8]]), DiagonalQuartic(_V2), cfg),
     ]
 
 
 def _suite_bijection(cfg):
     rng = np.random.default_rng(23)
-    v2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
     quartic1 = DiagonalQuartic([[1.0]])
-    quartic2 = DiagonalQuartic(v2)
+    quartic2 = DiagonalQuartic(_V2)
     return [
         check_bijection(SymMatrix([[1.0]]), quartic1, cfg),
         check_bijection(SymMatrix([[-0.3]]), quartic1, cfg),
@@ -389,18 +363,16 @@ def _suite_bijection(cfg):
 
 
 def _suite_theorem3(cfg):
-    v2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
     return [
         check_asymptotic_order(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 1, cfg),
         check_asymptotic_order(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2, cfg),
-        check_asymptotic_order(SpdMatrix(np.eye(2)), v2, 2, cfg),
+        check_asymptotic_order(SpdMatrix(np.eye(2)), _V2, 2, cfg),
     ]
 
 
 def _suite_transformation(cfg):
-    v2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
     g = SpdMatrix([[1.0, 0.2], [0.2, 0.7]])
-    u = DiagonalQuartic(v2)
+    u = DiagonalQuartic(_V2)
     # strong stretching degenerates the importance weights at fixed sample
     # count, so the Monte Carlo matrix uses a milder anisotropy
     stretch = [[2.0, 0.0], [0.0, 0.5]] if cfg.mode == "quadrature" else [[1.25, 0.0], [0.0, 0.8]]
@@ -412,7 +384,7 @@ def _suite_transformation(cfg):
 
 
 def _suite_boundary(cfg):
-    coupled = DiagonalQuartic([[1.0, 0.5], [0.5, 1.0]])
+    coupled = DiagonalQuartic(_V2)
     decoupled = DiagonalQuartic([[1.0, 0.0], [0.0, 0.8]])
     return [
         check_boundary_continuity(SpdMatrix([[1.0]]), coupled, cfg),

@@ -5,7 +5,11 @@ import pytest
 
 from lwlattice import cli
 from lwlattice.cli import dispatch
-from lwlattice.oracle import QUAD_NODE_CAP
+from lwlattice.diagrams import BoldSeries
+from lwlattice.duality import lw_evaluate
+from lwlattice.interactions import DiagonalQuartic, ScaledInteraction
+from lwlattice.matrices import SpdMatrix, SymMatrix
+from lwlattice.oracle import QUAD_NODE_CAP, OracleConfig
 
 GAUSS_1D = {"n": 1, "A": [[1.0]], "interaction": {"type": "zero"}}
 QUARTIC_1D = {"n": 1, "A": [[1.0]], "interaction": {"type": "diagonal_quartic", "v": [[1.0]]}}
@@ -39,7 +43,7 @@ class TestOracleCommand:
         out = tmp_path / "report.json"
         code = dispatch(["oracle", "--model", model_path(GAUSS_1D), "--out", str(out)])
         assert code == 0
-        assert json.loads(out.read_text())["z"] > 0
+        assert np.isfinite(json.loads(out.read_text())["omega"])
 
     def test_mc_byte_identical(self, capsys, model_path):
         argv = [
@@ -59,6 +63,27 @@ class TestOracleCommand:
         code = dispatch(["oracle", "--model", model_path(bad)])
         assert code == 3  # divergent integral is a numerical failure
         assert "error" in capsys.readouterr().err
+
+    def test_envelope_failure_exit_code(self, capsys, model_path):
+        huge = {
+            "n": 2,
+            "A": [[1e17, 0.0], [0.0, -1e17]],
+            "interaction": {"type": "diagonal_quartic", "v": [[1.0, 0.0], [0.0, 1.0]]},
+        }
+        code = dispatch(["oracle", "--model", model_path(huge)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_deep_well_reports_omega_not_z(self, capsys, model_path):
+        # Z = exp(-Omega) overflows a float here; warnings fail this suite
+        deep = {"n": 1, "A": [[-40.0]], "interaction": {"type": "diagonal_quartic", "v": [[1.0]]}}
+        code, payload = run_json(capsys, ["oracle", "--model", model_path(deep)])
+        assert code == 0 and "z" not in payload
+        assert np.log(np.finfo(float).max) < -payload["omega"] < np.inf
+        mc_flags = ["--mode", "mc", "--mc-samples", "6400"]
+        code, payload = run_json(capsys, ["oracle", "--model", model_path(deep), *mc_flags])
+        assert code == 0 and "z" not in payload and "z" not in payload["std_errors"]
+        assert np.isfinite(payload["omega"])
 
     def test_missing_model_file(self, capsys, tmp_path):
         code = dispatch(["oracle", "--model", str(tmp_path / "none.json")])
@@ -257,7 +282,7 @@ class TestNonDiagonalModels:
         }
         code, payload = run_json(capsys, ["oracle", "--model", model_path(model)])
         assert code == 0
-        assert payload["z"] > 0.0
+        assert np.isfinite(payload["omega"])
 
     def test_general_quartic_model(self, capsys, model_path):
         # x^4 with unit coefficient, flat row-major tensor of one entry
@@ -269,7 +294,7 @@ class TestNonDiagonalModels:
         code, payload = run_json(capsys, ["oracle", "--model", model_path(model)])
         assert code == 0
         # same theory as diagonal_quartic v=[[1]]
-        assert payload["z"] == pytest.approx(2.1019609161655169959, abs=1e-8)
+        assert payload["omega"] == pytest.approx(-np.log(2.1019609161655169959), abs=4e-9)
 
     def test_sigma_rejects_general_quartic(self, capsys, model_path, tmp_path):
         g = tmp_path / "g.json"
@@ -338,6 +363,45 @@ class TestSweepCommand:
         first = float(lines[1].split(",")[2])
         last = float(lines[4].split(",")[2])
         assert first < last
+
+    @pytest.mark.parametrize("quantity", ["phi", "sigma"])
+    def test_scaled_coupled_matches_cold_start(self, capsys, model_path, tmp_path, quantity):
+        # the eps column is the dial on the model's own scale: the coupling is 0.7 eps
+        v = [[1.0, 0.5], [0.5, 1.0]]
+        model = {
+            "n": 2,
+            "A": [[1.0, 0.2], [0.2, 0.8]],
+            "interaction": {
+                "type": "scaled", "factor": 0.7, "inner": {"type": "diagonal_quartic", "v": v}
+            },
+        }
+        green = [[0.9, 0.1], [0.1, 0.7]]
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(green))
+        argv = ["sweep", "--model", model_path(model), "--G", str(g), "--quantity", quantity]
+        code = dispatch([*argv, "--eps", "1e-3:1e-1:log:6"])
+        assert code == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 6
+        series = BoldSeries.build(SpdMatrix(green), SymMatrix(v), 2)
+        for row in rows:
+            eps, value, residual = (float(x) for x in row.split(","))
+            coupling = 0.7 * eps
+            cold = lw_evaluate(
+                SpdMatrix(green), ScaledInteraction(coupling, DiagonalQuartic(v)), OracleConfig()
+            )
+            if quantity == "phi":
+                expected = cold.phi
+                expected_residual = abs(cold.phi - series.truncated_phi(coupling))
+            else:
+                expected = np.linalg.norm(cold.sigma_exact.mat)
+                expected_residual = np.linalg.norm(
+                    cold.sigma_exact.mat - series.truncated_sigma(coupling).mat
+                )
+            # warm and cold Newton solves stop at different points inside the
+            # solver tolerance: measured at most 8.9e-16 (phi), 7.9e-9 (sigma)
+            assert value == pytest.approx(expected, abs=1e-8)
+            assert residual == pytest.approx(expected_residual, abs=1e-8)
 
     def test_linear_grid(self, capsys, model_path, tmp_path):
         g = tmp_path / "g.json"

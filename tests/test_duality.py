@@ -186,21 +186,18 @@ class TestLwEvaluate:
         )
         assert report.entropy == pytest.approx(oracles.ENTROPY_AT_UNIT_G, abs=1e-9)
 
-    def test_report_internal_identities(self):
-        u = DiagonalQuartic(V2)
-        g = SpdMatrix([[0.9, 0.15], [0.15, 1.2]])
-        report = lw_evaluate(g, u, QUAD, tol=1e-9)
-        sign, logdet = np.linalg.slogdet(g.mat)
-        assert report.phi == pytest.approx(
-            2.0 * report.universal_f - logdet - report.phi0, abs=1e-10
-        )
-        assert np.abs(
-            report.sigma_exact.mat - (report.a_of_g.mat - np.linalg.inv(g.mat))
-        ).max() <= 1e-10
-        assert report.universal_f == pytest.approx(
-            report.entropy - report.mean_interaction, abs=1e-7
-        )
-        assert report.phi0 == pytest.approx(2.0 * np.log(2.0 * np.pi * np.e))
+    def test_coupled_indefinite_against_entropy_integrals(self):
+        """A[G], S, <U> and F at the dblquad G of (A_2D, V_2D) against
+        references integrated directly (S = -int rho log rho, F = S - <U>).
+
+        Measured at 192 nodes: A 3.0e-11, S 1.1e-10, <U> 1.1e-10, F 6.1e-12.
+        """
+        u = DiagonalQuartic(oracles.V_2D)
+        report = lw_evaluate(SpdMatrix(oracles.GREEN_QUARTIC_2D), u, QUAD_TIGHT, tol=1e-12)
+        assert np.abs(report.a_of_g.mat - np.array(oracles.A_2D)).max() <= 2e-10
+        assert report.entropy == pytest.approx(oracles.ENTROPY_QUARTIC_2D, abs=5e-10)
+        assert report.mean_interaction == pytest.approx(oracles.MEAN_U_QUARTIC_2D, abs=5e-10)
+        assert report.universal_f == pytest.approx(oracles.F_QUARTIC_2D, abs=5e-11)
 
 
 class TestExactSelfEnergy:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lwlattice import oracle
-from lwlattice.errors import DimensionCap, DimensionMismatch, DivergentIntegral
+from lwlattice.errors import DimensionCap, DimensionMismatch, DivergentIntegral, NonFinite
 from lwlattice.interactions import DiagonalQuartic, ScaledInteraction, ZeroInteraction
 from lwlattice.matrices import SymMatrix
 from lwlattice.oracle import (
@@ -80,8 +80,7 @@ A3 = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]])
 class TestGaussianClosedForm:
     def test_scalar(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), ZeroInteraction(1), QUAD)
-        assert rep.z == pytest.approx(np.sqrt(2.0 * np.pi), rel=1e-12)
-        assert rep.omega == pytest.approx(-0.9189385332046727, abs=1e-12)
+        assert rep.omega == pytest.approx(-0.5 * np.log(2.0 * np.pi), abs=1e-12)
         assert rep.green.mat[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_two_by_two(self):
@@ -89,6 +88,16 @@ class TestGaussianClosedForm:
         rep = evaluate_moments(SymMatrix(a), ZeroInteraction(2), QUAD)
         assert rep.omega == pytest.approx(0.5 * np.log(1.75) - np.log(2 * np.pi), abs=1e-12)
         assert np.abs(rep.green.mat - np.linalg.inv(a)).max() <= 1e-10
+
+    def test_tiny_a_huge_green(self):
+        # G ~ 1e10: the weighted GEMM leaves an asymmetry (6e-8 here) above the
+        # absolute 1e-9 tolerance of SymMatrix unless G is symmetrized first
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        a = SymMatrix(1e-10 * q @ np.diag([1.0, 2.0, 3.0]) @ q.T)
+        rep = evaluate_moments(a, ZeroInteraction(3), OracleConfig(nodes_per_dim=16))
+        inv = np.linalg.inv(a.mat)
+        # measured 1.2e-15 relative
+        assert np.abs(rep.green.mat - inv).max() <= 1e-12 * np.abs(inv).max()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exactness_random(self, n):
@@ -135,13 +144,13 @@ class TestQuarticDerived:
 
     def test_partition_function(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), DiagonalQuartic([[1.0]]), QUAD_TIGHT)
-        assert rep.z == pytest.approx(oracles.Z_QUARTIC_1D, abs=1e-12)
         assert rep.omega == pytest.approx(oracles.OMEGA_QUARTIC_1D, abs=1e-12)
         assert rep.green.mat[0, 0] == pytest.approx(oracles.GREEN_QUARTIC_1D, abs=1e-12)
 
     def test_default_nodes_accuracy(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), DiagonalQuartic([[1.0]]), QUAD)
-        assert rep.z == pytest.approx(oracles.Z_QUARTIC_1D, abs=1e-8)
+        # measured 9.0e-10
+        assert rep.omega == pytest.approx(oracles.OMEGA_QUARTIC_1D, abs=4e-9)
 
     def test_mean_interaction(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), DiagonalQuartic([[1.0]]), QUAD_TIGHT)
@@ -373,7 +382,7 @@ class TestMonteCarlo:
         u = DiagonalQuartic([[1.0]])
         r1 = evaluate_moments(SymMatrix([[1.0]]), u, self.MC)
         r2 = evaluate_moments(SymMatrix([[1.0]]), u, self.MC)
-        assert r1.z == r2.z
+        assert r1.omega == r2.omega
         assert np.array_equal(r1.green.mat, r2.green.mat)
         assert np.array_equal(r1.std_errors.green, r2.std_errors.green)
 
@@ -444,7 +453,13 @@ class TestErrors:
     def test_unverified_growth_with_spd_ok(self):
         u = DiagonalQuartic([[1.0, -0.1], [-0.1, 1.0]])
         rep = evaluate_moments(SymMatrix(np.eye(2)), u, QUAD)
-        assert rep.z > 0.0
+        assert np.isfinite(rep.omega)
+
+    def test_envelope_lost_to_rounding_is_numerical_failure(self):
+        # the lift 0.5 + 1e17 rounds to 1e17, so A + lift I is singular
+        a = SymMatrix([[1e17, 0.0], [0.0, -1e17]])
+        with pytest.raises(NonFinite):
+            evaluate_moments(a, DiagonalQuartic(np.eye(2)), QUAD)
 
     def test_dimension_cap(self):
         n = 7

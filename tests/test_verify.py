@@ -144,6 +144,36 @@ class TestSelfEnergyGradient:
         assert report.passed
 
 
+class TestSharedPieces:
+    X = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+
+    @staticmethod
+    def logdet(mat):
+        return np.linalg.slogdet(mat)[1]
+
+    def test_directional_check_on_log_det(self):
+        inv = np.linalg.inv(self.X)
+        report = verify._directional_check("logdet", self.logdet, self.X, inv, 7, 1e-7)
+        assert report.passed and report.metric <= 1e-7
+        assert list(report.details) == ["analytic", "finite_difference", "step"]
+        wrong = verify._directional_check("logdet", self.logdet, self.X, 2.0 * inv, 7, 1e-7)
+        assert not wrong.passed and wrong.metric >= 0.4
+
+    def test_pass_rule_directions(self):
+        nan = float("nan")
+        assert verify._report("bound", 1.0, 1.0, {}).passed
+        assert not verify._report("bound", 1.5, 1.0, {}).passed
+        assert not verify._report("bound", nan, 1.0, {}).passed
+        assert verify._report("slope", 2.8, 2.8, {}, at_least=True).passed
+        assert not verify._report("slope", 2.5, 2.8, {}, at_least=True).passed
+        assert not verify._report("slope", nan, 2.8, {}, at_least=True).passed
+
+    def test_report_dict_key_order(self):
+        report = verify._report("bound", 0.5, 1.0, {"b": 1, "a": 2})
+        assert list(report.to_dict()) == ["name", "passed", "metric", "threshold", "details"]
+        assert list(report.to_dict()["details"]) == ["b", "a"]
+
+
 class TestTruncationLemma:
     def test_second_order_scalar(self):
         report = check_truncation_lemma(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2, QUAD)
