@@ -16,7 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagrams import sigma1
-from .errors import BoundaryTooClose, LwlatticeError, NoConvergence, ValidationError
+from .errors import (
+    BoundaryTooClose,
+    DimensionMismatch,
+    LwlatticeError,
+    NoConvergence,
+    ValidationError,
+)
 from .interactions import Interaction, as_diagonal_quartic
 from .matrices import SpdMatrix, SymMatrix, logdet_spd, min_eigenvalue
 from .oracle import MomentReport, OracleConfig, evaluate_moments
@@ -97,18 +103,17 @@ def _initial_guess(g_target: SpdMatrix, u: Interaction, cfg: OracleConfig) -> np
     except LwlatticeError:
         return g_inv
     corrected = g_inv + factor * sigma1(g_target, v).mat
+    # G-only probes: the losing candidate is thrown away, so it never pays
+    # for pair moments
     probe = replace(cfg, want_fourth_moments=False)
     try:
-        res_corr = _forward_residual(corrected, u, probe, g_target.mat)
-        res_plain = _forward_residual(g_inv, u, probe, g_target.mat)
+        res_corr, res_plain = [
+            np.linalg.norm(evaluate_moments(SymMatrix(a), u, probe).green.mat - g_target.mat)
+            for a in (corrected, g_inv)
+        ]
     except LwlatticeError:
         return g_inv
     return corrected if res_corr <= res_plain else g_inv
-
-
-def _forward_residual(a: np.ndarray, u, cfg, g_target: np.ndarray) -> float:
-    report = evaluate_moments(SymMatrix(a), u, cfg)
-    return float(np.linalg.norm(report.green.mat - g_target))
 
 
 def default_tolerance(cfg: OracleConfig, report: MomentReport) -> float:
@@ -136,7 +141,6 @@ def _solve_inverse(
             f"G has dimension {g_target.n}, interaction has {u.n}"
         )
     full_cfg = replace(cfg, want_fourth_moments=True)
-    probe_cfg = replace(cfg, want_fourth_moments=False)
     gt = g_target.mat
 
     a = a_init.mat.copy() if a_init is not None else _initial_guess(g_target, u, cfg)
@@ -152,8 +156,11 @@ def _solve_inverse(
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             trial = a + scale * step
+            # one evaluation per trial, with pair moments: an accepted trial
+            # is the next Newton point and its report gives the next Jacobian
             try:
-                trial_res = _forward_residual(trial, u, probe_cfg, gt)
+                trial_report = evaluate_moments(SymMatrix(trial), u, full_cfg)
+                trial_res = float(np.linalg.norm(trial_report.green.mat - gt))
             except LwlatticeError:
                 trial_res = np.inf
             if trial_res < residual:
@@ -165,9 +172,7 @@ def _solve_inverse(
                 residual=residual,
             )
         # trials must lower the residual, so the last point is the best one
-        a = trial
-        report = evaluate_moments(SymMatrix(a), u, full_cfg)
-        residual = float(np.linalg.norm(report.green.mat - gt))
+        a, report, residual = trial, trial_report, trial_res
 
     if residual <= tol:
         return SymMatrix(a), report, max_iter, residual
@@ -267,8 +272,10 @@ def rho_g_logdensity(
     to one by construction.
     """
     g = SpdMatrix.coerce(g)
-    a, report, _, _ = _solve_inverse(g, u, cfg, tol, max_iter)
     xv = np.asarray(x, dtype=float)
+    if xv.shape != (g.n,):
+        raise DimensionMismatch(f"x has shape {xv.shape}, expected ({g.n},)")
+    a, report, _, _ = _solve_inverse(g, u, cfg, tol, max_iter)
     quad = 0.5 * float(xv @ a.mat @ xv)
     # -log Z = Omega
     return -quad - float(u.evaluate(xv)) + report.omega

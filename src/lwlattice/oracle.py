@@ -48,7 +48,9 @@ MC_BATCHES = 64
 #: Hard cap on tensor-grid size (nodes_per_dim ** n). The grid is evaluated
 #: in chunks, so memory does not bound it; time does: at 64^4 = 16.7M points
 #: one G-only evaluation takes 1.1 s (2.5 s with fourth moments) on a 2-core
-#: Xeon, and a Newton solve makes about a dozen evaluations.
+#: Xeon. A Newton solve makes two G-only start probes and then one evaluation
+#: with fourth moments for its start point and for each line-search trial:
+#: six to eight in all for a solve of three to five steps without rejections.
 QUAD_POINT_CAP = 20_000_000
 #: Hard cap on Gauss-Hermite nodes per dimension, checked before the rule is
 #: built (hermgauss forms a dense nodes x nodes matrix). With numpy 2.4.6

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from lwlattice import duality
 from lwlattice.diagrams import sigma1
 from lwlattice.duality import (
     _initial_guess,
@@ -12,8 +13,20 @@ from lwlattice.duality import (
     lw_evaluate,
     rho_g_logdensity,
 )
-from lwlattice.errors import BoundaryTooClose, NoConvergence
-from lwlattice.interactions import DiagonalQuartic, ScaledInteraction, ZeroInteraction
+from lwlattice.errors import (
+    BoundaryTooClose,
+    DimensionMismatch,
+    DivergentIntegral,
+    LwlatticeError,
+    NoConvergence,
+)
+from lwlattice.interactions import (
+    DiagonalQuartic,
+    Growth,
+    ScaledInteraction,
+    ZeroInteraction,
+    validate_growth,
+)
 from lwlattice.matrices import SpdMatrix, SymMatrix
 from lwlattice.oracle import OracleConfig, evaluate_moments, green_of_a
 
@@ -121,6 +134,74 @@ class TestInitialGuess:
             dist.append(np.abs(guess - a).max())
             assert dist[-1] <= eps**2
         assert dist[1] / dist[0] == pytest.approx(0.25, abs=0.03)
+
+
+def logged_oracle(monkeypatch, g):
+    """Replace duality's oracle by a pass-through that logs, per call, A, whether
+    pair moments were asked for, and the residual |G[A] - g| or the error class."""
+    calls = []
+
+    def spy(a, u, cfg):
+        entry = {"a": a.mat.copy(), "pairs": cfg.want_fourth_moments, "outcome": None}
+        calls.append(entry)
+        try:
+            report = evaluate_moments(a, u, cfg)
+        except LwlatticeError as exc:
+            entry["outcome"] = type(exc)
+            raise
+        entry["outcome"] = float(np.linalg.norm(report.green.mat - g))
+        return report
+
+    monkeypatch.setattr(duality, "evaluate_moments", spy)
+    return calls
+
+
+class TestNewtonEvaluations:
+    """What the solve asks of the oracle, logged from outside."""
+
+    def test_one_evaluation_per_newton_point(self, monkeypatch):
+        # strong enough coupling that the line search rejects full steps
+        g = np.array([[3.0, 0.9], [0.9, 2.1]])
+        calls = logged_oracle(monkeypatch, g)
+        rep = lw_evaluate(SpdMatrix(g), DiagonalQuartic(V2), QUAD)
+        # the start comparison: two G-only probes, the loser thrown away
+        assert [c["pairs"] for c in calls[:2]] == [False, False]
+        newton = calls[2:]
+        assert all(c["pairs"] for c in newton)
+        for prev, cur in zip(newton, newton[1:]):
+            assert not np.array_equal(prev["a"], cur["a"])
+        # replay the line search: a trial is accepted when it lowers the
+        # residual of the current point, and every accepted trial is one step
+        current = newton[0]["outcome"]
+        accepted = rejected = 0
+        for c in newton[1:]:
+            if isinstance(c["outcome"], float) and c["outcome"] < current:
+                accepted += 1
+                current = c["outcome"]
+            else:
+                rejected += 1
+        assert accepted == rep.solver_iterations
+        assert rejected >= 1
+        assert len(newton) == 1 + accepted + rejected
+        assert current == rep.residual
+
+    def test_non_confining_coupling_survives_divergent_points(self, monkeypatch):
+        # v_12 < 0: Z[A] exists only while A keeps the quartic confining, so
+        # the corrected start and the first full Newton step both diverge
+        u = DiagonalQuartic([[1.0, -0.6], [-0.6, 1.0]])
+        assert validate_growth(u).kind is Growth.UNVERIFIED
+        g = np.array([[1.0, 0.1], [0.1, 1.0]])
+        calls = logged_oracle(monkeypatch, g)
+        rep = lw_evaluate(SpdMatrix(g), u, QUAD)
+        # corrected start probe diverges, so the start falls back to G^-1
+        assert calls[0]["outcome"] is DivergentIntegral
+        assert np.array_equal(calls[1]["a"], SpdMatrix(g).inverse())
+        # the first trial diverges and is rejected, not fatal
+        assert calls[2]["outcome"] is DivergentIntegral
+        assert rep.solver_iterations == 8
+        assert np.linalg.eigvalsh(rep.a_of_g.mat).min() == pytest.approx(0.1998, abs=1e-4)
+        forward = evaluate_moments(rep.a_of_g, u, QUAD).green.mat
+        assert np.abs(forward - g).max() <= 1e-8
 
 
 class TestJacobian:
@@ -238,6 +319,13 @@ class TestRhoG:
         gstar = green_of_a(SymMatrix([[1.0]]), u, QUAD_TIGHT)
         val = rho_g_logdensity(gstar, u, [0.0], QUAD_TIGHT, tol=1e-11)
         assert val == pytest.approx(oracles.OMEGA_QUARTIC_1D, abs=1e-9)
+
+    @pytest.mark.parametrize("x", [[0.1, 0.2, 0.3], [[0.1, 0.2]], 0.5])
+    def test_malformed_point_rejected_before_solve(self, monkeypatch, x):
+        calls = logged_oracle(monkeypatch, np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            rho_g_logdensity(SpdMatrix(np.eye(2)), DiagonalQuartic(V2), x, QUAD)
+        assert calls == []
 
     def test_normalization(self):
         # exp(log rho) integrates to one on a dense grid
