@@ -56,7 +56,12 @@ def _as_batch(x, n: int):
 
 
 class Interaction:
-    """Base class; concrete variants implement ``_evaluate`` on batches."""
+    """Base class; concrete variants implement ``_evaluate`` on batches.
+
+    ``_evaluate`` must be even, U(-x) = U(x): every variant is a homogeneous
+    quartic form, and the quadrature backend relies on it by summing each
+    grid point and its mirror image as one point of twice the weight.
+    """
 
     n: int
 

@@ -5,7 +5,9 @@ kernel. Each backend only supplies point sets for N(0, I), as chunks of points
 y with their probabilities p (summing to one over the whole set):
 
 * tensor-product Gauss-Hermite quadrature (exact for the non-interacting
-  theory, exponentially convergent for quartic tails, n small);
+  theory, exponentially convergent for quartic tails, n small), folded onto
+  its first half: the grid is symmetric under y -> -y and every interaction
+  is even, so each point stands for its mirror image with twice its weight;
 * self-normalized importance sampling with proposal N(0, B^-1), 64 batches of
   equally weighted draws and batch-means standard errors.
 
@@ -47,10 +49,11 @@ DEFAULT_ENVELOPE_FLOOR = 0.5
 MC_BATCHES = 64
 #: Hard cap on tensor-grid size (nodes_per_dim ** n). The grid is evaluated
 #: in chunks, so memory does not bound it; time does: at 64^4 = 16.7M points
-#: one G-only evaluation takes 1.1 s (2.5 s with fourth moments) on a 2-core
-#: Xeon. A Newton solve makes two G-only start probes and then one evaluation
-#: with fourth moments for its start point and for each line-search trial:
-#: six to eight in all for a solve of three to five steps without rejections.
+#: (8.4M evaluated on the folded half grid) one G-only evaluation takes
+#: 0.7 s (1.1-1.3 s with fourth moments) on a 2-core Xeon. A Newton solve
+#: makes two G-only start probes and then one evaluation with fourth moments
+#: for its start point and for each line-search trial: six to eight in all
+#: for a solve of three to five steps without rejections.
 QUAD_POINT_CAP = 20_000_000
 #: Hard cap on Gauss-Hermite nodes per dimension, checked before the rule is
 #: built (hermgauss forms a dense nodes x nodes matrix). With numpy 2.4.6
@@ -59,8 +62,11 @@ QUAD_POINT_CAP = 20_000_000
 #: and keeps nodes <= QUAD_CHUNK, which the slab split of _grid_chunks needs.
 QUAD_NODE_CAP = 360
 #: Grid points per quadrature chunk; bounds the working set (points, pair
-#: products, the interaction's intermediates) whatever the grid size.
-QUAD_CHUNK = 1 << 15
+#: products, the interaction's intermediates) whatever the grid size. On a
+#: 2-core Xeon host with 2 MiB of L2 per core, lw-quad ran 13% faster at
+#: 1 << 14 than at 1 << 15 (median of five interleaved benchmark runs
+#: each); an n = 3 chunk's arrays are then 384-768 KiB each.
+QUAD_CHUNK = 1 << 14
 #: Statistical errors cannot resolve below float rounding; they are floored
 #: at a few ulps so that reported errors stay strictly positive.
 _SE_FLOOR_ULPS = 4.0
@@ -233,46 +239,76 @@ def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
 
 
 def _grid_chunks(n: int, nodes: int):
-    """Tensor Gauss-Hermite grid for N(0, I) as (y, log p) chunks of QUAD_CHUNK points.
+    """First half of the tensor Gauss-Hermite grid for N(0, I), folded, as (y, log p) chunks.
 
-    A grid that fits in one chunk is built once and reused. A larger grid is
-    streamed in row-major order as slabs: the first ``lead`` axes are the
-    fewest that leave a tail of at most QUAD_CHUNK points (nodes <= QUAD_CHUNK
-    must hold), the tail is the cached one-chunk grid of the other axes, and a
-    chunk pairs QUAD_CHUNK // tail consecutive leading indices with the whole
-    tail. The chunks are filled into one buffer per call, so a yielded chunk
+    The nodes are symmetric and their weights equal, so row-major index k
+    mirrors total - 1 - k (y -> -y) with the same p. Every U is even, so the
+    point pair is one point of weight 2p: the stream covers indices
+    0 .. (total + 1) // 2 - 1 with log p + log 2, except the centre y = 0 of
+    an odd grid, its own mirror, which keeps log p and ends the stream.
+
+    A half grid of at most QUAD_CHUNK points is built once and reused. A
+    larger one is streamed in row-major order as slabs: the first ``lead``
+    axes are the fewest that leave a tail of at most QUAD_CHUNK points
+    (nodes <= QUAD_CHUNK must hold), the tail is the cached whole grid of the
+    other axes, and a chunk pairs QUAD_CHUNK // tail consecutive leading
+    indices with the whole tail; on an odd grid the last slab is cut after the
+    centre. The chunks are filled into one buffer per call, so a yielded chunk
     is valid only until the next one is requested.
     """
     total = nodes**n
-    if total <= QUAD_CHUNK:
+    half = (total + 1) // 2
+    if half <= QUAD_CHUNK:
         yield _one_chunk_grid(n, nodes)
         return
     lead = 1
     while nodes ** (n - lead) > QUAD_CHUNK:
         lead += 1
-    tail_y, _ = _one_chunk_grid(n - lead, nodes)
+    tail_y = _whole_grid_points(n - lead, nodes)
     tail = len(tail_y)
-    heads = nodes**lead
+    heads = -(-half // tail)
     step = QUAD_CHUNK // tail
     logp1 = _hermgauss(nodes)[1]
     buf = np.empty((n, step, tail))
     buf[lead:] = tail_y.T[:, None, :]
     for start in range(0, heads, step):
         k = min(step, heads - start)
+        size = min(k * tail, half - start * tail)
         head_y, logp = _grid_block(lead, nodes, start, start + k)
         buf[:lead, :k] = head_y.T[:, :, None]
         for _ in range(n - lead):  # ((l0 + l1) + l2) as in _grid_block
             logp = np.add.outer(logp, logp1)
-        yield buf[:, :k].reshape(n, -1).T, logp.ravel()
+        yield (
+            buf[:, :k].reshape(n, -1).T[:size],
+            _fold(logp.ravel()[:size], ends_at_centre=total % 2 == 1 and start + k == heads),
+        )
+
+
+def _fold(logp: np.ndarray, ends_at_centre: bool) -> np.ndarray:
+    """log p + log 2 for points standing in for their mirror too; a final centre keeps log p."""
+    out = logp + np.log(2.0)
+    if ends_at_centre:
+        out[-1] = logp[-1]
+    return out
 
 
 @lru_cache(maxsize=16)
 def _one_chunk_grid(n: int, nodes: int):
-    """The whole grid as one (y, log p) chunk, read-only because it is shared."""
-    y, logp = _grid_block(n, nodes, 0, nodes**n)
+    """The folded half grid as one (y, log p) chunk, read-only because it is shared."""
+    total = nodes**n
+    y, logp = _grid_block(n, nodes, 0, (total + 1) // 2)
+    logp = _fold(logp, ends_at_centre=total % 2 == 1)
     y.setflags(write=False)
     logp.setflags(write=False)
     return y, logp
+
+
+@lru_cache(maxsize=16)
+def _whole_grid_points(n: int, nodes: int) -> np.ndarray:
+    """Every point of the grid, unfolded, read-only: the tail of the slab stream."""
+    y = _grid_block(n, nodes, 0, nodes**n)[0]
+    y.setflags(write=False)
+    return y
 
 
 def _grid_block(n: int, nodes: int, start: int, stop: int):

@@ -90,6 +90,47 @@ class TestGeneralQuarticPairs:
         assert np.abs(dense.evaluate(pts) - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
+def symmetric_tensor(n, seed):
+    raw = np.random.default_rng(seed).standard_normal((n,) * 4)
+    return sum(np.transpose(raw, perm) for perm in itertools.permutations(range(4))) / 24.0
+
+
+def library_subclasses(cls):
+    """Every subclass of cls defined in the library, at any depth."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("lwlattice."):
+            found.add(sub)
+        found |= library_subclasses(sub)
+    return found
+
+
+class TestEvenness:
+    """U(-x) == U(x) bit for bit: the folded quadrature grid relies on it."""
+
+    N = 3
+    SHEAR = LinearMap([[1.0, 0.5, 0.0], [-0.2, 1.0, 0.3], [0.1, 0.0, 1.2]])
+    V = [[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]]
+    CASES = [
+        ZeroInteraction(N),
+        DiagonalQuartic(V),
+        GeneralQuartic(symmetric_tensor(N, 11)),
+        ScaledInteraction(0.7, DiagonalQuartic(V)),
+        compose(ScaledInteraction(0.7, GeneralQuartic(symmetric_tensor(N, 12))), SHEAR),
+        materialize(compose(DiagonalQuartic(V), SHEAR)),
+    ]
+
+    def test_every_library_class_is_covered(self):
+        assert library_subclasses(Interaction) == {type(u) for u in self.CASES}
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_mirror_point_has_the_same_value(self, m, seed):
+        x = np.random.default_rng(seed).normal(scale=2.0, size=(m, self.N))
+        for u in self.CASES:
+            assert np.array_equal(u.evaluate(-x), u.evaluate(x))
+
+
 class TestCompose:
     def test_identity_map(self):
         u = DiagonalQuartic([[1.0, 0.4], [0.4, 1.0]])

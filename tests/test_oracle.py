@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 import oracles
 from lwlattice import oracle
 from lwlattice.errors import DimensionCap, DimensionMismatch, DivergentIntegral, NonFinite
-from lwlattice.interactions import DiagonalQuartic, ScaledInteraction, ZeroInteraction
-from lwlattice.matrices import SymMatrix
+from lwlattice.interactions import (
+    DiagonalQuartic,
+    ScaledInteraction,
+    ZeroInteraction,
+    compose,
+    materialize,
+)
+from lwlattice.matrices import LinearMap, SymMatrix
 from lwlattice.oracle import (
     MC_BATCHES,
     QUAD_CHUNK,
@@ -232,9 +238,9 @@ class TestFourthMoments:
         assert np.abs(rep.pair_moments - at_pairs(wick(np.linalg.inv(a)))).max() <= 1e-10
 
     def test_gaussian_across_chunks(self):
-        # the grid spans several chunks and ends in a partial one
+        # the half grid spans several chunks and ends in a partial one
         nodes = 50
-        assert nodes**3 > QUAD_CHUNK and nodes**3 % QUAD_CHUNK != 0
+        assert nodes**3 // 2 > QUAD_CHUNK and nodes**3 // 2 % QUAD_CHUNK != 0
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
         rep = evaluate_moments(SymMatrix(A3), ZeroInteraction(3), cfg)
         g = np.linalg.inv(A3)
@@ -279,39 +285,63 @@ def streamed_grid(n, nodes):
 
 
 class TestGridChunks:
-    """A multi-chunk grid streams as whole slabs: leading indices times the full tail."""
+    """The stream is the first half of the row-major grid, each point standing for its mirror.
+
+    A multi-chunk half grid streams as whole slabs, leading indices times the
+    full tail, except that an odd grid's last slab is cut after the centre.
+    """
 
     @staticmethod
-    def assert_slabs(n, nodes):
+    def assert_folded(n, nodes):
         y, logp, sizes = streamed_grid(n, nodes)
-        ref_y, ref_logp = _grid_block(n, nodes, 0, nodes**n)
-        assert np.array_equal(y, ref_y)
-        assert np.array_equal(logp, ref_logp)
-        chunk = oracle.QUAD_CHUNK
         total = nodes**n
-        tail = total if total <= chunk else max(nodes**j for j in range(n) if nodes**j <= chunk)
-        assert all(size <= chunk and size % tail == 0 for size in sizes)
-        assert len(set(sizes[:-1])) <= 1
+        half = (total + 1) // 2
+        ref_y, ref_logp = _grid_block(n, nodes, 0, total)
+        # the stream followed by its mirror (reversed order, y negated) is the grid
+        assert np.array_equal(np.concatenate([y, -y[: total - half][::-1]]), ref_y)
+        # every point carries its mirror's probability too, except an odd grid's centre
+        folded = ref_logp + np.log(2.0)
+        if total % 2:
+            folded[half - 1] = ref_logp[half - 1]
+        assert np.array_equal(np.concatenate([logp, logp[: total - half][::-1]]), folded)
+        assert np.exp(logp).sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
+        chunk = oracle.QUAD_CHUNK
+        if half <= chunk:
+            assert sizes == [half]
+            return
+        tail = max(nodes**j for j in range(n) if nodes**j <= chunk)
+        *slabs, last = sizes
+        assert slabs == [chunk // tail * tail] * len(slabs)
+        assert 0 < last <= chunk // tail * tail
+        assert last % tail == ((tail + 1) // 2 % tail if total % 2 else 0)
 
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 4),
-        nodes=st.integers(2, 12),
+        nodes=st.integers(1, 12),
         chunk=st.sampled_from([7, 16, 100]),
     )
     def test_stream_is_the_row_major_grid(self, n, nodes, chunk):
         assume(nodes <= chunk)  # what QUAD_NODE_CAP guarantees at the real chunk size
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "QUAD_CHUNK", chunk)
-            self.assert_slabs(n, nodes)
+            self.assert_folded(n, nodes)
 
-    # (4, 32): the tail is exactly one chunk; (3, 50) ends in a partial chunk
-    @pytest.mark.parametrize("n, nodes", [(3, 64), (3, 80), (4, 32), (3, 50)])
+    # (4, 32): the tail is exactly one chunk; (3, 50) ends in a partial chunk;
+    # (3, 65) is odd, so its last slab is cut after the centre
+    @pytest.mark.parametrize("n, nodes", [(3, 64), (3, 80), (4, 32), (3, 50), (3, 65)])
     def test_stream_at_the_real_chunk_size(self, n, nodes):
-        self.assert_slabs(n, nodes)
+        self.assert_folded(n, nodes)
 
     def test_default_grid_boundaries(self):
         assert streamed_grid(3, 64)[2] == [QUAD_CHUNK] * 8
+
+    def test_single_node_grid_is_its_centre(self):
+        # the one point y = 0 is its own mirror: it keeps p = 1
+        (y, logp), = _grid_chunks(3, 1)
+        assert np.array_equal(y, np.zeros((1, 3)))
+        assert np.array_equal(logp, _grid_block(3, 1, 0, 1)[1])
+        assert np.exp(logp).sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
 class TestChunkBufferReuse:
@@ -319,15 +349,18 @@ class TestChunkBufferReuse:
 
     A = SymMatrix([[1.0, 0.3, 0.1], [0.3, -0.2, 0.2], [0.1, 0.2, 0.8]])
     U = DiagonalQuartic([[1.0, 0.2, 0.1], [0.2, 0.8, 0.3], [0.1, 0.3, 1.2]])
+    # lambda_min above the envelope floor: B = A, no lift
+    A_SPD = SymMatrix([[1.5, 0.3, 0.1], [0.3, 1.2, 0.2], [0.1, 0.2, 0.9]])
+    SHEAR = LinearMap([[1.0, 0.4, 0.0], [0.0, 1.0, -0.3], [0.2, 0.0, 1.0]])
+    SHEARED = materialize(compose(U, SHEAR))
 
-    # (50, QUAD_CHUNK): 4 chunks, the last partial; (11, 100): 14 chunks, the last partial
-    @pytest.mark.parametrize("nodes, chunk", [(50, QUAD_CHUNK), (11, 100)])
-    def test_stream_matches_one_whole_grid_chunk(self, monkeypatch, nodes, chunk):
-        monkeypatch.setattr(oracle, "QUAD_CHUNK", chunk)
+    @staticmethod
+    def assert_stream_matches_whole_grid(a, u, nodes):
+        """The folded stream against _moments over the whole unfolded grid."""
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
-        confining = _check_preconditions(self.A, self.U)
-        streamed = _moments(self.A, self.U, cfg, confining, _grid_chunks(3, nodes))
-        whole = _moments(self.A, self.U, cfg, confining, [_grid_block(3, nodes, 0, nodes**3)])
+        confining = _check_preconditions(a, u)
+        streamed = _moments(a, u, cfg, confining, _grid_chunks(3, nodes))
+        whole = _moments(a, u, cfg, confining, [_grid_block(3, nodes, 0, nodes**3)])
         assert streamed.omega == pytest.approx(whole.omega, rel=1e-14, abs=0.0)
         for got, want in [
             (streamed.green.mat, whole.green.mat),
@@ -335,9 +368,31 @@ class TestChunkBufferReuse:
         ]:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    # (50, QUAD_CHUNK): 5 chunks, the last partial; (11, 100): 7 chunks, the last
+    # partial and cut after the centre
+    @pytest.mark.parametrize("nodes, chunk", [(50, QUAD_CHUNK), (11, 100)])
+    def test_stream_matches_one_whole_grid_chunk(self, monkeypatch, nodes, chunk):
+        monkeypatch.setattr(oracle, "QUAD_CHUNK", chunk)
+        self.assert_stream_matches_whole_grid(self.A, self.U, nodes)
+
+    @pytest.mark.parametrize(
+        "case, nodes",
+        [
+            ("sheared", 24),  # GeneralQuartic, repaired envelope, one chunk
+            ("unrepaired", 24),  # lift = 0, one chunk
+            ("sheared", 65),  # odd: cut after the centre, several chunks
+            ("unrepaired", 65),
+        ],
+    )
+    def test_other_integrands_match_the_whole_grid(self, case, nodes):
+        a, u = {"sheared": (self.A, self.SHEARED), "unrepaired": (self.A_SPD, self.U)}[case]
+        if case == "unrepaired":
+            assert np.linalg.eigvalsh(a.mat)[0] >= OracleConfig().envelope_floor
+        self.assert_stream_matches_whole_grid(a, u, nodes)
+
     def test_repeated_calls_bit_identical(self):
         cfg = OracleConfig(nodes_per_dim=50, want_fourth_moments=True)
-        assert 50**3 > QUAD_CHUNK
+        assert 50**3 > 2 * QUAD_CHUNK
         r1 = evaluate_moments(self.A, self.U, cfg)
         r2 = evaluate_moments(self.A, self.U, cfg)
         assert r1.to_dict() == r2.to_dict()
@@ -345,7 +400,9 @@ class TestChunkBufferReuse:
 
     def test_interleaved_streams_are_independent(self):
         nodes = 50
-        ref_y, ref_logp = _grid_block(3, nodes, 0, nodes**3)
+        half = nodes**3 // 2
+        ref_y, ref_logp = _grid_block(3, nodes, 0, half)
+        ref_logp = ref_logp + np.log(2.0)
         ahead = _grid_chunks(3, nodes)
         next(ahead)
         start = 0
@@ -358,7 +415,7 @@ class TestChunkBufferReuse:
             if other is not None:
                 assert np.array_equal(other[0], ref_y[stop : stop + len(other[0])])
             start = stop
-        assert start == nodes**3
+        assert start == half
 
 
 class TestConcavity:
