@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sigma.add_argument("--out")
 
     for name, helptext in (
-        ("dyson", "damped fixed-point solution of the Dyson equation"),
+        ("dyson", "Anderson-mixed fixed-point solution of the Dyson equation"),
         ("minimize", "direct free-energy minimization over the SPD cone"),
     ):
         p_solve = sub.add_parser(name, help=helptext)
@@ -94,7 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
             dest="sigma_model",
         )
         if name == "dyson":
-            p_solve.add_argument("--damping", type=float, default=solver.DEFAULT_DAMPING)
+            p_solve.add_argument(
+                "--damping",
+                type=float,
+                default=solver.DEFAULT_DAMPING,
+                help="Anderson mixing parameter in (0, 1]: the weight of "
+                "(A - Sigma[G])^-1 in the damped step",
+            )
         p_solve.add_argument("--trace-csv", dest="trace_csv")
         p_solve.add_argument("--out")
         _add_oracle_flags(p_solve)

@@ -153,6 +153,14 @@ def _solve_inverse(
         if residual <= tol:
             return SymMatrix(a), report, iteration - 1, residual
         step = _newton_step(report, gt)
+        # halving stops once a trial can no longer move G measurably: in Monte
+        # Carlo when the share of the residual it targets drops below one
+        # standard error (tol / 3), in quadrature when the step drops below
+        # roundoff in A
+        if cfg.mode == "quadrature":
+            reach, floor = float(np.linalg.norm(step)), 1e-12 * float(np.linalg.norm(a))
+        else:
+            reach, floor = residual, tol / 3.0
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             trial = a + scale * step
@@ -166,7 +174,9 @@ def _solve_inverse(
             if trial_res < residual:
                 break
             scale *= 0.5
-        else:
+            if scale * reach < floor:
+                break
+        if not trial_res < residual:
             raise NoConvergence(
                 f"line search stalled at residual {residual:.3e} (tol {tol:.1e})",
                 residual=residual,
@@ -194,7 +204,8 @@ def inverse_map(
     """The unique A with <x x'>_{A,U} = G_target.
 
     Newton iteration on A with damped steps (residual-decreasing line search,
-    up to 30 halvings). Raises NoConvergence with the best residual seen, or
+    up to 30 halvings, fewer once a halved step can no longer move G
+    measurably). Raises NoConvergence with the best residual seen, or
     BoundaryTooClose when G_target sits within BOUNDARY_GUARD of the cone
     boundary.
     """

@@ -56,7 +56,13 @@ class NoConvergence(LwlatticeError):
 
 
 class IterateLeftCone(NoConvergence):
-    """Fixed-point iterate left the SPD cone and damping floor was reached."""
+    """A Dyson iterate left the SPD cone with the mixing at its floor.
+
+    The Anderson-mixed fixed point halves its mixing parameter and clears its
+    history whenever A - Sigma[G] or the mixed G leaves the cone; this is
+    raised once the mixing falls below the floor, or when A - Sigma[G] is
+    not SPD at the initial iterate.
+    """
 
 
 class NotPositiveDefinite(LwlatticeError):

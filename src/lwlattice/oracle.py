@@ -97,8 +97,9 @@ class OracleConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.nodes_per_dim < 1:
-            raise ValidationError("nodes_per_dim must be positive")
+        # one node is the single point y = 0, where G = 0
+        if self.nodes_per_dim < 2:
+            raise ValidationError("nodes_per_dim must be at least 2")
         if self.samples < MC_BATCHES:
             raise ValidationError(f"samples must be at least {MC_BATCHES}")
         if not 0 <= self.seed < 2**64:

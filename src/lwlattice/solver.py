@@ -6,12 +6,15 @@ The free energy of a trial Green's function is
 
 whose stationarity condition is the Dyson equation G^-1 = A - Sigma_model[G].
 Phi_model is zero (no self-energy), a truncated bold series, or the exact
-duality route. Non-convergence is a reportable outcome (trace flag), not an
+duality route. dyson_solve reaches it as an Anderson-mixed fixed point
+(Walker and Ni, SIAM J. Numer. Anal. 49, 2011); minimize_free_energy descends
+on f directly. Non-convergence is a reportable outcome (trace flag), not an
 exception; only leaving the SPD cone aborts a run.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +35,8 @@ from .oracle import OracleConfig
 
 DEFAULT_DAMPING = 0.5
 DAMPING_FLOOR = 1.0 / 64.0
+#: Residual differences an Anderson step mixes (Walker-Ni's m).
+ANDERSON_DEPTH = 3
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 #: Line-search acceptance slack: descent is enforced up to this tolerance.
@@ -107,7 +112,7 @@ class _ModelEvaluator:
         self.scale = 0.0
         self.v = None
         self.order = 0
-        self._warm_a: SymMatrix | None = None
+        self._warm_sigma: SymMatrix | None = None
         # the exact model must resolve Sigma well below the outer tolerance;
         # in Monte Carlo mode the duality solve keeps its statistical default
         self._inner_tol = None
@@ -136,10 +141,15 @@ class _ModelEvaluator:
         return self.sigma_and_phi(g)[1]
 
     def _lw(self, g: SpdMatrix) -> LwReport:
+        # A[G] = G^-1 + Sigma[G], and Sigma moves slowly between iterates:
+        # G^-1 is exact at the new point, only Sigma is carried over
+        a_init = None
+        if self._warm_sigma is not None:
+            a_init = SymMatrix(g.inverse() + self._warm_sigma.mat)
         report = lw_evaluate(
-            g, self.u, self.cfg, tol=self._inner_tol, max_iter=100, a_init=self._warm_a
+            g, self.u, self.cfg, tol=self._inner_tol, max_iter=100, a_init=a_init
         )
-        self._warm_a = report.a_of_g
+        self._warm_sigma = report.sigma_exact
         return report
 
 
@@ -164,6 +174,27 @@ def _initial_green(a: SymMatrix, tau: float) -> SpdMatrix:
     return SpdMatrix(np.linalg.inv(SpdMatrix(mat).mat))
 
 
+def _anderson_mix(history, alpha: float) -> np.ndarray:
+    """Walker-Ni type II Anderson step from the stored (G, T(G) - G) pairs.
+
+    The newest residual is fitted by least squares over the differences of
+    the stored residuals; the same combination of iterate differences is
+    taken out of the damped step G + alpha (T(G) - G). One stored pair gives
+    the damped step itself.
+    """
+    greens = np.array([g for g, _ in history])
+    residuals = np.array([f for _, f in history])
+    green, residual = greens[-1], residuals[-1]
+    mixed = green + alpha * residual
+    if len(history) > 1:
+        k = len(history) - 1
+        d_green = np.diff(greens, axis=0).reshape(k, -1).T
+        d_residual = np.diff(residuals, axis=0).reshape(k, -1).T
+        gamma = np.linalg.lstsq(d_residual, residual.ravel(), rcond=None)[0]
+        mixed -= ((d_green + alpha * d_residual) @ gamma).reshape(green.shape)
+    return 0.5 * (mixed + mixed.T)
+
+
 def dyson_solve(
     a: SymMatrix,
     u: Interaction,
@@ -174,12 +205,16 @@ def dyson_solve(
     cfg: OracleConfig = OracleConfig(),
     g_init: SpdMatrix | None = None,
 ) -> SolveTrace:
-    """Damped fixed-point iteration G <- (1-a) G + a (A - Sigma[G])^-1.
+    """Anderson-mixed fixed point of G = T(G) = (A - Sigma[G])^-1.
 
-    Damping halves whenever A - Sigma[G] leaves the SPD cone (the previous
-    step is retaken shorter); at the floor of 1/64 the run aborts with
-    IterateLeftCone. The default start is A^-1 (repaired when A is not SPD);
-    g_init overrides it.
+    Each accepted iterate stores (G, T(G) - G); the next G is the Walker-Ni
+    type II combination of the last ANDERSON_DEPTH + 1 of them with mixing
+    parameter ``damping``, symmetrized. With one stored pair this is the
+    damped step (1 - damping) G + damping T(G). When A - Sigma[G] or the
+    mixed G leaves the SPD cone, the history is cleared and a damped step is
+    retaken from the last accepted iterate with the mixing halved (it stays
+    halved); at the floor of 1/64 the run aborts with IterateLeftCone. The
+    default start is A^-1 (repaired when A is not SPD); g_init overrides it.
     """
     a = SymMatrix.coerce(a)
     if not 0.0 < damping <= 1.0:
@@ -192,37 +227,48 @@ def dyson_solve(
 
     green = SpdMatrix.coerce(g_init) if g_init is not None else _initial_green(a, cfg.envelope_floor)
     alpha = damping
-    previous = None  # (green, target) of the last accepted step
+    history = deque(maxlen=ANDERSON_DEPTH + 1)  # (G, T(G) - G) of accepted iterates
+    last = None  # the newest accepted pair, kept across history resets
     records = []
     converged = False
-    iteration = 0
-    while iteration < max_iter:
+
+    def damped_retry() -> SpdMatrix:
+        nonlocal alpha
+        alpha *= 0.5
+        if alpha < DAMPING_FLOOR:
+            raise IterateLeftCone(
+                f"Dyson iterate left the SPD cone at damping floor {DAMPING_FLOOR}"
+            ) from None
+        history.clear()
+        old_green, old_residual = last
+        return SpdMatrix(old_green + alpha * old_residual)
+
+    while len(records) < max_iter:
         sigma, phi = evaluator.sigma_and_phi(green)
         m = a.mat - sigma.mat
         try:
             cholesky_factor(m)
         except NotPositiveDefinite:
-            if previous is None:
+            if last is None:
                 raise IterateLeftCone(
                     "A - Sigma[G] not SPD at the initial iterate"
                 ) from None
-            alpha *= 0.5
-            if alpha < DAMPING_FLOOR:
-                raise IterateLeftCone(
-                    f"A - Sigma[G] left the SPD cone at damping floor {DAMPING_FLOOR}"
-                ) from None
-            old_green, target = previous
-            green = SpdMatrix((1.0 - alpha) * old_green.mat + alpha * target)
+            green = damped_retry()
             continue
         target = np.linalg.inv(m)
         residual = float(np.linalg.norm(green.inverse() - m))
-        iteration += 1
-        records.append(IterateRecord(iteration, residual, _free_energy_value(a.mat, green, phi)))
+        records.append(
+            IterateRecord(len(records) + 1, residual, _free_energy_value(a.mat, green, phi))
+        )
         if residual <= tol:
             converged = True
             break
-        previous = (green, target)
-        green = SpdMatrix((1.0 - alpha) * green.mat + alpha * target)
+        last = (green.mat, target - green.mat)
+        history.append(last)
+        try:
+            green = SpdMatrix(_anderson_mix(history, alpha))
+        except NotPositiveDefinite:
+            green = damped_retry()
 
     return SolveTrace(iterates=tuple(records), converged=converged, final_green=green)
 

@@ -200,6 +200,26 @@ def vacuum_phi(g: np.ndarray, v: np.ndarray, order: int) -> float:
     return 0.125 * ring + 0.25 * exchange
 
 
+# --- Dyson self-consistency by plain damped iteration -------------------------
+
+
+def damped_dyson(a, sigma_of, green, damping=0.5, tol=1e-10, max_iter=500):
+    """(G, steps) of G <- (1 - damping) G + damping (A - Sigma[G])^-1 from ``green``.
+
+    The textbook damped fixed point, with no history and no cone guard: the
+    reference the Anderson-mixed solver is compared against. ``sigma_of``
+    maps a Green's function array to its self-energy array; the loop stops
+    when ||G^-1 - (A - Sigma[G])||_F <= tol.
+    """
+    a, green = np.asarray(a, dtype=float), np.asarray(green, dtype=float)
+    for step in range(1, max_iter + 1):
+        m = a - sigma_of(green)
+        if np.linalg.norm(np.linalg.inv(green) - m) <= tol:
+            return green, step
+        green = (1.0 - damping) * green + damping * np.linalg.inv(m)
+    raise RuntimeError(f"damped Dyson iteration did not converge in {max_iter} steps")
+
+
 def _regenerate():
     ref = quartic_lw_reference(1.0)
     print("Z_QUARTIC_1D          =", repr(quartic_z(1.0)))

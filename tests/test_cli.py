@@ -99,6 +99,14 @@ class TestOracleCommand:
         assert code == 1
         assert "error: quadrature limited to" in capsys.readouterr().err
 
+    def test_single_node_rule_rejected(self, capsys, model_path):
+        # one node is the point x = 0, where G = 0: a usage error, not exit 3
+        model = {"n": 2, "A": [[1.0, 0.2], [0.2, 0.8]],
+                 "interaction": {"type": "diagonal_quartic", "v": [[1.0, 0.5], [0.5, 1.0]]}}
+        code = dispatch(["oracle", "--model", model_path(model), "--quad-nodes", "1"])
+        assert code == 1
+        assert "error: nodes_per_dim must be at least 2" in capsys.readouterr().err
+
     def test_zero_sample_count_rejected(self, capsys, model_path):
         code = dispatch(
             ["oracle", "--model", model_path(GAUSS_1D), "--mode", "mc", "--mc-samples", "0"]

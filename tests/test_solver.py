@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
+from lwlattice import solver
+from lwlattice.diagrams import BoldSeries
+from lwlattice.duality import lw_evaluate
 from lwlattice.errors import IterateLeftCone, UnsupportedInteraction, ValidationError
 from lwlattice.interactions import DiagonalQuartic, ScaledInteraction, ZeroInteraction
 from lwlattice.matrices import SpdMatrix, SymMatrix
@@ -15,6 +19,15 @@ from lwlattice.solver import (
 QUAD = OracleConfig()
 BOLD1_ROOT = (np.sqrt(7.0) - 1.0) / 3.0  # g solving 1/g = 1 + (3/2) g
 V2 = np.array([[1.0, 0.5], [0.5, 1.0]])
+A2 = np.array([[1.1, 0.1], [0.1, 0.9]])
+# the base instance of the dyson-exact benchmark workload
+A3 = np.array([[1.0, 0.2, 0.1], [0.2, 1.2, 0.2], [0.1, 0.2, 0.9]])
+V3 = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]])
+
+
+def bold_sigma(v, order, scale=1.0):
+    """G array -> truncated bold Sigma array, for the damped reference loop."""
+    return lambda g: BoldSeries.build(SpdMatrix(g), SymMatrix(v), order).truncated_sigma(scale).mat
 
 
 class TestDysonSolve:
@@ -89,6 +102,77 @@ class TestDysonSolve:
         u = DiagonalQuartic([[-40.0]])
         with pytest.raises(IterateLeftCone):
             dyson_solve(SymMatrix([[0.5]]), u, SigmaModel.BOLD1, tol=1e-10)
+
+
+class TestAndersonMixing:
+    """dyson_solve against the plain damped fixed point of tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "model, u, sigma_of",
+        [
+            (SigmaModel.NONE, ZeroInteraction(2), lambda g: np.zeros_like(g)),
+            (SigmaModel.BOLD1, ScaledInteraction(0.5, DiagonalQuartic(V2)), bold_sigma(V2, 1, 0.5)),
+            (
+                SigmaModel.BOLD12,
+                ScaledInteraction(0.5, DiagonalQuartic(V2)),
+                bold_sigma(V2, 2, 0.5),
+            ),
+        ],
+        ids=["none", "bold1", "bold12"],
+    )
+    def test_agrees_with_damped_iteration(self, model, u, sigma_of):
+        trace = dyson_solve(SymMatrix(A2), u, model, tol=1e-10)
+        assert trace.converged
+        reference, steps = oracles.damped_dyson(A2, sigma_of, np.linalg.inv(A2), tol=1e-10)
+        assert np.abs(trace.final_green.mat - reference).max() <= 1e-8
+        assert len(trace.iterates) <= steps
+
+    def test_exact_model_in_half_the_outer_steps(self):
+        cfg = OracleConfig(nodes_per_dim=32)
+        u = DiagonalQuartic(V3)
+        trace = dyson_solve(SymMatrix(A3), u, SigmaModel.EXACT_ORACLE, cfg=cfg)
+        assert trace.converged
+        reference, steps = oracles.damped_dyson(
+            A3,
+            lambda g: lw_evaluate(SpdMatrix(g), u, cfg, tol=1e-10).sigma_exact.mat,
+            np.linalg.inv(A3),
+            tol=1e-8,
+        )
+        assert np.abs(trace.final_green.mat - reference).max() <= 1e-8
+        assert steps == 25
+        assert len(trace.iterates) <= 13
+
+    def test_cone_exits_clear_the_history_and_the_run_recovers(self, monkeypatch):
+        # from a large start, A - Sigma[G] leaves the cone at the third
+        # iterate and a later Anderson mix is not SPD; both are retaken as
+        # shorter damped steps, and the run still reaches the damped solution
+        a, v, g0 = [[1.733]], [[-0.279]], [[3.099]]
+        cone_margins, mixes = [], []
+        sigma_and_phi = solver._ModelEvaluator.sigma_and_phi
+        anderson_mix = solver._anderson_mix
+
+        def logged_sigma(self, g):
+            sigma, phi = sigma_and_phi(self, g)
+            cone_margins.append(np.linalg.eigvalsh(np.asarray(a) - sigma.mat).min())
+            return sigma, phi
+
+        def logged_mix(history, alpha):
+            mixed = anderson_mix(history, alpha)
+            mixes.append(np.linalg.eigvalsh(mixed).min())
+            return mixed
+
+        monkeypatch.setattr(solver._ModelEvaluator, "sigma_and_phi", logged_sigma)
+        monkeypatch.setattr(solver, "_anderson_mix", logged_mix)
+        trace = dyson_solve(
+            SymMatrix(a), DiagonalQuartic(v), SigmaModel.BOLD1, tol=1e-10, g_init=SpdMatrix(g0)
+        )
+        assert trace.converged
+        assert cone_margins[0] > 0.0 and min(cone_margins) < 0.0
+        assert min(mixes) < 0.0
+        # every cone exit costs an evaluation but no iterate record
+        assert len(cone_margins) == len(trace.iterates) + sum(m <= 0.0 for m in cone_margins)
+        reference, _ = oracles.damped_dyson(a, bold_sigma(v, 1), g0, tol=1e-10)
+        assert np.abs(trace.final_green.mat - reference).max() <= 1e-8
 
 
 class TestFreeEnergy:
