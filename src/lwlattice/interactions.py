@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -334,14 +335,18 @@ def as_diagonal_quartic(u: Interaction):
     )
 
 
+@lru_cache(maxsize=16)
 def _direction_grid(n: int) -> np.ndarray:
+    """Unit directions of the growth screen, built once per dimension, read-only because shared."""
     from scipy.stats import norm, qmc  # here, not at module load: it takes ~1 s to import
     engine = qmc.Sobol(d=n, scramble=True, seed=GROWTH_GRID_SEED)
     u01 = engine.random(GROWTH_GRID_SIZE)
     z = norm.ppf(np.clip(u01, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return z / norms
+    dirs = z / norms
+    dirs.setflags(write=False)
+    return dirs
 
 
 def validate_growth(u: Interaction) -> GrowthReport:

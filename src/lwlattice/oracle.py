@@ -5,9 +5,10 @@ kernel. Each backend only supplies point sets for N(0, I), as chunks of points
 y with their probabilities p (summing to one over the whole set):
 
 * tensor-product Gauss-Hermite quadrature (exact for the non-interacting
-  theory, exponentially convergent for quartic tails, n small), folded onto
-  its first half: the grid is symmetric under y -> -y and every interaction
-  is even, so each point stands for its mirror image with twice its weight;
+  theory, exponentially convergent for quartic tails, n small), folded on
+  its first axis: the grid is symmetric under y -> -y and every interaction
+  is even, so axis 0 keeps its nodes y <= 0 and each point with y_0 < 0
+  stands for its mirror image with twice its weight;
 * self-normalized importance sampling with proposal N(0, B^-1), 64 batches of
   equally weighted draws and batch-means standard errors.
 
@@ -49,7 +50,7 @@ DEFAULT_ENVELOPE_FLOOR = 0.5
 MC_BATCHES = 64
 #: Hard cap on tensor-grid size (nodes_per_dim ** n). The grid is evaluated
 #: in chunks, so memory does not bound it; time does: at 64^4 = 16.7M points
-#: (8.4M evaluated on the folded half grid) one G-only evaluation takes
+#: (8.4M evaluated once the first axis is folded) one G-only evaluation takes
 #: 0.7 s (1.1-1.3 s with fourth moments) on a 2-core Xeon. A Newton solve
 #: makes two G-only start probes and then one evaluation with fourth moments
 #: for its start point and for each line-search trial: six to eight in all
@@ -59,7 +60,8 @@ QUAD_POINT_CAP = 20_000_000
 #: built (hermgauss forms a dense nodes x nodes matrix). With numpy 2.4.6
 #: hermgauss overflows from 371 nodes on and its smallest weights underflow to
 #: zero soon after, so log p turns infinite; the cap keeps a margin below that
-#: and keeps nodes <= QUAD_CHUNK, which the slab split of _grid_chunks needs.
+#: and keeps nodes <= QUAD_CHUNK: the tail of a streamed grid (see _grid_chunks)
+#: must still hold at least one whole axis.
 QUAD_NODE_CAP = 360
 #: Grid points per quadrature chunk; bounds the working set (points, pair
 #: products, the interaction's intermediates) whatever the grid size. On a
@@ -150,13 +152,6 @@ class MomentReport:
         return out
 
 
-@lru_cache(maxsize=32)
-def _hermgauss(nodes: int):
-    """Gauss-Hermite rule for N(0, 1): nodes sqrt(2) t, log-probabilities log(w / sqrt(pi))."""
-    t, w = np.polynomial.hermite.hermgauss(nodes)
-    return np.sqrt(2.0) * t, np.log(w) - 0.5 * np.log(np.pi)
-
-
 def _envelope(a: np.ndarray, tau: float, confining: bool):
     """Scalar lift and the Cholesky factor of the envelope B = A + lift I.
 
@@ -240,83 +235,70 @@ def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
 
 
 def _grid_chunks(n: int, nodes: int):
-    """First half of the tensor Gauss-Hermite grid for N(0, I), folded, as (y, log p) chunks.
+    """Tensor Gauss-Hermite grid for N(0, I), folded on its first axis, as (y, log p) chunks.
 
-    The nodes are symmetric and their weights equal, so row-major index k
-    mirrors total - 1 - k (y -> -y) with the same p. Every U is even, so the
-    point pair is one point of weight 2p: the stream covers indices
-    0 .. (total + 1) // 2 - 1 with log p + log 2, except the centre y = 0 of
-    an odd grid, its own mirror, which keeps log p and ends the stream.
+    The nodes and weights are symmetric and every U is even, so a point with
+    y_0 < 0 stands for its mirror -y too (see _tensor_grid).
 
-    A half grid of at most QUAD_CHUNK points is built once and reused. A
-    larger one is streamed in row-major order as slabs: the first ``lead``
-    axes are the fewest that leave a tail of at most QUAD_CHUNK points
-    (nodes <= QUAD_CHUNK must hold), the tail is the cached whole grid of the
-    other axes, and a chunk pairs QUAD_CHUNK // tail consecutive leading
-    indices with the whole tail; on an odd grid the last slab is cut after the
-    centre. The chunks are filled into one buffer per call, so a yielded chunk
-    is valid only until the next one is requested.
+    A folded grid of at most QUAD_CHUNK points is one cached chunk. A larger
+    one streams as slabs: the first ``lead`` axes are the fewest that leave a
+    tail of at most QUAD_CHUNK points (nodes <= QUAD_CHUNK must hold), and a
+    chunk pairs QUAD_CHUNK // tail consecutive points of the folded head grid
+    with the whole cached tail grid. The chunks are filled into one buffer per
+    call, so a yielded chunk is valid only until the next one is requested.
     """
-    total = nodes**n
-    half = (total + 1) // 2
-    if half <= QUAD_CHUNK:
-        yield _one_chunk_grid(n, nodes)
+    size = (nodes + 1) // 2 * nodes ** (n - 1)
+    if size <= QUAD_CHUNK:
+        yield _tensor_grid(n, nodes, fold=True)
         return
     lead = 1
     while nodes ** (n - lead) > QUAD_CHUNK:
         lead += 1
-    tail_y = _whole_grid_points(n - lead, nodes)
+    # the folded head grid is the start of the whole one, whose log p have no log 2 yet
+    head_y, head_logp = _tensor_grid(lead, nodes, fold=False)
+    tail_y = _tensor_grid(n - lead, nodes, fold=False)[0]
     tail = len(tail_y)
-    heads = -(-half // tail)
+    heads = size // tail
     step = QUAD_CHUNK // tail
-    logp1 = _hermgauss(nodes)[1]
+    logp1 = _rule(nodes)[1]
     buf = np.empty((n, step, tail))
     buf[lead:] = tail_y.T[:, None, :]
     for start in range(0, heads, step):
-        k = min(step, heads - start)
-        size = min(k * tail, half - start * tail)
-        head_y, logp = _grid_block(lead, nodes, start, start + k)
-        buf[:lead, :k] = head_y.T[:, :, None]
-        for _ in range(n - lead):  # ((l0 + l1) + l2) as in _grid_block
+        stop = min(start + step, heads)
+        y = buf[:, : stop - start]
+        y[:lead] = head_y[start:stop].T[:, :, None]
+        logp = head_logp[start:stop]
+        for _ in range(n - lead):  # ((l0 + l1) + l2) as in _tensor_grid
             logp = np.add.outer(logp, logp1)
-        yield (
-            buf[:, :k].reshape(n, -1).T[:size],
-            _fold(logp.ravel()[:size], ends_at_centre=total % 2 == 1 and start + k == heads),
-        )
+        logp = logp.reshape(y[0].shape) + np.where(y[0] < 0.0, np.log(2.0), 0.0)
+        yield y.reshape(n, -1).T, logp.ravel()
 
 
-def _fold(logp: np.ndarray, ends_at_centre: bool) -> np.ndarray:
-    """log p + log 2 for points standing in for their mirror too; a final centre keeps log p."""
-    out = logp + np.log(2.0)
-    if ends_at_centre:
-        out[-1] = logp[-1]
-    return out
+@lru_cache(maxsize=32)
+def _rule(nodes: int):
+    """Gauss-Hermite rule for N(0, 1): nodes sqrt(2) t, log-probabilities log(w / sqrt(pi))."""
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    return np.sqrt(2.0) * t, np.log(w) - 0.5 * np.log(np.pi)
 
 
-@lru_cache(maxsize=16)
-def _one_chunk_grid(n: int, nodes: int):
-    """The folded half grid as one (y, log p) chunk, read-only because it is shared."""
-    total = nodes**n
-    y, logp = _grid_block(n, nodes, 0, (total + 1) // 2)
-    logp = _fold(logp, ends_at_centre=total % 2 == 1)
+@lru_cache(maxsize=32)
+def _tensor_grid(n: int, nodes: int, fold: bool):
+    """Row-major tensor product of n 1-D rules as (y, log p), read-only because it is shared.
+
+    log p sums the axes in order, ((l0 + l1) + l2). With ``fold``, axis 0
+    keeps its nodes y <= 0, and log 2 is added last to every point with
+    y_0 < 0, which stands for its mirror too.
+    """
+    y1, logp1 = _rule(nodes)
+    keep = (nodes + 1) // 2 if fold else nodes
+    index = np.indices((keep,) + (nodes,) * (n - 1)).reshape(n, -1)
+    y = np.stack([y1[i] for i in index], axis=-1)
+    logp = sum(logp1[i] for i in index)
+    if fold:
+        logp = logp + np.where(y[:, 0] < 0.0, np.log(2.0), 0.0)
     y.setflags(write=False)
     logp.setflags(write=False)
     return y, logp
-
-
-@lru_cache(maxsize=16)
-def _whole_grid_points(n: int, nodes: int) -> np.ndarray:
-    """Every point of the grid, unfolded, read-only: the tail of the slab stream."""
-    y = _grid_block(n, nodes, 0, nodes**n)[0]
-    y.setflags(write=False)
-    return y
-
-
-def _grid_block(n: int, nodes: int, start: int, stop: int):
-    """Grid points start..stop-1 in row-major index order, with their log p."""
-    y1, logp1 = _hermgauss(nodes)
-    index = np.unravel_index(np.arange(start, stop), (nodes,) * n)
-    return np.stack([y1[i] for i in index], axis=-1), sum(logp1[i] for i in index)
 
 
 def _sample_chunks(n: int, cfg: OracleConfig):

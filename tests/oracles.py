@@ -10,6 +10,10 @@ quadrature or Newton code, so round trips against them are genuine two-route
 checks. Re-run ``python tests/oracles.py`` to regenerate.
 """
 
+import functools
+import itertools
+import operator
+
 import numpy as np
 from scipy import integrate, optimize
 
@@ -184,6 +188,26 @@ def quartic_2d_entropy(a, v, box: float = 10.0):
     return _box_integral(minus_rho_log_rho, box), _box_integral(u_rho, box)
 
 
+# --- the tensor Gauss-Hermite grid for N(0, I) --------------------------------
+
+
+def hermite_grid(n: int, nodes: int):
+    """(y, log p) of every point of the n-axis Gauss-Hermite grid for N(0, I), row-major.
+
+    Built point by point with itertools.product over numpy's 1-D rule: nodes
+    sqrt(2) t, probabilities w / sqrt(pi), and log p summed over the axes
+    from left to right, ((l0 + l1) + l2).
+    """
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    y1 = (np.sqrt(2.0) * t).tolist()
+    logp1 = (np.log(w) - 0.5 * np.log(np.pi)).tolist()
+    y = np.array(list(itertools.product(y1, repeat=n)))
+    logp = np.array(
+        [functools.reduce(operator.add, point) for point in itertools.product(logp1, repeat=n)]
+    )
+    return y, logp
+
+
 # --- bold vacuum diagrams of a diagonal quartic coupling ---------------------
 
 
@@ -220,24 +244,34 @@ def damped_dyson(a, sigma_of, green, damping=0.5, tol=1e-10, max_iter=500):
     raise RuntimeError(f"damped Dyson iteration did not converge in {max_iter} steps")
 
 
-def _regenerate():
+def frozen_1d() -> dict:
+    """The 1-D frozen constants of this module, recomputed by its own pipeline, by name."""
     ref = quartic_lw_reference(1.0)
-    print("Z_QUARTIC_1D          =", repr(quartic_z(1.0)))
-    print("OMEGA_QUARTIC_1D      =", repr(-np.log(quartic_z(1.0))))
-    print("GREEN_QUARTIC_1D      =", repr(quartic_moment(1.0, 2)))
-    print("A_OF_UNIT_G           =", repr(ref["a"]))
-    print("OMEGA_AT_A_OF_UNIT_G  =", repr(ref["omega"]))
-    print("F_AT_UNIT_G           =", repr(ref["f"]))
-    print("PHI_AT_UNIT_G         =", repr(ref["phi"]))
-    print("SIGMA_AT_UNIT_G       =", repr(ref["sigma"]))
-    print("MEAN_U_AT_UNIT_G      =", repr(quartic_moment(ref["a"], 4) / 8.0))
-    entropy = quartic_entropy(ref["a"])
-    print("ENTROPY_AT_UNIT_G     =", repr(entropy))
-    print("  minus (F + <U>)     =", repr(entropy - ref["f"] - quartic_moment(ref["a"], 4) / 8.0))
+    mean_u = quartic_moment(ref["a"], 4) / 8.0
     # at weak coupling a negative a overflows the integrand; A[G] is near 1
     ref001 = quartic_lw_reference(1.0, eps=0.01, bracket=(0.5, 1.5))
-    print("A_OF_UNIT_G_EPS001    =", repr(ref001["a"]))
-    print("SIGMA_AT_UNIT_G_EPS001=", repr(ref001["sigma"]))
+    return {
+        "Z_QUARTIC_1D": quartic_z(1.0),
+        "OMEGA_QUARTIC_1D": -np.log(quartic_z(1.0)),
+        "GREEN_QUARTIC_1D": quartic_moment(1.0, 2),
+        "A_OF_UNIT_G": ref["a"],
+        "OMEGA_AT_A_OF_UNIT_G": ref["omega"],
+        "F_AT_UNIT_G": ref["f"],
+        "PHI_AT_UNIT_G": ref["phi"],
+        "SIGMA_AT_UNIT_G": ref["sigma"],
+        "MEAN_U_AT_UNIT_G": mean_u,
+        "ENTROPY_AT_UNIT_G": quartic_entropy(ref["a"]),
+        "A_OF_UNIT_G_EPS001": ref001["a"],
+        "SIGMA_AT_UNIT_G_EPS001": ref001["sigma"],
+    }
+
+
+def _regenerate():
+    values = frozen_1d()
+    for name, value in values.items():
+        print(f"{name:22}=", repr(float(value)))
+    excess = values["ENTROPY_AT_UNIT_G"] - values["F_AT_UNIT_G"] - values["MEAN_U_AT_UNIT_G"]
+    print("  entropy minus (F + <U>) =", repr(float(excess)))
     omega_2d, green_2d = quartic_2d_moments(A_2D, V_2D)
     print("OMEGA_QUARTIC_2D      =", repr(float(omega_2d)))
     print("GREEN_QUARTIC_2D      =", repr(green_2d.tolist()))

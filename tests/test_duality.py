@@ -187,9 +187,11 @@ class TestNewtonEvaluations:
         assert len(newton) == 1 + accepted + rejected
         assert current == rep.residual
 
-    def test_non_confining_coupling_survives_divergent_points(self, monkeypatch):
-        # v_12 < 0: Z[A] exists only while A keeps the quartic confining, so
-        # the corrected start and the first full Newton step both diverge
+    def test_unverified_coupling_survives_divergent_points(self, monkeypatch):
+        # v is positive definite, so U confines, but v_12 < 0 keeps the
+        # entrywise growth test from certifying it: the oracle then refuses
+        # every A that is not positive definite as a divergent integral, and
+        # the corrected start and the first full Newton step are such points
         u = DiagonalQuartic([[1.0, -0.6], [-0.6, 1.0]])
         assert validate_growth(u).kind is Growth.UNVERIFIED
         g = np.array([[1.0, 0.1], [0.1, 1.0]])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import lwlattice
 from lwlattice.errors import DimensionMismatch, ParseError, UnsupportedInteraction, ValidationError
 from lwlattice.interactions import (
+    GROWTH_GRID_SIZE,
     ComposedInteraction,
     DiagonalQuartic,
     GeneralQuartic,
@@ -18,6 +19,7 @@ from lwlattice.interactions import (
     Interaction,
     ScaledInteraction,
     ZeroInteraction,
+    _direction_grid,
     as_diagonal_quartic,
     compose,
     interaction_from_dict,
@@ -245,6 +247,14 @@ class TestGrowth:
         w[0, 0, 0, 0] = 1.0
         w[1, 1, 1, 1] = -1.0  # negative along e_2
         assert validate_growth(GeneralQuartic(w)).kind is Growth.UNVERIFIED
+
+    def test_direction_grid_built_once_and_read_only(self):
+        dirs = _direction_grid(3)
+        assert _direction_grid(3) is dirs
+        assert dirs.shape == (GROWTH_GRID_SIZE, 3)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
 
     def test_import_does_not_load_scipy_stats(self):
         # only the general-quartic screen needs scipy.stats, about 1 s of import

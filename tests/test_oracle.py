@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -22,7 +23,6 @@ from lwlattice.oracle import (
     QUAD_NODE_CAP,
     OracleConfig,
     _check_preconditions,
-    _grid_block,
     _grid_chunks,
     _moments,
     evaluate_moments,
@@ -238,7 +238,7 @@ class TestFourthMoments:
         assert np.abs(rep.pair_moments - at_pairs(wick(np.linalg.inv(a)))).max() <= 1e-10
 
     def test_gaussian_across_chunks(self):
-        # the half grid spans several chunks and ends in a partial one
+        # the folded grid spans several chunks and ends in a partial one
         nodes = 50
         assert nodes**3 // 2 > QUAD_CHUNK and nodes**3 // 2 % QUAD_CHUNK != 0
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
@@ -284,36 +284,45 @@ def streamed_grid(n, nodes):
     return np.concatenate(ys), np.concatenate(logps), [len(logp) for logp in logps]
 
 
-class TestGridChunks:
-    """The stream is the first half of the row-major grid, each point standing for its mirror.
+@functools.lru_cache(maxsize=8)
+def whole_grid(n, nodes):
+    """The independent reference grid, built once per test run and read-only."""
+    y, logp = oracles.hermite_grid(n, nodes)
+    y.setflags(write=False)
+    logp.setflags(write=False)
+    return y, logp
 
-    A multi-chunk half grid streams as whole slabs, leading indices times the
-    full tail, except that an odd grid's last slab is cut after the centre.
+
+class TestGridChunks:
+    """The stream is the grid folded on its first axis: each point with y_0 < 0 stands for its mirror.
+
+    A multi-chunk grid streams as whole slabs, consecutive points of the
+    folded head grid times the whole tail; only the last slab may be shorter.
     """
 
     @staticmethod
     def assert_folded(n, nodes):
         y, logp, sizes = streamed_grid(n, nodes)
-        total = nodes**n
-        half = (total + 1) // 2
-        ref_y, ref_logp = _grid_block(n, nodes, 0, total)
-        # the stream followed by its mirror (reversed order, y negated) is the grid
-        assert np.array_equal(np.concatenate([y, -y[: total - half][::-1]]), ref_y)
-        # every point carries its mirror's probability too, except an odd grid's centre
-        folded = ref_logp + np.log(2.0)
-        if total % 2:
-            folded[half - 1] = ref_logp[half - 1]
-        assert np.array_equal(np.concatenate([logp, logp[: total - half][::-1]]), folded)
+        ref_y, ref_logp = whole_grid(n, nodes)
+        mirrored = nodes // 2 * nodes ** (n - 1)
+        assert np.all(y[:mirrored, 0] < 0.0) and np.all(y[mirrored:, 0] == 0.0)
+        # the stream followed by the mirrors of its y_0 < 0 points is the grid
+        assert np.array_equal(np.concatenate([y, -y[:mirrored][::-1]]), ref_y)
+        # a mirrored pair is one point carrying both probabilities
+        folded = ref_logp + np.where(ref_y[:, 0] != 0.0, np.log(2.0), 0.0)
+        assert np.array_equal(np.concatenate([logp, logp[:mirrored][::-1]]), folded)
         assert np.exp(logp).sum() == pytest.approx(1.0, rel=0.0, abs=1e-14)
+        if nodes % 2 == 0:
+            # an even grid is exactly the first half of the row-major grid
+            assert len(y) == nodes**n // 2
         chunk = oracle.QUAD_CHUNK
-        if half <= chunk:
-            assert sizes == [half]
+        if len(y) <= chunk:
+            assert sizes == [len(y)]
             return
         tail = max(nodes**j for j in range(n) if nodes**j <= chunk)
         *slabs, last = sizes
         assert slabs == [chunk // tail * tail] * len(slabs)
-        assert 0 < last <= chunk // tail * tail
-        assert last % tail == ((tail + 1) // 2 % tail if total % 2 else 0)
+        assert 0 < last <= chunk // tail * tail and last % tail == 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -327,9 +336,15 @@ class TestGridChunks:
             mp.setattr(oracle, "QUAD_CHUNK", chunk)
             self.assert_folded(n, nodes)
 
-    # (4, 32): the tail is exactly one chunk; (3, 50) ends in a partial chunk;
-    # (3, 65) is odd, so its last slab is cut after the centre
-    @pytest.mark.parametrize("n, nodes", [(3, 64), (3, 80), (4, 32), (3, 50), (3, 65)])
+    # even grids of one to four axes stream the first half of the row-major
+    # grid, in one chunk or several; (4, 32): the tail is exactly one chunk;
+    # (3, 50) ends in a partial chunk; (3, 65) is odd, so its slab y_0 = 0 is
+    # kept whole
+    @pytest.mark.parametrize(
+        "n, nodes",
+        [(1, 64), (2, 64), (2, 96), (2, 192), (3, 32), (3, 50), (3, 64), (3, 80), (4, 16), (4, 32)]
+        + [(3, 65)],
+    )
     def test_stream_at_the_real_chunk_size(self, n, nodes):
         self.assert_folded(n, nodes)
 
@@ -340,7 +355,7 @@ class TestGridChunks:
         # the one point y = 0 is its own mirror: it keeps p = 1
         (y, logp), = _grid_chunks(3, 1)
         assert np.array_equal(y, np.zeros((1, 3)))
-        assert np.array_equal(logp, _grid_block(3, 1, 0, 1)[1])
+        assert np.array_equal(logp, whole_grid(3, 1)[1])
         assert np.exp(logp).sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
@@ -360,7 +375,7 @@ class TestChunkBufferReuse:
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
         confining = _check_preconditions(a, u)
         streamed = _moments(a, u, cfg, confining, _grid_chunks(3, nodes))
-        whole = _moments(a, u, cfg, confining, [_grid_block(3, nodes, 0, nodes**3)])
+        whole = _moments(a, u, cfg, confining, [whole_grid(3, nodes)])
         assert streamed.omega == pytest.approx(whole.omega, rel=1e-14, abs=0.0)
         for got, want in [
             (streamed.green.mat, whole.green.mat),
@@ -368,8 +383,8 @@ class TestChunkBufferReuse:
         ]:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    # (50, QUAD_CHUNK): 5 chunks, the last partial; (11, 100): 7 chunks, the last
-    # partial and cut after the centre
+    # (50, QUAD_CHUNK): 5 chunks, the last partial; (11, 100): 8 chunks, the last
+    # partial and the slab y_0 = 0 whole
     @pytest.mark.parametrize("nodes, chunk", [(50, QUAD_CHUNK), (11, 100)])
     def test_stream_matches_one_whole_grid_chunk(self, monkeypatch, nodes, chunk):
         monkeypatch.setattr(oracle, "QUAD_CHUNK", chunk)
@@ -380,7 +395,7 @@ class TestChunkBufferReuse:
         [
             ("sheared", 24),  # GeneralQuartic, repaired envelope, one chunk
             ("unrepaired", 24),  # lift = 0, one chunk
-            ("sheared", 65),  # odd: cut after the centre, several chunks
+            ("sheared", 65),  # odd: the slab y_0 = 0 whole, several chunks
             ("unrepaired", 65),
         ],
     )
@@ -401,8 +416,8 @@ class TestChunkBufferReuse:
     def test_interleaved_streams_are_independent(self):
         nodes = 50
         half = nodes**3 // 2
-        ref_y, ref_logp = _grid_block(3, nodes, 0, half)
-        ref_logp = ref_logp + np.log(2.0)
+        ref_y, ref_logp = whole_grid(3, nodes)
+        ref_y, ref_logp = ref_y[:half], ref_logp[:half] + np.log(2.0)
         ahead = _grid_chunks(3, nodes)
         next(ahead)
         start = 0
