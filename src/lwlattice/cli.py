@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: oracle, invert, lw, sigma, dyson, minimize, verify, sweep.
-Structured results go to stdout (or --out) as JSON with 17-significant-digit
-floats; sweeps and solver traces use CSV. Exit codes: 0 success, 1 validation
+Structured results go to stdout (or --out) as JSON whose floats read back
+exactly; sweeps and solver traces use CSV. Exit codes: 0 success, 1 validation
 error, 2 non-convergence, 3 numerical failure.
 """
 
@@ -135,20 +135,13 @@ def _resolve_cfg(base: OracleConfig, args) -> OracleConfig:
     return replace(base, **overrides)
 
 
-def _emit(text: str, out_path):
+def _emit_json(obj, out_path):
+    text = dumps(obj) + "\n"
     if out_path:
         with open(out_path, "w") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def _emit_json(obj, out_path):
-    _emit(dumps(obj), out_path)
 
 
 def _load_green(path) -> SpdMatrix:

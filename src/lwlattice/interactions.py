@@ -22,7 +22,7 @@ from .matrices import LinearMap, SymMatrix, float_array
 TENSOR_SYM_TOLERANCE = 1e-9
 #: Direction-grid size for the quartic-form positivity screen.
 GROWTH_GRID_SIZE = 4096
-#: Seed of the quasi-random direction grid (fixed: the screen is deterministic).
+#: Philox key of the Gaussian direction draws (fixed: the screen is deterministic).
 GROWTH_GRID_SEED = 1723
 
 
@@ -338,13 +338,9 @@ def as_diagonal_quartic(u: Interaction):
 @lru_cache(maxsize=16)
 def _direction_grid(n: int) -> np.ndarray:
     """Unit directions of the growth screen, built once per dimension, read-only because shared."""
-    from scipy.stats import norm, qmc  # here, not at module load: it takes ~1 s to import
-    engine = qmc.Sobol(d=n, scramble=True, seed=GROWTH_GRID_SEED)
-    u01 = engine.random(GROWTH_GRID_SIZE)
-    z = norm.ppf(np.clip(u01, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    dirs = z / norms
+    rng = np.random.Generator(np.random.Philox(key=GROWTH_GRID_SEED))
+    z = rng.standard_normal((GROWTH_GRID_SIZE, n))
+    dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
     dirs.setflags(write=False)
     return dirs
 
@@ -354,9 +350,12 @@ def validate_growth(u: Interaction) -> GrowthReport:
 
     Sufficient entrywise condition for diagonal quartics: v_ii > 0 and
     v_ij >= 0 gives U(x) >= (1/8) sum_i v_ii x_i^4. General quartics get an
-    advisory screen: the quartic form is minimized over a deterministic
-    quasi-random direction grid; a strictly positive minimum implies
-    U(x) >= c |x|^4. Composition with an invertible map preserves the class.
+    advisory screen: the quartic form is minimized over GROWTH_GRID_SIZE
+    fixed random unit directions (normalised Gaussian draws from a Philox
+    stream keyed by GROWTH_GRID_SEED). A strictly positive minimum is taken
+    for U(x) >= c |x|^4, which the draws cannot prove: the form may still
+    dip below zero between them, hence ``screened``. Composition with an
+    invertible map preserves the class.
     """
     if isinstance(u, ZeroInteraction):
         return GrowthReport(Growth.ZERO_INTERACTION)

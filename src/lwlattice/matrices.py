@@ -100,7 +100,8 @@ class SymMatrix:
         return isinstance(other, SymMatrix) and np.array_equal(self.mat, other.mat)
 
     def __hash__(self):
-        return hash((type(self).__name__, self.mat.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which == already equates
+        return hash((type(self).__name__, (self.mat + 0.0).tobytes()))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.mat.tolist()!r})"
@@ -168,7 +169,7 @@ class LinearMap:
         return isinstance(other, LinearMap) and np.array_equal(self.mat, other.mat)
 
     def __hash__(self):
-        return hash(("LinearMap", self.mat.tobytes()))
+        return hash(("LinearMap", (self.mat + 0.0).tobytes()))
 
     def __repr__(self):
         return f"LinearMap({self.mat.tolist()!r})"

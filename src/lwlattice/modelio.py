@@ -1,8 +1,9 @@
 """Model-file I/O and machine-readable output helpers.
 
 A model file is JSON: {"n": int, "A": [[...]], "interaction": {...}} plus an
-optional "oracle" object overriding OracleConfig fields. All numeric output
-is printed with 17 significant digits so doubles round-trip losslessly.
+optional "oracle" object overriding OracleConfig fields. Floats are printed
+as Python's repr, the shortest string that reads back to the same double, so
+they round-trip exactly: -0.0 stays -0.0 and 1.0 stays a float, 1.0.
 """
 
 from __future__ import annotations
@@ -118,67 +119,26 @@ def load_matrix(path) -> np.ndarray:
     return arr
 
 
-def _format_float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value in (float("inf"), float("-inf")):
-        return "Infinity" if value > 0 else "-Infinity"
-    return format(value, ".17g")
-
-
-class _SignificantDigitsEncoder(json.JSONEncoder):
-    """JSON encoder printing floats with 17 significant digits."""
-
-    def iterencode(self, o, _one_shot=False):
-        # bypass the C encoder so the float formatter applies
-        markers = {} if self.check_circular else None
-        encoder = (
-            json.encoder.encode_basestring_ascii
-            if self.ensure_ascii
-            else json.encoder.encode_basestring
-        )
-        chunks = json.encoder._make_iterencode(
-            markers,
-            self.default,
-            encoder,
-            self.indent,
-            _format_float,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            False,
-        )
-        return chunks(o, 0)
-
-    def default(self, o):
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, np.bool_):
-            return bool(o)
-        return super().default(o)
+def _plain(o):
+    """numpy scalars and arrays as the Python values json prints."""
+    if isinstance(o, (np.generic, np.ndarray)):
+        return o.tolist()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
-    """Serialize to JSON with lossless float formatting."""
-    return json.dumps(obj, cls=_SignificantDigitsEncoder, indent=2)
+    """Serialize to indented JSON; floats print as their repr, which reads back exactly."""
+    return json.dumps(obj, indent=2, default=_plain)
 
 
 def write_csv(path_or_handle, header, rows) -> None:
-    """Delimited table with the same 17-significant-digit float format."""
+    """Delimited table; csv prints floats by repr, like dumps."""
     import csv
 
     def emit(handle):
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_format_float(v) if isinstance(v, float) else v for v in row]
-            )
+        writer.writerows(rows)
 
     if hasattr(path_or_handle, "write"):
         emit(path_or_handle)

@@ -152,38 +152,26 @@ class MomentReport:
         return out
 
 
-def _envelope(a: np.ndarray, tau: float, confining: bool):
-    """Scalar lift and the Cholesky factor of the envelope B = A + lift I.
+def _envelope_lift(a: SymMatrix, u: Interaction, tau: float) -> float:
+    """Validate integrability; returns the scalar lift of the envelope B = A + lift I.
 
     The floor repair presumes a confining (super-quadratic) interaction that
-    keeps the leftover factor integrable and narrow; without one, A is SPD by
-    precondition and is itself the exact envelope, so repairing it would only
-    push the nodes off a wide Gaussian.
+    keeps the leftover factor integrable and narrow; without one, A must be
+    SPD and is itself the exact envelope, so repairing it would only push
+    the nodes off a wide Gaussian.
     """
-    lam_min = np.linalg.eigvalsh(a)[0]
-    lift = tau - lam_min if confining and lam_min < tau else 0.0
-    try:
-        return lift, np.linalg.cholesky(a + lift * np.eye(a.shape[0]))
-    except np.linalg.LinAlgError:
-        # the lift is lost to rounding when |A| dwarfs tau
-        raise NonFinite(
-            f"envelope A + {lift:.3e} I is not numerically positive definite"
-        ) from None
-
-
-def _check_preconditions(a: SymMatrix, u: Interaction) -> bool:
-    """Validate integrability; returns whether the interaction confines."""
     if a.n != u.n:
         raise DimensionMismatch(f"A has dimension {a.n}, interaction has {u.n}")
     growth = validate_growth(u)
+    lam_min = np.linalg.eigvalsh(a.mat)[0]
     if growth.kind is Growth.SUPERQUADRATIC:
-        return True
-    if np.linalg.eigvalsh(a.mat)[0] <= 0.0:
+        return tau - lam_min if lam_min < tau else 0.0
+    if lam_min <= 0.0:
         raise DivergentIntegral(
             "A is not positive definite and the interaction growth is "
             f"{growth.kind.value}; the partition function may diverge"
         )
-    return False
+    return 0.0
 
 
 def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentReport:
@@ -210,10 +198,10 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
         numerically positive definite.
     """
     a = SymMatrix.coerce(a)
-    confining = _check_preconditions(a, u)
+    lift = _envelope_lift(a, u, cfg.envelope_floor)
     n = a.n
     if cfg.mode == "monte_carlo":
-        return _moments(a, u, cfg, confining, _sample_chunks(n, cfg))
+        return _moments(a, u, cfg, lift, _sample_chunks(n, cfg))
     if n > QUAD_DIM_CAP:
         raise DimensionCap(f"quadrature limited to n <= {QUAD_DIM_CAP}, got {n}")
     if cfg.nodes_per_dim > QUAD_NODE_CAP:
@@ -226,7 +214,7 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
             f"tensor grid of {cfg.nodes_per_dim}^{n} points exceeds the "
             f"{QUAD_POINT_CAP:.0e} cap; lower nodes_per_dim"
         )
-    return _moments(a, u, cfg, confining, _grid_chunks(n, cfg.nodes_per_dim))
+    return _moments(a, u, cfg, lift, _grid_chunks(n, cfg.nodes_per_dim))
 
 
 def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
@@ -311,7 +299,7 @@ def _sample_chunks(n: int, cfg: OracleConfig):
 
 
 def _moments(
-    a: SymMatrix, u: Interaction, cfg: OracleConfig, confining: bool, chunks
+    a: SymMatrix, u: Interaction, cfg: OracleConfig, lift: float, chunks
 ) -> MomentReport:
     """Log-weighted sums over (y, log p) chunks; the one kernel of both backends.
 
@@ -320,7 +308,13 @@ def _moments(
     shift; the chunks are reduced in a fixed order under one global shift.
     """
     n = a.n
-    lift, low = _envelope(a.mat, cfg.envelope_floor, confining)
+    try:
+        low = np.linalg.cholesky(a.mat + lift * np.eye(n))
+    except np.linalg.LinAlgError:
+        # the lift is lost to rounding when |A| dwarfs tau
+        raise NonFinite(
+            f"envelope A + {lift:.3e} I is not numerically positive definite"
+        ) from None
     linv_t = np.linalg.inv(low).T
     shifts, s0, s2, su, s4 = [], [], [], [], []
     for y, logp in chunks:

@@ -169,3 +169,11 @@ class TestLinearMap:
 
 def test_min_eigenvalue():
     assert min_eigenvalue(SymMatrix(np.diag([3.0, -1.0]))) == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("cls", [SymMatrix, LinearMap])
+def test_hash_agrees_with_equality_on_signed_zeros(cls):
+    plus, minus = cls([[0.0, 1.0], [1.0, 0.0]]), cls([[-0.0, 1.0], [1.0, 0.0]])
+    assert plus == minus
+    assert hash(plus) == hash(minus)
+    assert len({plus, minus}) == 1

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ from lwlattice.modelio import (
     write_csv,
 )
 from lwlattice.oracle import OracleConfig
+
+
+#: Values a lossless format must read back as floats of the same sign.
+EXACT_FLOATS = [-0.0, 0.0, 1.0, 2.0**60, 1e-300, math.inf, -math.inf]
+
+
+def assert_same_floats(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is float, g
+        assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (g, w)
 
 
 def write(tmp_path, name, obj):
@@ -130,12 +141,26 @@ class TestRoundTrip:
         assert loaded.interaction == model.interaction
         assert loaded.oracle == model.oracle
 
+    def test_signed_zeros_and_float_fields_survive(self, tmp_path):
+        model = ModelFile(
+            n=2,
+            a=SymMatrix([[1.0, -0.0], [-0.0, 2.0**60]]),
+            interaction=DiagonalQuartic([[1e-300, 0.0], [0.0, 1.0]]),
+            oracle=OracleConfig(envelope_floor=1.0),
+        )
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert_same_floats(loaded.a.mat.ravel().tolist(), [1.0, -0.0, -0.0, 2.0**60])
+        assert np.array_equal(loaded.interaction.v.mat, model.interaction.v.mat)
+        assert_same_floats([loaded.oracle.envelope_floor], [1.0])
+
 
 class TestFloatFormat:
-    def test_seventeen_significant_digits_round_trip(self):
-        values = [1.0 / 3.0, np.pi, 1e-300, 6.02214076e23, -0.1]
+    def test_floats_read_back_exactly(self):
+        values = [1.0 / 3.0, np.pi, 6.02214076e23, -0.1, *EXACT_FLOATS]
         text = dumps({"values": values})
-        assert json.loads(text)["values"] == values
+        assert_same_floats(json.loads(text)["values"], values)
 
     def test_small_integers_stay_clean(self):
         assert '"x": 1' in dumps({"x": 1})
@@ -161,10 +186,10 @@ class TestMatrixFile:
 
 
 class TestCsv:
-    def test_writes_17g_floats(self, tmp_path):
+    def test_floats_read_back_exactly(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["eps", "value"], [(0.1, 1.0 / 3.0)])
+        values = [1.0 / 3.0, *EXACT_FLOATS]
+        write_csv(path, ["eps", "value"], [(0.1, v) for v in values])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "eps,value"
-        eps, value = lines[1].split(",")
-        assert float(value) == 1.0 / 3.0
+        assert_same_floats([float(line.split(",")[1]) for line in lines[1:]], values)

@@ -22,7 +22,7 @@ from lwlattice.oracle import (
     QUAD_CHUNK,
     QUAD_NODE_CAP,
     OracleConfig,
-    _check_preconditions,
+    _envelope_lift,
     _grid_chunks,
     _moments,
     evaluate_moments,
@@ -373,9 +373,9 @@ class TestChunkBufferReuse:
     def assert_stream_matches_whole_grid(a, u, nodes):
         """The folded stream against _moments over the whole unfolded grid."""
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
-        confining = _check_preconditions(a, u)
-        streamed = _moments(a, u, cfg, confining, _grid_chunks(3, nodes))
-        whole = _moments(a, u, cfg, confining, [whole_grid(3, nodes)])
+        lift = _envelope_lift(a, u, cfg.envelope_floor)
+        streamed = _moments(a, u, cfg, lift, _grid_chunks(3, nodes))
+        whole = _moments(a, u, cfg, lift, [whole_grid(3, nodes)])
         assert streamed.omega == pytest.approx(whole.omega, rel=1e-14, abs=0.0)
         for got, want in [
             (streamed.green.mat, whole.green.mat),
@@ -532,6 +532,31 @@ class TestErrors:
         a = SymMatrix([[1e17, 0.0], [0.0, -1e17]])
         with pytest.raises(NonFinite):
             evaluate_moments(a, DiagonalQuartic(np.eye(2)), QUAD)
+
+    @pytest.mark.parametrize(
+        "a, u, error",
+        [
+            (SymMatrix(-np.eye(7)), ZeroInteraction(6), DimensionMismatch),
+            (SymMatrix(-np.eye(7)), ZeroInteraction(7), DivergentIntegral),
+            # the envelope of this A is singular (NonFinite), but n = 7 is over the cap
+            (
+                SymMatrix(np.diag([1e17, -1e17, 1, 1, 1, 1, 1])),
+                DiagonalQuartic(np.eye(7)),
+                DimensionCap,
+            ),
+        ],
+    )
+    def test_error_order(self, a, u, error):
+        with pytest.raises(error):
+            evaluate_moments(a, u, QUAD)
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        u = DiagonalQuartic([[1.0, -0.1], [-0.1, 1.0]])  # uncertified: A must be SPD
+        evaluate_moments(SymMatrix(np.eye(2)), u, QUAD)
+        assert len(calls) == 1
 
     def test_dimension_cap(self):
         n = 7
