@@ -23,7 +23,7 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .interactions import Interaction, as_diagonal_quartic
+from .interactions import Interaction, as_diagonal_quartic, pair_basis
 from .matrices import SpdMatrix, SymMatrix, logdet_spd, min_eigenvalue
 from .oracle import MomentReport, OracleConfig, evaluate_moments
 
@@ -72,10 +72,10 @@ def _newton_step(report: MomentReport, g_target: np.ndarray) -> np.ndarray:
     """
     green = report.green.mat
     n = green.shape[0]
-    rows, cols = np.triu_indices(n)
+    rows, cols, mult = pair_basis(n)
     g_pairs = green[rows, cols]
     cov = report.pair_moments - np.outer(g_pairs, g_pairs)
-    jac = -0.5 * cov * np.where(rows == cols, 1.0, 2.0)
+    jac = -0.5 * cov * mult
     rhs = g_pairs - g_target[rows, cols]
     try:
         delta = np.linalg.solve(jac, -rhs)

@@ -62,9 +62,19 @@ class Interaction:
     ``_evaluate`` must be even, U(-x) = U(x): every variant is a homogeneous
     quartic form, and the quadrature backend relies on it by summing each
     grid point and its mirror image as one point of twice the weight.
+
+    An interaction is what its model file stores: two are equal when they
+    have the same type and the same ``to_dict()``, and copies and pickles are
+    rebuilt from that dict through the validating constructors.
     """
 
     n: int
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.to_dict() == self.to_dict()
+
+    def __reduce__(self):
+        return interaction_from_dict, (self.to_dict(),)
 
     def evaluate(self, x):
         """U(x) for a single point (n,) or a batch (m, n) of points."""
@@ -90,8 +100,8 @@ class ZeroInteraction(Interaction):
     """U identically zero (the non-interacting theory)."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValidationError("dimension must be positive")
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValidationError(f"dimension must be a positive integer, got {n!r}")
         self.n = int(n)
 
     def _evaluate(self, batch):
@@ -103,9 +113,6 @@ class ZeroInteraction(Interaction):
 
     def to_dict(self):
         return {"type": "zero", "n": self.n}
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroInteraction) and other.n == self.n
 
     def __repr__(self):
         return f"ZeroInteraction({self.n})"
@@ -129,20 +136,29 @@ class DiagonalQuartic(Interaction):
     def to_dict(self):
         return {"type": "diagonal_quartic", "v": self.v.mat.tolist()}
 
-    def __eq__(self, other):
-        return isinstance(other, DiagonalQuartic) and np.array_equal(self.v.mat, other.v.mat)
-
     def __repr__(self):
         return f"DiagonalQuartic({self.v.mat.tolist()!r})"
 
 
+@lru_cache(maxsize=16)
+def pair_basis(n: int):
+    """(rows, cols, multiplicity) of the pairs i <= j in ``np.triu_indices(n)``
+    order; an off-diagonal pair stands for both (i, j) and (j, i), so its
+    multiplicity is 2. Built once per dimension, read-only because shared."""
+    rows, cols = np.triu_indices(n)
+    mult = np.where(rows == cols, 1.0, 2.0)
+    for arr in (rows, cols, mult):
+        arr.setflags(write=False)
+    return rows, cols, mult
+
+
 def pair_products(x: np.ndarray) -> np.ndarray:
-    """x_i x_j over the pairs i <= j of ``np.triu_indices(n)``, per point.
+    """x_i x_j over the pairs of ``pair_basis(n)``, per point.
 
     Returns an F-ordered (m, P) array, P = n(n+1)/2, filled column by column
     from the columns of the (m, n) batch x.
     """
-    rows, cols = np.triu_indices(x.shape[1])
+    rows, cols, _ = pair_basis(x.shape[1])
     out = np.empty((x.shape[0], rows.size), order="F")
     for p, (i, j) in enumerate(zip(rows, cols)):
         np.multiply(x[:, i], x[:, j], out=out[:, p])
@@ -161,8 +177,8 @@ class GeneralQuartic(Interaction):
 
     def __init__(self, w):
         arr = float_array(w, "quartic tensor")
-        if arr.ndim != 4 or len(set(arr.shape)) != 1:
-            raise ValidationError(f"quartic tensor must be n^4, got shape {arr.shape}")
+        if arr.ndim != 4 or len(set(arr.shape)) != 1 or arr.size == 0:
+            raise ValidationError(f"quartic tensor must be n^4, n >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("quartic tensor has non-finite entries")
         sym = _symmetrize_quartic_tensor(arr)
@@ -171,14 +187,19 @@ class GeneralQuartic(Interaction):
             raise ValidationError(
                 f"quartic tensor not permutation symmetric: deviation {dev:.3e}"
             )
-        sym.setflags(write=False)
-        self.w = sym
-        self.n = sym.shape[0]
-        # U = sum_pq s_p M_pq s_q over the pair products s_p = x_i x_j, i <= j;
-        # an off-diagonal pair stands for both (i, j) and (j, i)
-        rows, cols = np.triu_indices(self.n)
-        mult = np.where(rows == cols, 1.0, 2.0)
-        self._pair_weights = sym[rows, cols][:, rows, cols] * np.outer(mult, mult)
+        # the average of the 24 permutations is symmetric only up to rounding:
+        # every entry W_ijkl takes its value at the sorted index, which keeps
+        # an exactly symmetric input as given
+        index = tuple(np.sort(np.indices(arr.shape).reshape(4, -1), axis=0))
+        w = arr[index].reshape(arr.shape)
+        if not np.array_equal(w, arr):
+            w = sym[index].reshape(arr.shape)
+        w.setflags(write=False)
+        self.w = w
+        self.n = w.shape[0]
+        # U = sum_pq s_p M_pq s_q over the pair products s_p = x_i x_j, i <= j
+        rows, cols, mult = pair_basis(self.n)
+        self._pair_weights = w[rows, cols][:, rows, cols] * np.outer(mult, mult)
 
     def _evaluate(self, batch):
         pairs = pair_products(batch)
@@ -190,9 +211,6 @@ class GeneralQuartic(Interaction):
 
     def to_dict(self):
         return {"type": "general_quartic", "n": self.n, "w": self.w.ravel().tolist()}
-
-    def __eq__(self, other):
-        return isinstance(other, GeneralQuartic) and np.array_equal(self.w, other.w)
 
     def __repr__(self):
         return f"GeneralQuartic(n={self.n})"
@@ -218,13 +236,6 @@ class ScaledInteraction(Interaction):
 
     def to_dict(self):
         return {"type": "scaled", "factor": self.factor, "inner": self.inner.to_dict()}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScaledInteraction)
-            and other.factor == self.factor
-            and other.inner == self.inner
-        )
 
     def __repr__(self):
         return f"ScaledInteraction({self.factor!r}, {self.inner!r})"
@@ -258,13 +269,6 @@ class ComposedInteraction(Interaction):
             "map": self.map.mat.tolist(),
             "inner": self.inner.to_dict(),
         }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ComposedInteraction)
-            and other.map == self.map
-            and other.inner == self.inner
-        )
 
     def __repr__(self):
         return f"ComposedInteraction({self.inner!r}, {self.map!r})"
@@ -355,7 +359,8 @@ def validate_growth(u: Interaction) -> GrowthReport:
     stream keyed by GROWTH_GRID_SEED). A strictly positive minimum is taken
     for U(x) >= c |x|^4, which the draws cannot prove: the form may still
     dip below zero between them, hence ``screened``. Composition with an
-    invertible map preserves the class.
+    invertible map preserves the class; ``LinearMap`` accepts only
+    well-conditioned maps.
     """
     if isinstance(u, ZeroInteraction):
         return GrowthReport(Growth.ZERO_INTERACTION)
@@ -364,7 +369,7 @@ def validate_growth(u: Interaction) -> GrowthReport:
             return GrowthReport(Growth.ZERO_INTERACTION)
         return validate_growth(u.inner)
     if isinstance(u, ComposedInteraction):
-        # invertible T: c1 |x| <= |T x| <= c2 |x|, so the growth class carries over
+        # well-conditioned T: c1 |x| <= |T x| <= c2 |x|, so the growth class carries over
         return validate_growth(u.inner)
     if isinstance(u, DiagonalQuartic):
         v = u.v.mat

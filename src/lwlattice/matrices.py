@@ -1,8 +1,11 @@
 """Symmetric / SPD matrix core: validated wrappers and congruence transforms.
 
-Dense storage only; dimensions are expected to stay below ~64. All wrapper
-objects are immutable after construction (the underlying arrays are marked
-read-only), so they are safe to share between threads.
+Dense storage only; dimensions are expected to stay below ~64. The matrix
+classes are values: immutable after construction (the underlying arrays are
+marked read-only), so they are safe to share between threads, and they pickle
+and copy. Equality and hash go by the entries within a family, so an
+SpdMatrix equals (and hashes like) the SymMatrix with the same entries, while
+a LinearMap never equals a SymMatrix.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap, Validat
 SPD_TOLERANCE = 1e-12
 #: Max |S - S^T| entry accepted for silent symmetrization.
 SYM_TOLERANCE = 1e-9
-#: |det T| below this value counts as singular.
+#: Reciprocal condition number below which a map counts as singular (unlike
+#: |det T|, it does not change when T is scaled).
 INV_TOLERANCE = 1e-12
 
 
@@ -36,8 +40,10 @@ def _square_array(entries, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{what} must have positive dimension")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} has non-finite entries")
+    # half the float range, so that the sum of two entries (symmetrization) stays finite
+    limit = 0.5 * np.finfo(float).max
+    if not np.all(np.abs(arr) <= limit):
+        raise ValidationError(f"{what} has non-finite entries or entries above {limit:.2e}")
     return arr
 
 
@@ -59,26 +65,15 @@ def cholesky_factor(arr: np.ndarray) -> np.ndarray:
     return low
 
 
-class SymMatrix:
-    """Real symmetric matrix.
-
-    Construction symmetrizes inputs whose asymmetry is at most
-    ``SYM_TOLERANCE`` (tolerates file-I/O roundoff) and rejects anything worse
-    (catches user error).
-    """
+class _FrozenMatrix:
+    """A square matrix as a value: read-only entries, equality and hash by
+    ``_family`` (symmetric or map) and entries, copies rebuilt by the constructor."""
 
     __slots__ = ("mat",)
 
-    def __init__(self, entries):
-        arr = _square_array(entries, "symmetric matrix")
-        asym = np.abs(arr - arr.T).max()
-        if asym > SYM_TOLERANCE:
-            raise ValidationError(
-                f"matrix not symmetric: max asymmetry {asym:.3e} exceeds {SYM_TOLERANCE:.1e}"
-            )
-        arr = 0.5 * (arr + arr.T)
+    def _freeze(self, name: str, arr: np.ndarray):
         arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
+        object.__setattr__(self, name, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -88,23 +83,50 @@ class SymMatrix:
         return self.mat.shape[0]
 
     @classmethod
-    def coerce(cls, value) -> "SymMatrix":
-        if isinstance(value, SymMatrix):
-            return value
-        return cls(value)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.mat, dtype=dtype)
+    def coerce(cls, value):
+        """value itself when it is already a cls, else cls(value)."""
+        return value if isinstance(value, cls) else cls(value)
 
     def __eq__(self, other):
-        return isinstance(other, SymMatrix) and np.array_equal(self.mat, other.mat)
+        return (
+            isinstance(other, _FrozenMatrix)
+            and other._family == self._family
+            and np.array_equal(self.mat, other.mat)
+        )
 
     def __hash__(self):
         # + 0.0 turns -0.0 into 0.0, which == already equates
-        return hash((type(self).__name__, (self.mat + 0.0).tobytes()))
+        return hash((self._family, (self.mat + 0.0).tobytes()))
+
+    def __reduce__(self):
+        return type(self), (self.mat,)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.mat.tolist()!r})"
+
+
+class SymMatrix(_FrozenMatrix):
+    """Real symmetric matrix.
+
+    Construction symmetrizes inputs whose asymmetry is at most
+    ``SYM_TOLERANCE`` (tolerates file-I/O roundoff) and rejects anything worse
+    (catches user error).
+    """
+
+    __slots__ = ()
+    _family = "symmetric"
+
+    def __init__(self, entries):
+        arr = _square_array(entries, "symmetric matrix")
+        asym = np.abs(arr - arr.T).max()
+        if asym > SYM_TOLERANCE:
+            raise ValidationError(
+                f"matrix not symmetric: max asymmetry {asym:.3e} exceeds {SYM_TOLERANCE:.1e}"
+            )
+        self._freeze("mat", 0.5 * (arr + arr.T))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.mat, dtype=dtype)
 
 
 class SpdMatrix(SymMatrix):
@@ -114,16 +136,7 @@ class SpdMatrix(SymMatrix):
 
     def __init__(self, entries):
         super().__init__(entries)
-        object.__setattr__(self, "chol", cholesky_factor(self.mat))
-        self.chol.setflags(write=False)
-
-    @classmethod
-    def coerce(cls, value) -> "SpdMatrix":
-        if isinstance(value, SpdMatrix):
-            return value
-        if isinstance(value, SymMatrix):
-            return cls(value.mat)
-        return cls(value)
+        self._freeze("chol", cholesky_factor(self.mat))
 
     def inverse(self) -> np.ndarray:
         """Dense inverse computed from the cached factor."""
@@ -132,47 +145,25 @@ class SpdMatrix(SymMatrix):
         return low_inv.T @ low_inv
 
 
-class LinearMap:
+class LinearMap(_FrozenMatrix):
     """Invertible n x n matrix acting as a change of basis."""
 
-    __slots__ = ("mat",)
+    __slots__ = ()
+    _family = "map"
 
     def __init__(self, entries):
         arr = _square_array(entries, "linear map")
-        det = np.linalg.det(arr)
-        if abs(det) < INV_TOLERANCE:
-            raise SingularMap(f"|det T| = {abs(det):.3e} below {INV_TOLERANCE:.0e}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "mat", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMap is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
+        rcond = 1.0 / np.linalg.cond(arr)
+        if rcond < INV_TOLERANCE:
+            raise SingularMap(f"reciprocal condition number {rcond:.3e} below {INV_TOLERANCE:.0e}")
+        self._freeze("mat", arr)
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":
         return cls(np.eye(n))
 
-    @classmethod
-    def coerce(cls, value) -> "LinearMap":
-        if isinstance(value, LinearMap):
-            return value
-        return cls(value)
-
     def inverse(self) -> np.ndarray:
         return np.linalg.inv(self.mat)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearMap) and np.array_equal(self.mat, other.mat)
-
-    def __hash__(self):
-        return hash(("LinearMap", (self.mat + 0.0).tobytes()))
-
-    def __repr__(self):
-        return f"LinearMap({self.mat.tolist()!r})"
 
 
 def logdet_spd(s: SpdMatrix) -> float:

@@ -82,7 +82,9 @@ class OracleConfig:
 
     seed and the fixed 64-batch partition make Monte Carlo results
     bit-reproducible: each batch owns a counter-based random stream and the
-    reduction order never changes.
+    reduction order never changes. Each batch draws ``samples // MC_BATCHES``
+    points, so ``samples`` is rounded down to a multiple of MC_BATCHES = 64:
+    ``samples=100`` draws 64 points.
     """
 
     mode: str = "quadrature"

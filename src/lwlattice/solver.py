@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .interactions import Interaction, as_diagonal_quartic
-from .matrices import SpdMatrix, SymMatrix, cholesky_factor, min_eigenvalue
+from .matrices import SpdMatrix, SymMatrix, cholesky_factor, logdet_spd, min_eigenvalue
 from .oracle import OracleConfig
 
 DEFAULT_DAMPING = 0.5
@@ -90,9 +90,8 @@ class SolveTrace:
 
 
 def _free_energy_value(a_mat: np.ndarray, g: SpdMatrix, phi: float) -> float:
-    logdet = 2.0 * float(np.sum(np.log(np.diag(g.chol))))
     return 0.5 * (
-        float(np.trace(a_mat @ g.mat)) - logdet - phi - g.n * np.log(2.0 * np.pi * np.e)
+        float(np.trace(a_mat @ g.mat)) - logdet_spd(g) - phi - g.n * np.log(2.0 * np.pi * np.e)
     )
 
 
@@ -137,9 +136,6 @@ class _ModelEvaluator:
         series = BoldSeries.build(g, self.v, self.order)
         return series.truncated_sigma(self.scale), series.truncated_phi(self.scale)
 
-    def phi(self, g: SpdMatrix) -> float:
-        return self.sigma_and_phi(g)[1]
-
     def _lw(self, g: SpdMatrix) -> LwReport:
         # A[G] = G^-1 + Sigma[G], and Sigma moves slowly between iterates:
         # G^-1 is exact at the new point, only Sigma is carried over
@@ -163,8 +159,14 @@ def free_energy(
     """Variational free energy of the trial G under the chosen model."""
     a = SymMatrix.coerce(a)
     g = SpdMatrix.coerce(g)
-    evaluator = _ModelEvaluator(u, model, cfg)
-    return _free_energy_value(a.mat, g, evaluator.phi(g))
+    phi = _ModelEvaluator(u, model, cfg).sigma_and_phi(g)[1]
+    return _free_energy_value(a.mat, g, phi)
+
+
+def _check_solvable(a: SymMatrix, model: SigmaModel):
+    """Without a self-energy the free energy is bounded below only for SPD A."""
+    if model is SigmaModel.NONE and min_eigenvalue(a) <= 0.0:
+        raise ValidationError("the non-interacting Green's function requires A to be SPD")
 
 
 def _initial_green(a: SymMatrix, tau: float) -> SpdMatrix:
@@ -220,10 +222,7 @@ def dyson_solve(
     if not 0.0 < damping <= 1.0:
         raise ValidationError("damping must lie in (0, 1]")
     evaluator = _ModelEvaluator(u, model, cfg, solver_tol=tol)
-    if model is SigmaModel.NONE and min_eigenvalue(a) <= 0.0:
-        raise ValidationError(
-            "the non-interacting Green's function requires A to be SPD"
-        )
+    _check_solvable(a, model)
 
     green = SpdMatrix.coerce(g_init) if g_init is not None else _initial_green(a, cfg.envelope_floor)
     alpha = damping
@@ -293,6 +292,7 @@ def minimize_free_energy(
     """
     a = SymMatrix.coerce(a)
     evaluator = _ModelEvaluator(u, model, cfg, solver_tol=tol)
+    _check_solvable(a, model)
     green = _initial_green(a, cfg.envelope_floor)
     low = cholesky_factor(green.mat)
 

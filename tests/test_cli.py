@@ -276,6 +276,14 @@ class TestSolverCommands:
         assert payload["final_green"][0][0] == pytest.approx(root, abs=1e-8)
 
 
+    @pytest.mark.parametrize("command", ["dyson", "minimize"])
+    def test_non_spd_a_without_interaction_exit_one(self, capsys, model_path, command):
+        model = {"n": 2, "A": [[-0.5, 0.1], [0.1, 1.0]], "interaction": {"type": "zero"}}
+        code = dispatch([command, "--model", model_path(model), "--sigma-model", "none"])
+        assert code == 1
+        assert "requires A to be SPD" in capsys.readouterr().err
+
+
 class TestNonDiagonalModels:
     def test_composed_interaction_oracle(self, capsys, model_path):
         c = s = float(np.sqrt(0.5))
@@ -291,6 +299,24 @@ class TestNonDiagonalModels:
         code, payload = run_json(capsys, ["oracle", "--model", model_path(model)])
         assert code == 0
         assert np.isfinite(payload["omega"])
+
+    @pytest.mark.parametrize(
+        "linmap, code", [([[1.0, 1.0], [1.0, 1.0 + 1e-12]], 1), ([[1e-4, 0.0], [0.0, 1e-4]], 0)]
+    )
+    def test_composed_map_judged_by_condition_number(self, capsys, model_path, linmap, code):
+        model = {
+            "n": 2,
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+            "interaction": {
+                "type": "composed",
+                "map": linmap,
+                "inner": {"type": "diagonal_quartic", "v": [[1.0, 0.0], [0.0, 1.0]]},
+            },
+        }
+        assert dispatch(["oracle", "--model", model_path(model)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "reciprocal condition number" in captured.err
 
     def test_general_quartic_model(self, capsys, model_path):
         # x^4 with unit coefficient, flat row-major tensor of one entry

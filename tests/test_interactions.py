@@ -20,6 +20,7 @@ from lwlattice.interactions import (
     ScaledInteraction,
     ZeroInteraction,
     _direction_grid,
+    pair_basis,
     as_diagonal_quartic,
     compose,
     interaction_from_dict,
@@ -286,6 +287,41 @@ class TestTensorValidation:
         with pytest.raises(ValidationError):
             ScaledInteraction(-0.5, DiagonalQuartic([[1.0]]))
 
+    def test_zero_dimension_tensor_rejected(self):
+        with pytest.raises(ValidationError, match="n >= 1"):
+            GeneralQuartic(np.zeros((0, 0, 0, 0)))
+        with pytest.raises(ValidationError, match="n >= 1"):
+            interaction_from_dict({"type": "general_quartic", "w": []})
+
+    @pytest.mark.parametrize("n", [2.5, True, 0, -1, "2"])
+    def test_zero_interaction_needs_a_positive_integer(self, n):
+        with pytest.raises(ValidationError, match="positive integer"):
+            ZeroInteraction(n)
+
+    def test_stored_tensor_is_exactly_symmetric(self):
+        # the 24-term permutation average of 0.1 is 0.10000000000000003
+        assert np.all(GeneralQuartic(np.full((2, 2, 2, 2), 0.1)).w == 0.1)
+        noisy = symmetric_tensor(3, 5) + 1e-12 * random_points(81, 1, seed=5).reshape((3,) * 4)
+        w = GeneralQuartic(noisy).w
+        for perm in itertools.permutations(range(4)):
+            assert np.array_equal(np.transpose(w, perm), w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_symmetric_tensor_kept_bit_for_bit(self, n):
+        for seed in range(25):
+            w = GeneralQuartic(symmetric_tensor(n, seed)).w
+            assert GeneralQuartic(w).w.tobytes() == w.tobytes()
+
+
+def test_pair_basis_built_once_and_read_only():
+    for n in (1, 2, 5):
+        rows, cols, mult = pair_basis(n)
+        assert pair_basis(n)[0] is rows
+        want_rows, want_cols = np.triu_indices(n)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        assert np.array_equal(mult, np.where(want_rows == want_cols, 1.0, 2.0))
+        assert not any(arr.flags.writeable for arr in (rows, cols, mult))
+
 
 class TestDiagonalExtraction:
     def test_unwraps_nested_scales(self):
@@ -318,6 +354,13 @@ class TestJson:
         dense = materialize(compose(DiagonalQuartic([[1.0]]), LinearMap([[1.5]])))
         again = interaction_from_dict(dense.to_dict())
         assert again == dense
+
+    def test_materialized_shear_round_trips_bit_for_bit(self):
+        dense = materialize(
+            compose(DiagonalQuartic([[1, 0.3], [0.3, 0.7]]), LinearMap([[1, 0.5], [0, 1]]))
+        )
+        again = interaction_from_dict(dense.to_dict())
+        assert again.w.tobytes() == dense.w.tobytes()
 
     def test_unknown_type(self):
         with pytest.raises(ParseError):

@@ -135,6 +135,13 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             SymMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("cls", [SymMatrix, LinearMap])
+    def test_entries_beyond_half_the_float_range_rejected(self, cls):
+        # 0.5 * (1e308 + 1e308) overflowed to an infinite stored entry
+        with pytest.raises(ValidationError, match="above"):
+            cls([[1e308, 0.0], [0.0, 1.0]])
+        assert cls([[8e307, 0.0], [0.0, 8e307]]).mat[0, 0] == 8e307
+
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             SymMatrix([[1.0, 0.0]])
@@ -160,6 +167,16 @@ class TestLinearMap:
     def test_singular_rejected(self):
         with pytest.raises(SingularMap):
             LinearMap([[1.0, 1.0], [1.0, 1.0]])
+
+    def test_small_scale_is_not_singular(self):
+        # |det| = 1e-16, condition number 1
+        t = LinearMap(1e-4 * np.eye(4))
+        assert np.allclose(t.inverse(), 1e4 * np.eye(4))
+
+    def test_ill_conditioned_rejected(self):
+        # |det| = 1e-12, condition number 4.0e12
+        with pytest.raises(SingularMap, match="reciprocal condition number"):
+            LinearMap([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
 
     def test_inverse_identity(self):
         rng = np.random.default_rng(5)

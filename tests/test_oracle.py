@@ -584,3 +584,11 @@ class TestErrors:
     def test_samples_floor(self):
         with pytest.raises(Exception):
             OracleConfig(mode="monte_carlo", samples=MC_BATCHES - 1)
+
+    def test_samples_rounded_down_to_whole_batches(self):
+        a, u = SymMatrix([[1.0]]), DiagonalQuartic([[1.0]])
+        reports = [
+            evaluate_moments(a, u, OracleConfig(mode="monte_carlo", samples=s, seed=4))
+            for s in (100, MC_BATCHES)
+        ]
+        assert reports[0].to_dict() == reports[1].to_dict()

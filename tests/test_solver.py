@@ -56,6 +56,12 @@ class TestDysonSolve:
         with pytest.raises(ValidationError):
             dyson_solve(SymMatrix([[-1.0]]), ZeroInteraction(1), SigmaModel.NONE)
 
+    def test_minimize_rejects_non_spd_a_without_interaction(self):
+        # the free energy is unbounded below along the negative direction of A
+        a = SymMatrix([[-0.5, 0.1], [0.1, 1.0]])
+        with pytest.raises(ValidationError, match="requires A to be SPD"):
+            minimize_free_energy(a, ZeroInteraction(2), SigmaModel.NONE)
+
     def test_bold_requires_diagonal_quartic(self):
         with pytest.raises(UnsupportedInteraction):
             dyson_solve(SymMatrix([[1.0]]), ZeroInteraction(1), SigmaModel.BOLD1)
