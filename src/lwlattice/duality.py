@@ -12,6 +12,7 @@ moments (``MomentReport.pair_moments``), in the same pair order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -116,6 +117,22 @@ def _initial_guess(g_target: SpdMatrix, u: Interaction, cfg: OracleConfig) -> np
     return corrected if res_corr <= res_plain else g_inv
 
 
+def solver_controls(tol, max_iter, default=None):
+    """tol, or default when tol is None, once both controls are checked.
+
+    Called before any oracle call: tol must be a finite positive number (or
+    None when the default is computed later) and max_iter an integer >= 0;
+    max_iter 0 only checks the start.
+    """
+    tol = default if tol is None else tol
+    finite_positive = isinstance(tol, Real) and not isinstance(tol, bool) and 0 < tol < np.inf
+    if tol is not None and not finite_positive:
+        raise ValidationError(f"tol must be a finite positive number, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 0:
+        raise ValidationError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    return tol
+
+
 def default_tolerance(cfg: OracleConfig, report: MomentReport) -> float:
     """1e-8 in quadrature mode; three standard errors in Monte Carlo mode."""
     if cfg.mode == "quadrature":
@@ -131,6 +148,7 @@ def _solve_inverse(
     max_iter: int,
     a_init: SymMatrix | None = None,
 ):
+    tol = solver_controls(tol, max_iter)
     g_target = SpdMatrix.coerce(g_target)
     if min_eigenvalue(g_target) < BOUNDARY_GUARD:
         raise BoundaryTooClose(
@@ -140,6 +158,10 @@ def _solve_inverse(
         raise ValidationError(
             f"G has dimension {g_target.n}, interaction has {u.n}"
         )
+    if a_init is not None:
+        a_init = SymMatrix.coerce(a_init)
+        if a_init.n != g_target.n:
+            raise DimensionMismatch(f"a_init has dimension {a_init.n}, G has {g_target.n}")
     full_cfg = replace(cfg, want_fourth_moments=True)
     gt = g_target.mat
 

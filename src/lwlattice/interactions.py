@@ -16,7 +16,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, UnsupportedInteraction, ValidationError
-from .matrices import LinearMap, SymMatrix, float_array
+from .matrices import LinearMap, SymMatrix, _Frozen, float_array
 
 #: Deviation from full index-permutation symmetry accepted for symmetrization.
 TENSOR_SYM_TOLERANCE = 1e-9
@@ -56,16 +56,17 @@ def _as_batch(x, n: int):
     raise DimensionMismatch(f"expected a vector or a batch of vectors, got ndim={arr.ndim}")
 
 
-class Interaction:
+class Interaction(_Frozen):
     """Base class; concrete variants implement ``_evaluate`` on batches.
 
     ``_evaluate`` must be even, U(-x) = U(x): every variant is a homogeneous
     quartic form, and the quadrature backend relies on it by summing each
     grid point and its mirror image as one point of twice the weight.
 
-    An interaction is what its model file stores: two are equal when they
-    have the same type and the same ``to_dict()``, and copies and pickles are
-    rebuilt from that dict through the validating constructors.
+    An interaction is a value, like the matrices: a new subclass sets its
+    attributes through ``_freeze``. It is what its model file stores: two are
+    equal when they have the same type and the same ``to_dict()``, and copies
+    and pickles are rebuilt from that dict through the validating constructors.
     """
 
     n: int
@@ -102,7 +103,7 @@ class ZeroInteraction(Interaction):
     def __init__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
             raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-        self.n = int(n)
+        self._freeze(n=int(n))
 
     def _evaluate(self, batch):
         return np.zeros(batch.shape[0])
@@ -122,8 +123,8 @@ class DiagonalQuartic(Interaction):
     """U(x) = (1/8) sum_ij v_ij x_i^2 x_j^2 with symmetric coupling v."""
 
     def __init__(self, v):
-        self.v = SymMatrix.coerce(v)
-        self.n = self.v.n
+        v = SymMatrix.coerce(v)
+        self._freeze(v=v, n=v.n)
 
     def _evaluate(self, batch):
         sq = batch * batch
@@ -179,8 +180,12 @@ class GeneralQuartic(Interaction):
         arr = float_array(w, "quartic tensor")
         if arr.ndim != 4 or len(set(arr.shape)) != 1 or arr.size == 0:
             raise ValidationError(f"quartic tensor must be n^4, n >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("quartic tensor has non-finite entries")
+        # 1/24 of the float range, so that the sum of the 24 permutations stays finite
+        limit = np.finfo(float).max / 24.0
+        if not np.all(np.abs(arr) <= limit):
+            raise ValidationError(
+                f"quartic tensor has non-finite entries or entries above {limit:.2e}"
+            )
         sym = _symmetrize_quartic_tensor(arr)
         dev = np.abs(arr - sym).max()
         if dev > TENSOR_SYM_TOLERANCE:
@@ -194,12 +199,10 @@ class GeneralQuartic(Interaction):
         w = arr[index].reshape(arr.shape)
         if not np.array_equal(w, arr):
             w = sym[index].reshape(arr.shape)
-        w.setflags(write=False)
-        self.w = w
-        self.n = w.shape[0]
         # U = sum_pq s_p M_pq s_q over the pair products s_p = x_i x_j, i <= j
-        rows, cols, mult = pair_basis(self.n)
-        self._pair_weights = w[rows, cols][:, rows, cols] * np.outer(mult, mult)
+        rows, cols, mult = pair_basis(w.shape[0])
+        pair_weights = w[rows, cols][:, rows, cols] * np.outer(mult, mult)
+        self._freeze(w=w, n=w.shape[0], _pair_weights=pair_weights)
 
     def _evaluate(self, batch):
         pairs = pair_products(batch)
@@ -223,9 +226,7 @@ class ScaledInteraction(Interaction):
         factor = float(factor)
         if not np.isfinite(factor) or factor < 0.0:
             raise ValidationError(f"scale factor must be finite and >= 0, got {factor}")
-        self.factor = factor
-        self.inner = inner
-        self.n = inner.n
+        self._freeze(factor=factor, inner=inner, n=inner.n)
 
     def _evaluate(self, batch):
         return self.factor * self.inner._evaluate(batch)
@@ -250,9 +251,7 @@ class ComposedInteraction(Interaction):
             raise DimensionMismatch(
                 f"map dimension {linmap.n} != interaction dimension {inner.n}"
             )
-        self.inner = inner
-        self.map = linmap
-        self.n = inner.n
+        self._freeze(inner=inner, map=linmap, n=inner.n)
 
     def _evaluate(self, batch):
         return self.inner._evaluate(batch @ self.map.mat.T)
@@ -284,13 +283,18 @@ def restrict(u: Interaction, p: int) -> Interaction:
     return u.restricted(p)
 
 
-def _diagonal_to_general(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    w = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            w[i, i, j, j] += 0.125 * v[i, j]
-    return _symmetrize_quartic_tensor(w)
+def _unwound(u: Interaction):
+    """(factor, base, t) with U(x) = factor * base(t x), t None without a map:
+    the wrappers peeled off from the outside in, down to a Zero-, Diagonal- or
+    GeneralQuartic (or an interaction of a class outside the library)."""
+    factor, t = 1.0, None
+    while isinstance(u, (ScaledInteraction, ComposedInteraction)):
+        if isinstance(u, ScaledInteraction):
+            factor *= u.factor
+        else:
+            t = u.map.mat if t is None else u.map.mat @ t
+        u = u.inner
+    return factor, u, t
 
 
 def materialize(u: Interaction) -> Interaction:
@@ -299,44 +303,37 @@ def materialize(u: Interaction) -> Interaction:
     Needed only when explicit tensor coefficients are required (restriction of
     a composed interaction); evaluation never requires it.
     """
-    if isinstance(u, (ZeroInteraction, DiagonalQuartic, GeneralQuartic)):
-        return u
-    if isinstance(u, ScaledInteraction):
-        inner = materialize(u.inner)
-        if isinstance(inner, ZeroInteraction) or u.factor == 0.0:
-            return ZeroInteraction(u.n)
-        if isinstance(inner, DiagonalQuartic):
-            return DiagonalQuartic(u.factor * inner.v.mat)
-        return GeneralQuartic(u.factor * inner.w)
-    if isinstance(u, ComposedInteraction):
-        inner = materialize(u.inner)
-        if isinstance(inner, ZeroInteraction):
-            return ZeroInteraction(u.n)
-        if isinstance(inner, DiagonalQuartic):
-            w = _diagonal_to_general(inner.v.mat)
-        else:
-            w = inner.w
-        t = u.map.mat
-        w2 = np.einsum("ijkl,ia,jb,kc,ld->abcd", w, t, t, t, t)
-        return GeneralQuartic(_symmetrize_quartic_tensor(w2))
-    raise UnsupportedInteraction(f"cannot materialize {type(u).__name__}")
+    factor, base, t = _unwound(u)
+    if factor == 0.0 or isinstance(base, ZeroInteraction):
+        return ZeroInteraction(u.n)
+    if isinstance(base, DiagonalQuartic):
+        v = factor * base.v.mat
+        if t is None:
+            return DiagonalQuartic(v)
+        # W_iijj = v_ij / 8, symmetrized
+        eye = np.eye(u.n)
+        w = _symmetrize_quartic_tensor(np.einsum("ik,ij,kl->ijkl", 0.125 * v, eye, eye))
+    elif isinstance(base, GeneralQuartic):
+        w = factor * base.w
+    else:
+        raise UnsupportedInteraction(f"cannot materialize {type(base).__name__}")
+    if t is not None:
+        # the constructor symmetrizes the transformed tensor and checks it
+        w = np.einsum("ijkl,ia,jb,kc,ld->abcd", w, t, t, t, t)
+    return GeneralQuartic(w)
 
 
 def as_diagonal_quartic(u: Interaction):
     """(scale, v) for interactions of the form scale * diagonal-quartic(v).
 
-    Raises UnsupportedInteraction otherwise; the closed-form diagram
-    expressions are only valid for this family.
+    Raises UnsupportedInteraction otherwise, for a composed diagonal quartic
+    too; the closed-form diagram expressions are only valid for this family.
     """
-    factor = 1.0
-    while isinstance(u, ScaledInteraction):
-        factor *= u.factor
-        u = u.inner
-    if isinstance(u, DiagonalQuartic):
-        return factor, u.v
-    raise UnsupportedInteraction(
-        f"{type(u).__name__} is not a (scaled) diagonal quartic interaction"
-    )
+    factor, base, t = _unwound(u)
+    if isinstance(base, DiagonalQuartic) and t is None:
+        return factor, base.v
+    name = type(base).__name__ if t is None else ComposedInteraction.__name__
+    raise UnsupportedInteraction(f"{name} is not a (scaled) diagonal quartic interaction")
 
 
 @lru_cache(maxsize=16)
@@ -358,29 +355,22 @@ def validate_growth(u: Interaction) -> GrowthReport:
     fixed random unit directions (normalised Gaussian draws from a Philox
     stream keyed by GROWTH_GRID_SEED). A strictly positive minimum is taken
     for U(x) >= c |x|^4, which the draws cannot prove: the form may still
-    dip below zero between them, hence ``screened``. Composition with an
-    invertible map preserves the class; ``LinearMap`` accepts only
-    well-conditioned maps.
+    dip below zero between them, hence ``screened``. Scaling and composition
+    are unwound first, so the class is decided on the base interaction: a
+    zero factor makes it ZERO_INTERACTION, and composition with an
+    invertible map preserves the class (``LinearMap`` accepts only
+    well-conditioned maps, so c1 |x| <= |T x| <= c2 |x|).
     """
-    if isinstance(u, ZeroInteraction):
+    factor, base, _ = _unwound(u)
+    if factor == 0.0 or isinstance(base, ZeroInteraction):
         return GrowthReport(Growth.ZERO_INTERACTION)
-    if isinstance(u, ScaledInteraction):
-        if u.factor == 0.0:
-            return GrowthReport(Growth.ZERO_INTERACTION)
-        return validate_growth(u.inner)
-    if isinstance(u, ComposedInteraction):
-        # well-conditioned T: c1 |x| <= |T x| <= c2 |x|, so the growth class carries over
-        return validate_growth(u.inner)
-    if isinstance(u, DiagonalQuartic):
-        v = u.v.mat
+    if isinstance(base, DiagonalQuartic):
+        v = base.v.mat
         if np.all(np.diag(v) > 0.0) and np.all(v >= 0.0):
             return GrowthReport(Growth.SUPERQUADRATIC)
-        return GrowthReport(Growth.UNVERIFIED)
-    if isinstance(u, GeneralQuartic):
-        dirs = _direction_grid(u.n)
-        if u._evaluate(dirs).min() > 0.0:
+    elif isinstance(base, GeneralQuartic):
+        if base._evaluate(_direction_grid(base.n)).min() > 0.0:
             return GrowthReport(Growth.SUPERQUADRATIC, screened=True)
-        return GrowthReport(Growth.UNVERIFIED)
     return GrowthReport(Growth.UNVERIFIED)
 
 

@@ -65,18 +65,30 @@ def cholesky_factor(arr: np.ndarray) -> np.ndarray:
     return low
 
 
-class _FrozenMatrix:
+class _Frozen:
+    """Immutable after construction: constructors set attributes through
+    ``_freeze``, which marks arrays read-only; later writes and deletes raise."""
+
+    __slots__ = ()
+
+    def _freeze(self, **attrs):
+        for name, value in attrs.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _FrozenMatrix(_Frozen):
     """A square matrix as a value: read-only entries, equality and hash by
     ``_family`` (symmetric or map) and entries, copies rebuilt by the constructor."""
 
     __slots__ = ("mat",)
-
-    def _freeze(self, name: str, arr: np.ndarray):
-        arr.setflags(write=False)
-        object.__setattr__(self, name, arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def n(self) -> int:
@@ -123,7 +135,7 @@ class SymMatrix(_FrozenMatrix):
             raise ValidationError(
                 f"matrix not symmetric: max asymmetry {asym:.3e} exceeds {SYM_TOLERANCE:.1e}"
             )
-        self._freeze("mat", 0.5 * (arr + arr.T))
+        self._freeze(mat=0.5 * (arr + arr.T))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.mat, dtype=dtype)
@@ -136,7 +148,7 @@ class SpdMatrix(SymMatrix):
 
     def __init__(self, entries):
         super().__init__(entries)
-        self._freeze("chol", cholesky_factor(self.mat))
+        self._freeze(chol=cholesky_factor(self.mat))
 
     def inverse(self) -> np.ndarray:
         """Dense inverse computed from the cached factor."""
@@ -156,7 +168,7 @@ class LinearMap(_FrozenMatrix):
         rcond = 1.0 / np.linalg.cond(arr)
         if rcond < INV_TOLERANCE:
             raise SingularMap(f"reciprocal condition number {rcond:.3e} below {INV_TOLERANCE:.0e}")
-        self._freeze("mat", arr)
+        self._freeze(mat=arr)
 
     @classmethod
     def identity(cls, n: int) -> "LinearMap":

@@ -21,8 +21,9 @@ from enum import Enum
 import numpy as np
 
 from .diagrams import BoldSeries
-from .duality import LwReport, lw_evaluate
+from .duality import LwReport, lw_evaluate, solver_controls
 from .errors import (
+    DimensionMismatch,
     IterateLeftCone,
     LwlatticeError,
     NotPositiveDefinite,
@@ -159,6 +160,8 @@ def free_energy(
     """Variational free energy of the trial G under the chosen model."""
     a = SymMatrix.coerce(a)
     g = SpdMatrix.coerce(g)
+    if a.n != g.n:
+        raise DimensionMismatch(f"A has dimension {a.n}, G has {g.n}")
     phi = _ModelEvaluator(u, model, cfg).sigma_and_phi(g)[1]
     return _free_energy_value(a.mat, g, phi)
 
@@ -202,7 +205,7 @@ def dyson_solve(
     u: Interaction,
     model: SigmaModel,
     damping: float = DEFAULT_DAMPING,
-    tol: float = DEFAULT_TOL,
+    tol: float | None = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     cfg: OracleConfig = OracleConfig(),
     g_init: SpdMatrix | None = None,
@@ -218,6 +221,7 @@ def dyson_solve(
     halved); at the floor of 1/64 the run aborts with IterateLeftCone. The
     default start is A^-1 (repaired when A is not SPD); g_init overrides it.
     """
+    tol = solver_controls(tol, max_iter, DEFAULT_TOL)
     a = SymMatrix.coerce(a)
     if not 0.0 < damping <= 1.0:
         raise ValidationError("damping must lie in (0, 1]")
@@ -277,7 +281,7 @@ def minimize_free_energy(
     u: Interaction,
     model: SigmaModel,
     cfg: OracleConfig = OracleConfig(),
-    tol: float = DEFAULT_TOL,
+    tol: float | None = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveTrace:
     """Gradient descent on the free energy over the SPD cone.
@@ -290,6 +294,7 @@ def minimize_free_energy(
     fall below float resolution, steps are accepted on Dyson-residual
     decrease instead, which is what convergence is measured by.
     """
+    tol = solver_controls(tol, max_iter, DEFAULT_TOL)
     a = SymMatrix.coerce(a)
     evaluator = _ModelEvaluator(u, model, cfg, solver_tol=tol)
     _check_solvable(a, model)

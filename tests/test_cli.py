@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lwlattice import cli
+from lwlattice import cli, duality
 from lwlattice.cli import dispatch
 from lwlattice.diagrams import BoldSeries
 from lwlattice.duality import lw_evaluate
@@ -73,6 +73,12 @@ class TestOracleCommand:
         code = dispatch(["oracle", "--model", model_path(huge)])
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_finite_integrand_exit_three(self, capsys, model_path):
+        steep = {"n": 1, "A": [[1.0]], "interaction": {"type": "diagonal_quartic", "v": [[1e306]]}}
+        code = dispatch(["oracle", "--model", model_path(steep), "--quad-nodes", "16"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: non-finite integrand value")
 
     def test_deep_well_reports_omega_not_z(self, capsys, model_path):
         # Z = exp(-Omega) overflows a float here; warnings fail this suite
@@ -162,6 +168,33 @@ class TestInvertAndLw:
         g.write_text(json.dumps([[1e-8]]))
         code = dispatch(["lw", "--model", model_path(QUARTIC_1D), "--G", str(g)])
         assert code == 1
+
+
+class TestSolverControls:
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("lw", ["--tol", "-1"], "tol must"),
+            ("lw", ["--tol", "nan"], "tol must"),
+            ("invert", ["--max-iter", "-1"], "max_iter must"),
+            ("dyson", ["--tol", "-1"], "tol must"),
+            ("dyson", ["--tol", "nan"], "tol must"),
+        ],
+    )
+    def test_rejected_before_the_solve(
+        self, capsys, model_path, tmp_path, monkeypatch, command, flags, message
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        monkeypatch.setattr(duality, "evaluate_moments", no_oracle)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1.0]]))
+        argv = [command, "--model", model_path(QUARTIC_1D), *flags]
+        if command != "dyson":
+            argv += ["--G", str(g)]
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestSigmaCommand:

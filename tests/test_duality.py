@@ -21,6 +21,7 @@ from lwlattice.errors import (
     DivergentIntegral,
     LwlatticeError,
     NoConvergence,
+    ValidationError,
 )
 from lwlattice.interactions import (
     DiagonalQuartic,
@@ -120,6 +121,57 @@ class TestInverseMap:
         g = green_of_a(SymMatrix(a0), u, cfg)
         recovered = inverse_map(g, u, cfg, tol=1e-9)
         assert np.abs(recovered.mat - a0).max() <= 1e-6
+
+
+def no_oracle(*args, **kwargs):
+    raise AssertionError("the oracle was called")
+
+
+class TestSolverControls:
+    """Controls no solve can honour are rejected before the first oracle call."""
+
+    G2 = SpdMatrix([[1.0, 0.2], [0.2, 0.8]])
+
+    @pytest.mark.parametrize(
+        "controls",
+        [
+            {"tol": -1.0},
+            {"tol": 0.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": True},
+            {"tol": "1e-8"},
+            {"max_iter": -1},
+            {"max_iter": 2.5},
+            {"max_iter": True},
+        ],
+    )
+    def test_rejected_before_the_solve(self, monkeypatch, controls):
+        monkeypatch.setattr(duality, "evaluate_moments", no_oracle)
+        u = DiagonalQuartic(V2)
+        for entry in (inverse_map, lw_evaluate, exact_self_energy):
+            with pytest.raises(ValidationError, match="tol must|max_iter must"):
+                entry(self.G2, u, QUAD, **controls)
+        with pytest.raises(ValidationError, match="tol must|max_iter must"):
+            rho_g_logdensity(self.G2, u, [0.0, 0.0], QUAD, **controls)
+
+    def test_a_init_coerced_like_every_matrix(self):
+        u = DiagonalQuartic(V2)
+        report = lw_evaluate(self.G2, u, QUAD, a_init=[[1, 0], [0, 1]])
+        assert report == lw_evaluate(self.G2, u, QUAD, a_init=SymMatrix(np.eye(2)))
+
+    def test_a_init_dimension_checked(self, monkeypatch):
+        monkeypatch.setattr(duality, "evaluate_moments", no_oracle)
+        with pytest.raises(DimensionMismatch):
+            lw_evaluate(self.G2, DiagonalQuartic(V2), QUAD, a_init=np.eye(3))
+
+    def test_converges_at_exactly_its_budget(self):
+        u = DiagonalQuartic(V2)
+        free = lw_evaluate(self.G2, u, QUAD)
+        assert free.solver_iterations >= 1
+        assert lw_evaluate(self.G2, u, QUAD, max_iter=free.solver_iterations) == free
+        with pytest.raises(NoConvergence):
+            lw_evaluate(self.G2, u, QUAD, max_iter=free.solver_iterations - 1)
 
 
 class TestInitialGuess:

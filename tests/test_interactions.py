@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lwlattice
+from lwlattice import interactions
 from lwlattice.errors import DimensionMismatch, ParseError, UnsupportedInteraction, ValidationError
 from lwlattice.interactions import (
     GROWTH_GRID_SIZE,
@@ -176,6 +178,95 @@ class TestCompose:
         assert np.abs(dense.evaluate(pts) - lazy.evaluate(pts)).max() <= 1e-12
 
 
+def _dense_shear():
+    return materialize(compose(DiagonalQuartic(TestEvenness.V), TestEvenness.SHEAR))
+
+
+class TestWrapperUnwinding:
+    """Scaled and composed wrappers, nested too: the expanded tensor, the
+    restriction, the growth class and the diagonal form all agree with the
+    lazy interaction."""
+
+    V = TestEvenness.V
+    SHEAR = TestEvenness.SHEAR
+    TWIST = LinearMap([[0.9, 0.0, 0.4], [0.2, 1.1, 0.0], [0.0, -0.3, 1.0]])
+    # (interaction, materialized type, growth class, screened, diagonal factor or None)
+    CASES = {
+        "scaled-diagonal": (
+            ScaledInteraction(0.7, DiagonalQuartic(V)),
+            DiagonalQuartic, Growth.SUPERQUADRATIC, False, 0.7,
+        ),
+        "scaled-general": (
+            ScaledInteraction(0.7, _dense_shear()),
+            GeneralQuartic, Growth.SUPERQUADRATIC, True, None,
+        ),
+        "zero-factor": (
+            ScaledInteraction(0.0, DiagonalQuartic(V)),
+            ZeroInteraction, Growth.ZERO_INTERACTION, False, 0.0,
+        ),
+        "composed-zero": (
+            compose(ZeroInteraction(3), SHEAR),
+            ZeroInteraction, Growth.ZERO_INTERACTION, False, None,
+        ),
+        "composed-general": (
+            compose(GeneralQuartic(symmetric_tensor(3, 13)), SHEAR),
+            GeneralQuartic, Growth.UNVERIFIED, False, None,
+        ),
+        "composed-positive-general": (
+            compose(_dense_shear(), TWIST),
+            GeneralQuartic, Growth.SUPERQUADRATIC, True, None,
+        ),
+        "nested": (
+            compose(ScaledInteraction(0.5, compose(DiagonalQuartic(V), SHEAR)), TWIST),
+            GeneralQuartic, Growth.SUPERQUADRATIC, False, None,
+        ),
+    }
+
+    @pytest.fixture(params=list(CASES), ids=list(CASES))
+    def case(self, request):
+        return self.CASES[request.param]
+
+    def test_materialized_matches_lazy(self, case):
+        u, kind = case[:2]
+        dense = materialize(u)
+        assert type(dense) is kind
+        pts = random_points(3, 200, seed=14)
+        lazy = u.evaluate(pts)
+        assert np.abs(dense.evaluate(pts) - lazy).max() <= 1e-12 * max(np.abs(lazy).max(), 1.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_restriction_matches_padded_points(self, case, p):
+        u = case[0]
+        pts = random_points(p, 100, seed=15)
+        padded = np.hstack([pts, np.zeros((100, 3 - p))])
+        full = u.evaluate(padded)
+        assert np.abs(restrict(u, p).evaluate(pts) - full).max() <= 1e-12 * max(
+            np.abs(full).max(), 1.0
+        )
+
+    def test_growth_and_diagonal_form(self, case):
+        u, _, kind, screened, factor = case
+        rep = validate_growth(u)
+        assert rep.kind is kind and rep.screened is screened
+        if factor is None:
+            with pytest.raises(UnsupportedInteraction):
+                as_diagonal_quartic(u)
+        else:
+            scale, v = as_diagonal_quartic(u)
+            assert scale == factor and np.array_equal(v.mat, np.asarray(self.V))
+
+    def test_composed_tensor_symmetrized_once(self, monkeypatch):
+        calls = []
+        symmetrize = interactions._symmetrize_quartic_tensor
+        monkeypatch.setattr(
+            interactions, "_symmetrize_quartic_tensor", lambda w: calls.append(1) or symmetrize(w)
+        )
+        general = GeneralQuartic(symmetric_tensor(3, 16))
+        calls.clear()
+        materialize(compose(general, self.SHEAR))
+        assert len(calls) == 1
+
+
 class TestRestrict:
     def test_full_restriction_is_noop(self):
         u = DiagonalQuartic([[1.0, 0.5], [0.5, 1.0]])
@@ -305,6 +396,13 @@ class TestTensorValidation:
         w = GeneralQuartic(noisy).w
         for perm in itertools.permutations(range(4)):
             assert np.array_equal(np.transpose(w, perm), w)
+
+    @pytest.mark.parametrize("entry", [1e308, np.inf, np.nan])
+    def test_entries_beyond_a_24th_of_the_float_range_rejected(self, entry):
+        # the 24 permutations of such an entry sum beyond the float range
+        limit = np.finfo(float).max / 24.0
+        with pytest.raises(ValidationError, match=re.escape(f"entries above {limit:.2e}")):
+            GeneralQuartic(np.full((1, 1, 1, 1), entry))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_symmetric_tensor_kept_bit_for_bit(self, n):

@@ -517,6 +517,13 @@ class TestErrors:
         with pytest.raises(DivergentIntegral):
             evaluate_moments(SymMatrix([[-1.0]]), ZeroInteraction(1), QUAD)
 
+    def test_non_finite_integrand(self):
+        # U overflows to inf at the outer nodes
+        with pytest.raises(NonFinite, match="non-finite integrand value"):
+            evaluate_moments(
+                SymMatrix([[1.0]]), DiagonalQuartic([[1e306]]), OracleConfig(nodes_per_dim=16)
+            )
+
     def test_unverified_growth_needs_spd(self):
         u = DiagonalQuartic([[1.0, -2.0], [-2.0, 1.0]])
         with pytest.raises(DivergentIntegral):

@@ -5,7 +5,12 @@ import oracles
 from lwlattice import solver
 from lwlattice.diagrams import BoldSeries
 from lwlattice.duality import lw_evaluate
-from lwlattice.errors import IterateLeftCone, UnsupportedInteraction, ValidationError
+from lwlattice.errors import (
+    DimensionMismatch,
+    IterateLeftCone,
+    UnsupportedInteraction,
+    ValidationError,
+)
 from lwlattice.interactions import DiagonalQuartic, ScaledInteraction, ZeroInteraction
 from lwlattice.matrices import SpdMatrix, SymMatrix
 from lwlattice.oracle import OracleConfig, green_of_a, evaluate_moments
@@ -214,6 +219,31 @@ class TestFreeEnergy:
         for g_trial in (0.3, 0.58, 1.2, 2.5):
             value = free_energy(a, SpdMatrix([[g_trial]]), u, SigmaModel.EXACT_ORACLE, QUAD)
             assert value >= omega - 1e-8
+
+
+class TestSolverControls:
+    @pytest.mark.parametrize("solve", [dyson_solve, minimize_free_energy])
+    @pytest.mark.parametrize(
+        "controls", [{"tol": -1.0}, {"tol": float("nan")}, {"max_iter": -1}, {"max_iter": 2.5}]
+    )
+    def test_rejected_before_the_first_iterate(self, monkeypatch, solve, controls):
+        def no_iterate(*args):
+            raise AssertionError("an iterate was evaluated")
+
+        monkeypatch.setattr(solver._ModelEvaluator, "sigma_and_phi", no_iterate)
+        with pytest.raises(ValidationError, match="tol must|max_iter must"):
+            solve(SymMatrix(A2), DiagonalQuartic(V2), SigmaModel.EXACT_ORACLE, **controls)
+
+    @pytest.mark.parametrize("solve", [dyson_solve, minimize_free_energy])
+    def test_none_keeps_the_default_tolerance(self, solve):
+        u = DiagonalQuartic(V2)
+        assert solve(A2, u, SigmaModel.BOLD1, tol=None) == solve(A2, u, SigmaModel.BOLD1)
+
+    def test_free_energy_dimensions_checked(self):
+        with pytest.raises(DimensionMismatch):
+            free_energy(
+                SymMatrix(np.eye(2)), SpdMatrix(np.eye(3)), ZeroInteraction(3), SigmaModel.NONE
+            )
 
 
 class TestMinimize:

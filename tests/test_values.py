@@ -62,7 +62,7 @@ def build(cls, arr):
 
 
 def assert_read_only(value):
-    for name in ("mat", "chol", "w"):
+    for name in ("mat", "chol", "w", "_pair_weights"):
         arr = getattr(value, name, None)
         if arr is not None:
             assert not arr.flags.writeable, name
@@ -119,6 +119,8 @@ class TestValueContract:
                 value.mat = value.mat
             with pytest.raises(AttributeError):
                 value.extra = 1.0
+            with pytest.raises(AttributeError):
+                del value.mat
         sym, spd, lin = (built[cls] for cls in MATRIX_CLASSES)
         if spd is not None:
             assert spd == sym and sym == spd and hash(spd) == hash(sym)
@@ -132,6 +134,13 @@ class TestValueContract:
         path = tmp_path_factory.mktemp("values") / "model.json"
         for u in interaction_cases(seed):
             assert_round_trips(u)
+            assert_read_only(u)
+            with pytest.raises(AttributeError):
+                u.n = 5
+            with pytest.raises(AttributeError):
+                u.extra = 1.0
+            with pytest.raises(AttributeError):
+                del u.n
             if isinstance(u, GeneralQuartic):
                 assert GeneralQuartic(u.w).w.tobytes() == u.w.tobytes()
             save_model(ModelFile(u.n, SymMatrix(np.eye(u.n)), u, OracleConfig()), path)
