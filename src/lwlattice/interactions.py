@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, ParseError, UnsupportedInteraction, ValidationError
 from .matrices import LinearMap, SymMatrix, _Frozen, float_array
 
-#: Deviation from full index-permutation symmetry accepted for symmetrization.
+#: Deviation from full index-permutation symmetry accepted for symmetrization,
+#: relative to the tensor's largest entry.
 TENSOR_SYM_TOLERANCE = 1e-9
 #: Direction-grid size for the quartic-form positivity screen.
 GROWTH_GRID_SIZE = 4096
@@ -188,7 +189,7 @@ class GeneralQuartic(Interaction):
             )
         sym = _symmetrize_quartic_tensor(arr)
         dev = np.abs(arr - sym).max()
-        if dev > TENSOR_SYM_TOLERANCE:
+        if dev > TENSOR_SYM_TOLERANCE * np.abs(arr).max():
             raise ValidationError(
                 f"quartic tensor not permutation symmetric: deviation {dev:.3e}"
             )

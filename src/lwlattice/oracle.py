@@ -51,7 +51,8 @@ MC_BATCHES = 64
 #: Hard cap on tensor-grid size (nodes_per_dim ** n). The grid is evaluated
 #: in chunks, so memory does not bound it; time does: at 64^4 = 16.7M points
 #: (8.4M evaluated once the first axis is folded) one G-only evaluation takes
-#: 0.7 s (1.1-1.3 s with fourth moments) on a 2-core Xeon. A Newton solve
+#: 0.65-0.7 s (0.72 s with fourth moments) on a 2-core Xeon, at A = I + J / 10
+#: and U = DiagonalQuartic(I). A Newton solve
 #: makes two G-only start probes and then one evaluation with fourth moments
 #: for its start point and for each line-search trial: six to eight in all
 #: for a solve of three to five steps without rejections.
@@ -65,10 +66,21 @@ QUAD_POINT_CAP = 20_000_000
 QUAD_NODE_CAP = 360
 #: Grid points per quadrature chunk; bounds the working set (points, pair
 #: products, the interaction's intermediates) whatever the grid size. On a
-#: 2-core Xeon host with 2 MiB of L2 per core, lw-quad ran 13% faster at
-#: 1 << 14 than at 1 << 15 (median of five interleaved benchmark runs
-#: each); an n = 3 chunk's arrays are then 384-768 KiB each.
+#: 2-core Xeon host with 2 MiB of L2 per core, with negligible points left
+#: out of the sums, lw-quad's wall_ref was 12.4 at 1 << 14 against 13.9 at
+#: 1 << 15 (medians of five interleaved benchmark runs, seed 3); in three
+#: more pairs 12.0 against 13.0 at 1 << 13, and dyson-exact's 4.3 against
+#: 5.0. An n = 3 chunk's arrays are 384-768 KiB each.
 QUAD_CHUNK = 1 << 14
+#: Points whose log-weight lies more than this below their chunk's largest
+#: are left out of exp and the weighted sums. The largest point of a chunk has
+#: weight 1 and every point weight at most 1, so a chunk of m points drops at
+#: most m e^-80 of its own s0, and of its s2 and pair block at most that
+#: times the chunk's largest |x|^2 and |x|^4. With m <= QUAD_CHUNK = 2^14 (a
+#: Monte Carlo batch at 1e6 samples is smaller), m e^-80 < 3.1e-31 of the
+#: total mass: below 2^-53 even after the factor |x|^4 while the points stay
+#: within |x| < 4e3. U and the finiteness check still see every point.
+_NEGLIGIBLE_LOGW = 80.0
 #: Statistical errors cannot resolve below float rounding; they are floored
 #: at a few ulps so that reported errors stay strictly positive.
 _SE_FLOOR_ULPS = 4.0
@@ -307,7 +319,8 @@ def _moments(
 
     With x = L^-T y and the leftover log factor phi(x) = lift |x|^2 / 2 - U(x),
     Z = (2 pi)^{n/2} / det(L) * sum_m p_m exp(phi_m). Each chunk keeps its own
-    shift; the chunks are reduced in a fixed order under one global shift.
+    shift and sums only its points within _NEGLIGIBLE_LOGW of it; the chunks
+    are reduced in a fixed order under one global shift.
     """
     n = a.n
     try:
@@ -329,6 +342,10 @@ def _moments(
             raise NonFinite(f"non-finite integrand value in {cfg.mode} mode")
         logw = phi + logp
         shifts.append(logw.max())
+        keep = logw > shifts[-1] - _NEGLIGIBLE_LOGW
+        if not keep.all():  # a Monte Carlo batch usually keeps every draw: no copy
+            # compressing the rows of x.T keeps x F-ordered
+            x, uvals, logw = x.T.compress(keep, axis=1).T, uvals[keep], logw[keep]
         w = np.exp(logw - shifts[-1])
         s0.append(w.sum())
         s2.append((w[:, None] * x).T @ x)

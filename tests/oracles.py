@@ -208,6 +208,35 @@ def hermite_grid(n: int, nodes: int):
     return y, logp
 
 
+def grid_moments(a, u, nodes: int, floor: float = 0.5):
+    """(Omega, G, pair block) of exp(-x'Ax/2 - U(x)) summed over every point of ``hermite_grid``.
+
+    The unfolded grid in one piece with one shift, so no point is left out:
+    the reference for the oracle's folded, chunked and screened sums. The
+    envelope is B = A + lift I with lift = max(0, floor - lambda_min(A)),
+    the one for a confining U, and x = L^-T y for B = L L'. The pair block
+    is <x_i x_j x_k x_l> over the pairs i <= j in the order of
+    itertools.combinations_with_replacement.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    lift = max(0.0, floor - np.linalg.eigvalsh(a)[0])
+    low = np.linalg.cholesky(a + lift * np.eye(n))
+    y, logp = hermite_grid(n, nodes)
+    x = np.linalg.solve(low.T, y.T).T
+    log_w = logp + 0.5 * lift * (x * x).sum(axis=1) - u.evaluate(x)
+    shift = log_w.max()
+    w = np.exp(log_w - shift)
+    total = w.sum()
+    log_z = 0.5 * n * np.log(2.0 * np.pi) - np.log(np.diag(low)).sum() + shift + np.log(total)
+    green = np.einsum("m,mi,mj->ij", w, x, x) / total
+    pairs = np.stack(
+        [x[:, i] * x[:, j] for i, j in itertools.combinations_with_replacement(range(n), 2)],
+        axis=1,
+    )
+    return -log_z, green, np.einsum("m,mp,mq->pq", w, pairs, pairs) / total
+
+
 # --- bold vacuum diagrams of a diagonal quartic coupling ---------------------
 
 

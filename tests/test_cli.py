@@ -80,6 +80,19 @@ class TestOracleCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: non-finite integrand value")
 
+    def test_overflow_in_the_far_tail_exit_three(self, capsys, model_path):
+        # U overflows only at grid points of negligible weight
+        inner = {"type": "diagonal_quartic", "v": [[1.0, 0.0], [0.0, 1.0]]}
+        steep = {
+            "n": 2,
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+            "interaction": {"type": "scaled", "factor": 1e305, "inner": inner},
+        }
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = dispatch(["oracle", "--model", model_path(steep)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: non-finite integrand value")
+
     def test_deep_well_reports_omega_not_z(self, capsys, model_path):
         # Z = exp(-Omega) overflows a float here; warnings fail this suite
         deep = {"n": 1, "A": [[-40.0]], "interaction": {"type": "diagonal_quartic", "v": [[1.0]]}}

@@ -374,6 +374,22 @@ class TestTensorValidation:
         with pytest.raises(ValidationError, match="permutation"):
             GeneralQuartic(w)
 
+    def test_relative_asymmetry_rejected(self):
+        w = np.full((2, 2, 2, 2), 3e300)
+        w[0, 1, 0, 0] *= 1.0 + 1e-6
+        with pytest.raises(ValidationError, match="permutation"):
+            GeneralQuartic(w)
+
+    def test_rounding_in_large_tensors_accepted(self):
+        GeneralQuartic(np.full((2, 2, 2, 2), 3e300))
+        # at this scale about two draws in three leave an absolute rounding
+        # asymmetry above 1e-9 in the composed tensor
+        rng = np.random.default_rng(50)
+        for _ in range(100):
+            t = 50.0 * (np.eye(3) + 0.5 * rng.standard_normal((3, 3)))
+            v = rng.uniform(0.0, 2.0, (3, 3))
+            materialize(compose(DiagonalQuartic(0.5 * (v + v.T)), LinearMap(t)))
+
     def test_negative_scale_rejected(self):
         with pytest.raises(ValidationError):
             ScaledInteraction(-0.5, DiagonalQuartic([[1.0]]))

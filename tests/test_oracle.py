@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lwlattice import oracle
+from lwlattice import duality, oracle
 from lwlattice.errors import DimensionCap, DimensionMismatch, DivergentIntegral, NonFinite
 from lwlattice.interactions import (
     DiagonalQuartic,
@@ -16,7 +16,7 @@ from lwlattice.interactions import (
     compose,
     materialize,
 )
-from lwlattice.matrices import LinearMap, SymMatrix
+from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix
 from lwlattice.oracle import (
     MC_BATCHES,
     QUAD_CHUNK,
@@ -431,6 +431,80 @@ class TestChunkBufferReuse:
                 assert np.array_equal(other[0], ref_y[stop : stop + len(other[0])])
             start = stop
         assert start == half
+
+
+class TestNegligiblePoints:
+    """Points far below their chunk's largest log-weight are left out of the sums."""
+
+    V = [[1.0, 0.5], [0.5, 1.0]]
+    CASES = {
+        "spd-diagonal": (SymMatrix([[1.2, 0.2], [0.2, 0.9]]), DiagonalQuartic(V)),
+        # the repaired envelope: lambda_min(A) < 0
+        "repaired": (SymMatrix(oracles.A_2D), DiagonalQuartic(oracles.V_2D)),
+        "general": (
+            SymMatrix([[1.0, 0.3], [0.3, -0.4]]),
+            materialize(compose(DiagonalQuartic(V), LinearMap([[1.0, 0.4], [-0.2, 1.0]]))),
+        ),
+        # n = 3 at 64 nodes: eight chunks
+        "streamed": (TestChunkBufferReuse.A, TestChunkBufferReuse.U),
+    }
+
+    # measured: |d omega| <= 4.5e-16, and G and the pair block within 1.7e-15
+    # and 5.1e-15 of their largest entry; with points left out below e^-5 of
+    # their chunk's largest weight, omega moves by 2e-3
+    @pytest.mark.parametrize("case", CASES)
+    def test_sums_match_every_point_of_the_grid(self, case):
+        a, u = self.CASES[case]
+        cfg = OracleConfig(nodes_per_dim=64, want_fourth_moments=True)
+        rep = evaluate_moments(a, u, cfg)
+        omega, green, block = oracles.grid_moments(a.mat, u, 64, cfg.envelope_floor)
+        assert abs(rep.omega - omega) <= 1e-14
+        assert np.abs(rep.green.mat - green).max() <= 2e-14 * np.abs(green).max()
+        assert np.abs(rep.pair_moments - block).max() <= 2e-14 * np.abs(block).max()
+
+    @staticmethod
+    def rows_of_pair_block(monkeypatch):
+        rows = []
+        pair_products = oracle.pair_products
+        monkeypatch.setattr(oracle, "pair_products", lambda x: rows.append(len(x)) or pair_products(x))
+        return rows
+
+    def test_pair_block_sees_a_fraction_of_the_grid(self, monkeypatch):
+        # the three lw_evaluate targets of the lw-quad benchmark, unjittered
+        v = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        small = SpdMatrix([[0.4, 0.08, 0.04], [0.08, 0.48, 0.08], [0.04, 0.08, 0.36]])
+        large = SpdMatrix([[5.0, 1.9, 1.0], [1.9, 1.8, 0.5], [1.0, 0.5, 0.95]])
+        shear = LinearMap([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+        rows = self.rows_of_pair_block(monkeypatch)
+        cfg = OracleConfig(nodes_per_dim=64)
+        for g, u in [
+            (small, DiagonalQuartic(v)),
+            (large, DiagonalQuartic(0.1 * v)),  # A[G] indefinite
+            (small, materialize(compose(DiagonalQuartic(v), shear))),
+        ]:
+            duality.lw_evaluate(g, u, cfg)
+        # every chunk of the folded 64^3 grid holds QUAD_CHUNK points; 17% reach it
+        assert 64**3 // 2 % QUAD_CHUNK == 0
+        assert sum(rows) < 0.25 * len(rows) * QUAD_CHUNK
+
+    def test_monte_carlo_keeps_every_draw(self, monkeypatch):
+        # the inverse_map of the invert-mc benchmark, unjittered
+        g = SpdMatrix(0.6 * np.eye(6) + 0.1 * (np.eye(6, k=1) + np.eye(6, k=-1)))
+        u = ScaledInteraction(0.2, DiagonalQuartic(0.3 * np.ones((6, 6)) + 0.7 * np.eye(6)))
+        rows = self.rows_of_pair_block(monkeypatch)
+        duality.inverse_map(g, u, OracleConfig(mode="monte_carlo", samples=200_000, seed=1))
+        assert rows and set(rows) == {200_000 // MC_BATCHES}
+
+    def test_overflow_in_the_far_tail_is_still_caught(self):
+        # U overflows only where |x| > 10.9; the finiteness check sees every point
+        inner = DiagonalQuartic(np.eye(2))
+        (y, _), = _grid_chunks(2, 64)
+        overflows = inner.evaluate(y) > np.finfo(float).max / 1e305
+        assert 0 < overflows.sum() < len(y) // 2
+        assert np.sqrt((y[overflows] ** 2).sum(axis=1)).min() > 10.9
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NonFinite, match="non-finite integrand value"):
+                evaluate_moments(SymMatrix(np.eye(2)), ScaledInteraction(1e305, inner), QUAD)
 
 
 class TestConcavity:
