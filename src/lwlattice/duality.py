@@ -90,31 +90,60 @@ def _newton_step(report: MomentReport, g_target: np.ndarray) -> np.ndarray:
     return step
 
 
-def _initial_guess(g_target: SpdMatrix, u: Interaction, cfg: OracleConfig) -> np.ndarray:
-    """G^-1 corrected by the first bold diagram when the coupling is known.
+def _start(
+    g_target: SpdMatrix,
+    u: Interaction,
+    full_cfg: OracleConfig,
+    tol: float | None,
+    a_init: SymMatrix | None,
+):
+    """The point a solve starts from: (A, its report, tol, residual).
 
+    full_cfg is the solve's configuration with pair moments asked for.
+
+    The candidates are a_init alone when given; else, for a (scaled) diagonal
+    quartic, G^-1 corrected by the first bold diagram and then plain G^-1:
     A[G] = G^-1 + Sigma[G] and Sigma = eps Sigma^(1) + O(eps^2), so the
-    corrected guess is off by O(eps^2). The correction targets the
-    perturbative regime; when it lands farther from the solution than plain
-    G^-1 (strong coupling, large G), the plain inverse is used instead.
+    corrected guess is off by O(eps^2), but at strong coupling or large G it
+    can land farther from the solution than G^-1. Each candidate with a rival
+    left is evaluated G-only, in order; the first within tol (when tol is None,
+    its own default_tolerance) is the answer, returned with its G-only report.
+    So a corrected start within tol is returned even when G^-1 would be
+    closer. Otherwise the candidate of least residual (the earlier on a tie)
+    is evaluated once more, with pair moments, for the first Newton step. A
+    candidate whose evaluation raises is passed over; one with no rival left
+    gets that full evaluation directly.
     """
-    g_inv = g_target.inverse()
-    try:
-        factor, v = as_diagonal_quartic(u)
-    except LwlatticeError:
-        return g_inv
-    corrected = g_inv + factor * sigma1(g_target, v).mat
-    # G-only probes: the losing candidate is thrown away, so it never pays
-    # for pair moments
-    probe = replace(cfg, want_fourth_moments=False)
-    try:
-        res_corr, res_plain = [
-            np.linalg.norm(evaluate_moments(SymMatrix(a), u, probe).green.mat - g_target.mat)
-            for a in (corrected, g_inv)
-        ]
-    except LwlatticeError:
-        return g_inv
-    return corrected if res_corr <= res_plain else g_inv
+    if a_init is not None:
+        candidates = [a_init.mat]
+    else:
+        g_inv = g_target.inverse()
+        try:
+            factor, v = as_diagonal_quartic(u)
+        except LwlatticeError:
+            candidates = [g_inv]
+        else:
+            candidates = [g_inv + factor * sigma1(g_target, v).mat, g_inv]
+    # G-only, and built only when a candidate has a rival to be compared with
+    probe = replace(full_cfg, want_fourth_moments=False) if len(candidates) > 1 else None
+    rivals = []
+    for k, a in enumerate(candidates):
+        if k == len(candidates) - 1 and not rivals:
+            break
+        try:
+            report = evaluate_moments(SymMatrix(a), u, probe)
+        except LwlatticeError:
+            continue
+        residual = float(np.linalg.norm(report.green.mat - g_target.mat))
+        a_tol = default_tolerance(full_cfg, report) if tol is None else tol
+        if residual <= a_tol:
+            return a, report, a_tol, residual
+        rivals.append((residual, k))
+    a = candidates[min(rivals)[1]] if rivals else candidates[-1]
+    report = evaluate_moments(SymMatrix(a), u, full_cfg)
+    if tol is None:
+        tol = default_tolerance(full_cfg, report)
+    return a, report, tol, float(np.linalg.norm(report.green.mat - g_target.mat))
 
 
 def solver_controls(tol, max_iter, default=None):
@@ -155,9 +184,7 @@ def _solve_inverse(
             f"lambda_min(G) = {min_eigenvalue(g_target):.3e} below {BOUNDARY_GUARD:.0e}"
         )
     if g_target.n != u.n:
-        raise ValidationError(
-            f"G has dimension {g_target.n}, interaction has {u.n}"
-        )
+        raise DimensionMismatch(f"G has dimension {g_target.n}, interaction has {u.n}")
     if a_init is not None:
         a_init = SymMatrix.coerce(a_init)
         if a_init.n != g_target.n:
@@ -165,12 +192,8 @@ def _solve_inverse(
     full_cfg = replace(cfg, want_fourth_moments=True)
     gt = g_target.mat
 
-    a = a_init.mat.copy() if a_init is not None else _initial_guess(g_target, u, cfg)
-    report = evaluate_moments(SymMatrix(a), u, full_cfg)
-    if tol is None:
-        tol = default_tolerance(cfg, report)
-    residual = float(np.linalg.norm(report.green.mat - gt))
-
+    # the report has pair moments whenever the residual is above tol
+    a, report, tol, residual = _start(g_target, u, full_cfg, tol, a_init)
     for iteration in range(1, max_iter + 1):
         if residual <= tol:
             return SymMatrix(a), report, iteration - 1, residual
@@ -225,7 +248,10 @@ def inverse_map(
 ) -> SymMatrix:
     """The unique A with <x x'>_{A,U} = G_target.
 
-    Newton iteration on A with damped steps (residual-decreasing line search,
+    The start is a_init, or else the first of G^-1 + eps Sigma^(1)[G] (for a
+    scaled diagonal quartic) and G^-1 that lies within tol, which is then the
+    answer, or failing that the closer of the two (see _start). From there a
+    Newton iteration on A takes damped steps (residual-decreasing line search,
     up to 30 halvings, fewer once a halved step can no longer move G
     measurably). Raises NoConvergence with the best residual seen, or
     BoundaryTooClose when G_target sits within BOUNDARY_GUARD of the cone

@@ -53,9 +53,10 @@ MC_BATCHES = 64
 #: (8.4M evaluated once the first axis is folded) one G-only evaluation takes
 #: 0.65-0.7 s (0.72 s with fourth moments) on a 2-core Xeon, at A = I + J / 10
 #: and U = DiagonalQuartic(I). A Newton solve
-#: makes two G-only start probes and then one evaluation with fourth moments
-#: for its start point and for each line-search trial: six to eight in all
-#: for a solve of three to five steps without rejections.
+#: makes up to two G-only start probes, stops there when one lies within its
+#: tolerance, and otherwise makes one evaluation with fourth moments for its
+#: start point and for each line-search trial: six to eight in all for a
+#: solve of three to five steps without rejections.
 QUAD_POINT_CAP = 20_000_000
 #: Hard cap on Gauss-Hermite nodes per dimension, checked before the rule is
 #: built (hermgauss forms a dense nodes x nodes matrix). With numpy 2.4.6
@@ -334,10 +335,14 @@ def _moments(
     shifts, s0, s2, su, s4 = [], [], [], [], []
     for y, logp in chunks:
         x = (linv_t @ y.T).T  # F-ordered: the column reads below stay contiguous
-        uvals = u.evaluate(x)
-        phi = -uvals
-        if lift:
-            phi += 0.5 * lift * np.einsum("mi,mi->m", x, x)
+        # an overflow or NaN is reported once, as NonFinite, and not also as a
+        # numpy warning, which a warning filter would turn into another error;
+        # the scope is this narrow because ufuncs run slower inside errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            uvals = u.evaluate(x)
+            phi = -uvals
+            if lift:
+                phi += 0.5 * lift * np.einsum("mi,mi->m", x, x)
         if not np.all(np.isfinite(phi)):
             raise NonFinite(f"non-finite integrand value in {cfg.mode} mode")
         logw = phi + logp

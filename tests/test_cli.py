@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import lwlattice
 from lwlattice import cli, duality
 from lwlattice.cli import dispatch
 from lwlattice.diagrams import BoldSeries
@@ -88,10 +93,24 @@ class TestOracleCommand:
             "A": [[1.0, 0.0], [0.0, 1.0]],
             "interaction": {"type": "scaled", "factor": 1e305, "inner": inner},
         }
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = dispatch(["oracle", "--model", model_path(steep)])
+        path = model_path(steep)
+        # NonFinite is the one report: no overflow warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["oracle", "--model", path])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: non-finite integrand value")
+        # nor in a fresh interpreter that turns every warning into an error
+        src = os.path.dirname(os.path.dirname(lwlattice.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lwlattice.cli", "oracle", "--model", path],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: non-finite integrand value")
 
     def test_deep_well_reports_omega_not_z(self, capsys, model_path):
         # Z = exp(-Omega) overflows a float here; warnings fail this suite

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from lwlattice import duality
 from lwlattice.diagrams import sigma1
 from lwlattice.duality import (
     MAX_STEP_HALVINGS,
-    _initial_guess,
     _newton_step,
+    _start,
     exact_self_energy,
     inverse_map,
     lw_evaluate,
@@ -165,6 +166,16 @@ class TestSolverControls:
         with pytest.raises(DimensionMismatch):
             lw_evaluate(self.G2, DiagonalQuartic(V2), QUAD, a_init=np.eye(3))
 
+    def test_dimension_mismatch_before_the_solve(self, monkeypatch):
+        monkeypatch.setattr(duality, "evaluate_moments", no_oracle)
+        u = DiagonalQuartic(np.eye(3))
+        message = "G has dimension 2, interaction has 3"
+        for entry in (inverse_map, lw_evaluate, exact_self_energy):
+            with pytest.raises(DimensionMismatch, match=message):
+                entry(self.G2, u, QUAD)
+        with pytest.raises(DimensionMismatch, match=message):
+            rho_g_logdensity(self.G2, u, [0.0, 0.0], QUAD)
+
     def test_converges_at_exactly_its_budget(self):
         u = DiagonalQuartic(V2)
         free = lw_evaluate(self.G2, u, QUAD)
@@ -182,7 +193,7 @@ class TestInitialGuess:
         dist = []
         for eps in (0.02, 0.01):
             u = ScaledInteraction(eps, DiagonalQuartic(V2))
-            guess = _initial_guess(g, u, QUAD)
+            guess = _start(g, u, replace(QUAD, want_fourth_moments=True), None, None)[0]
             assert np.array_equal(guess, g.inverse() + eps * sigma1(g, SymMatrix(V2)).mat)
             a = inverse_map(g, u, QUAD, tol=1e-12).mat
             dist.append(np.abs(guess - a).max())
@@ -258,6 +269,53 @@ class TestNewtonEvaluations:
         assert np.linalg.eigvalsh(rep.a_of_g.mat).min() == pytest.approx(0.1998, abs=1e-4)
         forward = evaluate_moments(rep.a_of_g, u, QUAD).green.mat
         assert np.abs(forward - g).max() <= 1e-8
+
+
+class TestStartRule:
+    """A start candidate within tol is the answer, at the cost of one G-only call."""
+
+    def test_bold_start_inside_the_noise_is_one_g_only_call(self, monkeypatch):
+        # the inverse_map of the invert-mc benchmark, unjittered
+        g = SpdMatrix(0.6 * np.eye(6) + 0.1 * (np.eye(6, k=1) + np.eye(6, k=-1)))
+        v = SymMatrix(0.3 * np.ones((6, 6)) + 0.7 * np.eye(6))
+        u = ScaledInteraction(0.2, DiagonalQuartic(v))
+        cfg = OracleConfig(mode="monte_carlo", samples=200_000, seed=1)
+        calls = logged_oracle(monkeypatch, g.mat)
+        a = inverse_map(g, u, cfg)
+        assert [c["pairs"] for c in calls] == [False]
+        assert np.array_equal(a.mat, g.inverse() + 0.2 * sigma1(g, v).mat)
+        report = evaluate_moments(a, u, cfg)
+        residual = np.linalg.norm(report.green.mat - g.mat)
+        assert residual <= 3.0 * np.linalg.norm(report.std_errors.green)
+
+    def test_lw_evaluate_at_its_start_reads_the_g_only_report(self, monkeypatch):
+        g = SpdMatrix([[0.8, 0.1], [0.1, 0.6]])
+        u = ScaledInteraction(0.05, DiagonalQuartic(V2))
+        calls = logged_oracle(monkeypatch, g.mat)
+        rep = lw_evaluate(g, u, QUAD, tol=1e-2)
+        assert [c["pairs"] for c in calls] == [False]
+        assert rep.solver_iterations == 0
+        assert np.array_equal(rep.a_of_g.mat, g.inverse() + 0.05 * sigma1(g, SymMatrix(V2)).mat)
+        again = evaluate_moments(rep.a_of_g, u, replace(QUAD, want_fourth_moments=True))
+        a, omega = rep.a_of_g.mat, again.omega
+        f = 0.5 * np.trace(a @ g.mat) - omega
+        assert rep.phi == pytest.approx(2.0 * f - np.linalg.slogdet(g.mat)[1] - rep.phi0, abs=1e-13)
+        entropy = 0.5 * np.trace(a @ again.green.mat) + again.mean_interaction - omega
+        assert rep.entropy == pytest.approx(entropy, abs=1e-13)
+        assert rep.mean_interaction == pytest.approx(again.mean_interaction, abs=1e-15)
+
+    def test_raising_candidate_falls_through_to_g_inverse(self, monkeypatch):
+        # the coupling of test_unverified_coupling_survives_divergent_points:
+        # the oracle refuses the indefinite corrected start
+        u = DiagonalQuartic([[1.0, -0.6], [-0.6, 1.0]])
+        g = SpdMatrix([[1.0, 0.1], [0.1, 1.0]])
+        calls = logged_oracle(monkeypatch, g.mat)
+        a = inverse_map(g, u, QUAD, tol=0.6)
+        assert calls[0]["outcome"] is DivergentIntegral
+        # G^-1 has no rival left: one evaluation, with pair moments, and it is within tol
+        assert len(calls) == 2 and calls[1]["pairs"]
+        assert calls[1]["outcome"] <= 0.6
+        assert np.array_equal(a.mat, g.inverse())
 
 
 class TestStalledLineSearch:
