@@ -6,14 +6,7 @@ universal functional F, the LW functional Phi and the exact self-energy
 and variational solvers (solver), and executable theorem checks (verify).
 """
 
-from .diagrams import (
-    BoldSeries,
-    g0_of_truncation,
-    phi_term,
-    sigma1,
-    sigma2,
-    sigma_term,
-)
+from .diagrams import BoldSeries, sigma1, sigma2
 from .duality import LwReport, exact_self_energy, inverse_map, lw_evaluate, rho_g_logdensity
 from .errors import (
     BoundaryTooClose,

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import duality, solver
-from .diagrams import sigma_term
+from .diagrams import BoldSeries
 from .duality import inverse_map, lw_evaluate
 from .errors import LwlatticeError, ValidationError
 from .interactions import as_diagonal_quartic
@@ -208,7 +208,7 @@ def _cmd_sigma(args) -> int:
     model = load_model(args.model)
     green = _load_green(args.green)
     scale, v = as_diagonal_quartic(model.interaction)
-    sig = sigma_term(green, v, args.order)
+    sig = BoldSeries.build(green, v, args.order).sigma_terms[-1]
     _emit_json(
         {"order": args.order, "sigma": (scale**args.order * sig.mat).tolist()},
         args.out,

@@ -2,16 +2,18 @@
 
 First order combines the tadpole and exchange contractions; second order the
 ring and second-order-exchange ones. Orders k >= 3 have no closed form here
-and are rejected.
+and are rejected. Coefficients by order and their truncated sums come from
+``BoldSeries.build``, the one entry point that checks the order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, UnsupportedOrder, ValidationError
+from .errors import DimensionMismatch, UnsupportedOrder
 from .matrices import SpdMatrix, SymMatrix
 
 MAX_ORDER = 2
@@ -51,35 +53,6 @@ def sigma2(g: SpdMatrix, v: SymMatrix) -> SymMatrix:
 _SIGMA_BY_ORDER = {1: sigma1, 2: sigma2}
 
 
-def sigma_term(g: SpdMatrix, v: SymMatrix, order: int) -> SymMatrix:
-    """Bold self-energy coefficient of the given order."""
-    return BoldSeries.build(g, v, order).sigma_terms[-1]
-
-
-def phi_term(g: SpdMatrix, v: SymMatrix, order: int) -> float:
-    """Bold free-energy coefficient: (1 / 2k) Tr[G Sigma^(k)]."""
-    return BoldSeries.build(g, v, order).phi_terms[-1]
-
-
-def g0_of_truncation(g: SpdMatrix, v: SymMatrix, eps: float, order: int) -> SpdMatrix:
-    """Non-interacting Green's function matching the truncated self-energy.
-
-    Returns (G^-1 + sum_{k<=order} eps^k Sigma^(k))^-1; raises
-    NotPositiveDefinite when eps is too large for this G.
-    """
-    g = SpdMatrix.coerce(g)
-    series = BoldSeries.build(g, v, order)
-    if eps < 0.0:
-        raise ValidationError("interaction strength must be >= 0")
-    core = g.inverse() + series.truncated_sigma(eps).mat
-    try:
-        return SpdMatrix(np.linalg.inv(SpdMatrix(core).mat))
-    except NotPositiveDefinite:
-        raise NotPositiveDefinite(
-            f"G^-1 + truncated self-energy not SPD at eps={eps}"
-        ) from None
-
-
 @dataclass(frozen=True)
 class BoldSeries:
     """Coefficients Sigma^(k) and Phi^(k) = (1/2k) Tr[G Sigma^(k)] up to the
@@ -91,8 +64,10 @@ class BoldSeries:
 
     @classmethod
     def build(cls, g: SpdMatrix, v: SymMatrix, order: int = MAX_ORDER) -> "BoldSeries":
-        if order not in _SIGMA_BY_ORDER:
-            raise UnsupportedOrder(f"bold diagrams implemented for orders 1..{MAX_ORDER}")
+        """Series through ``order``, an integer in 1..MAX_ORDER (not a bool)."""
+        integer = isinstance(order, Integral) and not isinstance(order, bool)
+        if not integer or not 1 <= order <= MAX_ORDER:
+            raise UnsupportedOrder(f"bold order must be an integer in 1..{MAX_ORDER}, got {order!r}")
         g = SpdMatrix.coerce(g)
         sigmas = tuple(_SIGMA_BY_ORDER[k](g, v) for k in range(1, order + 1))
         phis = tuple(

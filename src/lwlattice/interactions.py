@@ -8,6 +8,7 @@ and Monte Carlo samples, so the batched path is the hot one.
 from __future__ import annotations
 
 import itertools
+import sys
 from enum import Enum
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,6 +69,8 @@ class Interaction(_Frozen):
     attributes through ``_freeze``. It is what its model file stores: two are
     equal when they have the same type and the same ``to_dict()``, and copies
     and pickles are rebuilt from that dict through the validating constructors.
+    A class outside the library can be evaluated, but not materialized or
+    restricted: those raise UnsupportedInteraction.
     """
 
     n: int
@@ -87,15 +90,8 @@ class Interaction(_Frozen):
     def _evaluate(self, batch: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def restricted(self, p: int) -> "Interaction":
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         raise NotImplementedError
-
-    def _check_restriction(self, p: int):
-        if not 1 <= p <= self.n:
-            raise DimensionMismatch(f"cannot restrict dimension {self.n} to {p}")
 
 
 class ZeroInteraction(Interaction):
@@ -108,10 +104,6 @@ class ZeroInteraction(Interaction):
 
     def _evaluate(self, batch):
         return np.zeros(batch.shape[0])
-
-    def restricted(self, p):
-        self._check_restriction(p)
-        return ZeroInteraction(p)
 
     def to_dict(self):
         return {"type": "zero", "n": self.n}
@@ -130,10 +122,6 @@ class DiagonalQuartic(Interaction):
     def _evaluate(self, batch):
         sq = batch * batch
         return 0.125 * np.einsum("mi,ij,mj->m", sq, self.v.mat, sq)
-
-    def restricted(self, p):
-        self._check_restriction(p)
-        return DiagonalQuartic(self.v.mat[:p, :p])
 
     def to_dict(self):
         return {"type": "diagonal_quartic", "v": self.v.mat.tolist()}
@@ -209,10 +197,6 @@ class GeneralQuartic(Interaction):
         pairs = pair_products(batch)
         return np.einsum("mp,mp->m", pairs @ self._pair_weights, pairs)
 
-    def restricted(self, p):
-        self._check_restriction(p)
-        return GeneralQuartic(self.w[:p, :p, :p, :p])
-
     def to_dict(self):
         return {"type": "general_quartic", "n": self.n, "w": self.w.ravel().tolist()}
 
@@ -231,10 +215,6 @@ class ScaledInteraction(Interaction):
 
     def _evaluate(self, batch):
         return self.factor * self.inner._evaluate(batch)
-
-    def restricted(self, p):
-        self._check_restriction(p)
-        return ScaledInteraction(self.factor, self.inner.restricted(p))
 
     def to_dict(self):
         return {"type": "scaled", "factor": self.factor, "inner": self.inner.to_dict()}
@@ -257,12 +237,6 @@ class ComposedInteraction(Interaction):
     def _evaluate(self, batch):
         return self.inner._evaluate(batch @ self.map.mat.T)
 
-    def restricted(self, p):
-        # zero-padding does not commute with a general map; go through the
-        # materialized tensor
-        self._check_restriction(p)
-        return materialize(self).restricted(p)
-
     def to_dict(self):
         return {
             "type": "composed",
@@ -277,11 +251,6 @@ class ComposedInteraction(Interaction):
 def compose(u: Interaction, t: LinearMap) -> Interaction:
     """Interaction x -> U(T x). Kept lazy; ``materialize`` expands it."""
     return ComposedInteraction(u, t)
-
-
-def restrict(u: Interaction, p: int) -> Interaction:
-    """p-dimensional interaction x -> U(x_1..x_p, 0..0)."""
-    return u.restricted(p)
 
 
 def _unwound(u: Interaction):
@@ -301,8 +270,8 @@ def _unwound(u: Interaction):
 def materialize(u: Interaction) -> Interaction:
     """Expand lazy wrappers into Zero / DiagonalQuartic / GeneralQuartic form.
 
-    Needed only when explicit tensor coefficients are required (restriction of
-    a composed interaction); evaluation never requires it.
+    Needed only when explicit tensor coefficients are required (restriction);
+    evaluation never requires it.
     """
     factor, base, t = _unwound(u)
     if factor == 0.0 or isinstance(base, ZeroInteraction):
@@ -322,6 +291,23 @@ def materialize(u: Interaction) -> Interaction:
         # the constructor symmetrizes the transformed tensor and checks it
         w = np.einsum("ijkl,ia,jb,kc,ld->abcd", w, t, t, t, t)
     return GeneralQuartic(w)
+
+
+def restrict(u: Interaction, p: int) -> Interaction:
+    """p-dimensional interaction x -> U(x_1..x_p, 0..0), in materialized form.
+
+    Zero-padding does not commute with a general map, so the coefficients are
+    truncated after ``materialize``, never wrapper by wrapper. Raises
+    DimensionMismatch unless p is an integer in 1..n.
+    """
+    if isinstance(p, bool) or not isinstance(p, Integral) or not 1 <= p <= u.n:
+        raise DimensionMismatch(f"cannot restrict dimension {u.n} to {p!r}")
+    dense = materialize(u)
+    if isinstance(dense, ZeroInteraction):
+        return ZeroInteraction(p)
+    if isinstance(dense, DiagonalQuartic):
+        return DiagonalQuartic(dense.v.mat[:p, :p])
+    return GeneralQuartic(dense.w[:p, :p, :p, :p])
 
 
 def as_diagonal_quartic(u: Interaction):
@@ -418,8 +404,12 @@ def _require(obj: dict, key: str):
 
 
 def _numeric(convert, value, key: str):
-    """convert(value) for a field that must be a JSON number (an integer for int)."""
-    noun = "an integer" if convert is int else "a number"
-    if isinstance(value, bool) or not isinstance(value, Integral if convert is int else Real):
+    """convert(value) for a field that must be a JSON number: a dimension n >= 1
+    for int, a number within the float range for float (a JSON integer may not be)."""
+    if convert is int:
+        noun, ok = "a dimension n >= 1", isinstance(value, Integral) and value >= 1
+    else:
+        noun, ok = "a finite number", isinstance(value, Real) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not ok:
         raise ParseError(f"interaction field {key!r} must be {noun}, got {value!r}")
     return convert(value)

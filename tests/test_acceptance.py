@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lwlattice.diagrams import phi_term
+from lwlattice.diagrams import BoldSeries
 from lwlattice.duality import inverse_map, lw_evaluate
 from lwlattice.interactions import DiagonalQuartic, ZeroInteraction
 from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix
@@ -172,7 +172,7 @@ def test_criterion_06_phi_sigma_trace_identity():
         v = SymMatrix(0.5 * (raw + raw.T))
         for order in (1, 2):
             wick = oracles.vacuum_phi(g.mat, v.mat, order)
-            worst = max(worst, abs(phi_term(g, v, order) - wick))
+            worst = max(worst, abs(BoldSeries.build(g, v, order).phi_terms[-1] - wick))
     report(
         6,
         "phi/sigma trace identity",

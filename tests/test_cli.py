@@ -571,12 +571,28 @@ class TestMalformedInput:
             # the duality solver asks for fourth moments; a model file does not
             {**GAUSS_1D, "oracle": {"want_fourth_moments": True}},
             {**GAUSS_1D, "oracle": 5},
+            # (-2)^4 entries pass the length check, then reshape fails
+            {
+                "n": 2,
+                "A": [[1.0, 0.0], [0.0, 1.0]],
+                "interaction": {"type": "general_quartic", "n": -2, "w": [0.0] * 16},
+            },
+            # a JSON integer with no float value
+            {
+                **GAUSS_1D,
+                "interaction": {
+                    "type": "scaled",
+                    "factor": 10**400,
+                    "inner": {"type": "diagonal_quartic", "v": [[1.0]]},
+                },
+            },
         ],
         ids=[
             "matrix-entry", "oracle-field", "scaled-factor",
             "matrix-string", "coupling-string", "tensor-string", "map-string",
             "factor-string", "n-bool", "seed-bool", "zero-n-fraction",
             "want-fourth-moments", "oracle-not-object",
+            "tensor-negative-n", "factor-beyond-float",
         ],
     )
     def test_model_file(self, capsys, model_path, model):

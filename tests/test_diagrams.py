@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lwlattice.diagrams import (
-    BoldSeries,
-    g0_of_truncation,
-    phi_term,
-    sigma1,
-    sigma2,
-)
-from lwlattice.errors import DimensionMismatch, NotPositiveDefinite, UnsupportedOrder
+from lwlattice.diagrams import BoldSeries, sigma1, sigma2
+from lwlattice.errors import DimensionMismatch, UnsupportedOrder
 from lwlattice.matrices import SpdMatrix, SymMatrix
 
 
@@ -53,17 +47,20 @@ class TestSigma2:
 
 class TestPhiTerm:
     def test_first_order(self):
-        assert phi_term(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 1) == pytest.approx(-0.75)
+        series = BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 1)
+        assert series.phi_terms[-1] == pytest.approx(-0.75)
 
     def test_second_order(self):
-        assert phi_term(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2) == pytest.approx(0.375)
+        series = BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2)
+        assert series.phi_terms[-1] == pytest.approx(0.375)
 
     def test_first_order_scaling(self):
-        assert phi_term(SpdMatrix([[2.0]]), SymMatrix([[1.0]]), 1) == pytest.approx(-3.0)
+        series = BoldSeries.build(SpdMatrix([[2.0]]), SymMatrix([[1.0]]), 1)
+        assert series.phi_terms[-1] == pytest.approx(-3.0)
 
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrder):
-            phi_term(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 3)
+            BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 3)
 
 
 class TestTruncation:
@@ -78,24 +75,6 @@ class TestTruncation:
     def test_second_order(self):
         out = BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2).truncated_sigma(0.1)
         assert out.mat[0, 0] == pytest.approx(-0.135)
-
-    def test_g0_identity_at_zero(self):
-        g = SpdMatrix([[1.0, 0.2], [0.2, 0.9]])
-        out = g0_of_truncation(g, SymMatrix(np.eye(2)), 0.0, 2)
-        assert np.allclose(out.mat, g.mat, atol=1e-14)
-
-    def test_g0_first_order(self):
-        out = g0_of_truncation(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 0.1, 1)
-        assert out.mat[0, 0] == pytest.approx(1.0 / 0.85, rel=1e-12)
-
-    def test_g0_second_order(self):
-        out = g0_of_truncation(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 0.1, 2)
-        assert out.mat[0, 0] == pytest.approx(1.0 / 0.865, rel=1e-12)
-
-    def test_g0_leaves_cone(self):
-        # strong negative shift drives G^-1 + truncation out of the cone
-        with pytest.raises(NotPositiveDefinite):
-            g0_of_truncation(SpdMatrix([[1.0]]), SymMatrix([[8.0]]), 0.9, 1)
 
 
 class TestAlgebraicProperties:
@@ -132,7 +111,8 @@ class TestAlgebraicProperties:
     def test_phi_sigma_trace_identity(self, seed):
         g, v = random_case(seed)
         for k in (1, 2):
-            assert abs(phi_term(g, v, k) - oracles.vacuum_phi(g.mat, v.mat, k)) <= 1e-12
+            phi = BoldSeries.build(g, v, k).phi_terms[-1]
+            assert abs(phi - oracles.vacuum_phi(g.mat, v.mat, k)) <= 1e-12
 
 
 class TestBoldSeries:
@@ -146,6 +126,12 @@ class TestBoldSeries:
     def test_order_validation(self):
         with pytest.raises(UnsupportedOrder):
             BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 3)
+
+    @pytest.mark.parametrize("order", [True, 1.0])
+    def test_order_must_be_an_integer(self, order):
+        # True == 1 and 1.0 == 1, yet neither is an order
+        with pytest.raises(UnsupportedOrder):
+            BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), order)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_phi_gradient_is_sigma(self, seed):

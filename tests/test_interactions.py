@@ -302,6 +302,31 @@ class TestRestrict:
         with pytest.raises(DimensionMismatch):
             restrict(DiagonalQuartic([[1.0]]), 2)
 
+    @pytest.mark.parametrize("p", [True, 1.0])
+    def test_p_must_be_an_integer(self, p):
+        # True == 1 and 1.0 == 1, yet neither is a dimension
+        with pytest.raises(DimensionMismatch):
+            restrict(DiagonalQuartic(np.eye(2)), p)
+
+    def test_class_outside_the_library(self):
+        class Custom(Interaction):
+            def __init__(self):
+                self._freeze(n=2)
+
+            def _evaluate(self, batch):
+                return np.sum(batch**4, axis=1)
+
+        u = Custom()
+        assert u.evaluate([1.0, 2.0]) == 17.0
+        with pytest.raises(UnsupportedInteraction):
+            restrict(u, 1)
+
+    def test_scaled_comes_back_expanded(self):
+        v = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, 0.3], [0.2, 0.3, 1.5]])
+        r = restrict(ScaledInteraction(0.7, DiagonalQuartic(v)), 2)
+        assert type(r) is DiagonalQuartic
+        assert np.array_equal(r.v.mat, 0.7 * v[:2, :2])
+
 
 class TestGrowth:
     def test_positive_diagonal_quartic(self):
