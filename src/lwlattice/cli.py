@@ -59,12 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="partition function, free energy, moments")
     p_oracle.add_argument("--model", required=True)
     p_oracle.add_argument("--out")
+    p_oracle.set_defaults(run=_cmd_oracle)
     _add_oracle_flags(p_oracle)
 
     p_invert = sub.add_parser("invert", help="A[G]: invert the moment map at a target G")
     p_invert.add_argument("--model", required=True)
     p_invert.add_argument("--G", required=True, dest="green")
     p_invert.add_argument("--out")
+    p_invert.set_defaults(run=_cmd_invert)
     _add_oracle_flags(p_invert)
     _add_solver_flags(p_invert, duality.DEFAULT_MAX_ITER)
 
@@ -72,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lw.add_argument("--model", required=True)
     p_lw.add_argument("--G", required=True, dest="green")
     p_lw.add_argument("--out")
+    p_lw.set_defaults(run=_cmd_lw)
     _add_oracle_flags(p_lw)
     _add_solver_flags(p_lw, duality.DEFAULT_MAX_ITER)
 
@@ -80,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sigma.add_argument("--G", required=True, dest="green")
     p_sigma.add_argument("--order", type=int, required=True)
     p_sigma.add_argument("--out")
+    p_sigma.set_defaults(run=_cmd_sigma)
 
     for name, helptext in (
         ("dyson", "Anderson-mixed fixed-point solution of the Dyson equation"),
@@ -103,12 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p_solve.add_argument("--trace-csv", dest="trace_csv")
         p_solve.add_argument("--out")
+        p_solve.set_defaults(run=_cmd_solver)
         _add_oracle_flags(p_solve)
         _add_solver_flags(p_solve, solver.DEFAULT_MAX_ITER, solver.DEFAULT_TOL)
 
     p_verify = sub.add_parser("verify", help="run theorem-check suites")
     p_verify.add_argument("--suite", default="all", choices=list(suite_names()))
     p_verify.add_argument("--out")
+    p_verify.set_defaults(run=_cmd_verify)
     _add_oracle_flags(p_verify)
 
     p_sweep = sub.add_parser("sweep", help="interaction-strength sweep to CSV")
@@ -118,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--eps", required=True, help="grid as start:stop:log:count")
     p_sweep.add_argument("--order", type=int, default=2)
     p_sweep.add_argument("--out")
+    p_sweep.set_defaults(run=_cmd_sweep)
     _add_oracle_flags(p_sweep)
     _add_solver_flags(p_sweep, 80)
 
@@ -285,24 +292,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "oracle": _cmd_oracle,
-    "invert": _cmd_invert,
-    "lw": _cmd_lw,
-    "sigma": _cmd_sigma,
-    "dyson": _cmd_solver,
-    "minimize": _cmd_solver,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-}
-
-
 def dispatch(argv) -> int:
     """Parse argv, run the sub-command, map errors to exit codes."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except LwlatticeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code

@@ -204,14 +204,21 @@ class GeneralQuartic(Interaction):
         return f"GeneralQuartic(n={self.n})"
 
 
+def _interaction(inner):
+    if not isinstance(inner, Interaction):
+        raise ValidationError(f"inner must be an Interaction, got {inner!r}")
+    return inner
+
+
 class ScaledInteraction(Interaction):
     """factor * U(x) with factor >= 0 (interaction-strength dial)."""
 
     def __init__(self, factor: float, inner: Interaction):
-        factor = float(factor)
-        if not np.isfinite(factor) or factor < 0.0:
-            raise ValidationError(f"scale factor must be finite and >= 0, got {factor}")
-        self._freeze(factor=factor, inner=inner, n=inner.n)
+        real = isinstance(factor, Real) and not isinstance(factor, bool)
+        if not (real and 0.0 <= factor <= sys.float_info.max):
+            raise ValidationError(f"scale factor must be a finite number >= 0, got {factor!r}")
+        inner = _interaction(inner)
+        self._freeze(factor=float(factor), inner=inner, n=inner.n)
 
     def _evaluate(self, batch):
         return self.factor * self.inner._evaluate(batch)
@@ -227,6 +234,7 @@ class ComposedInteraction(Interaction):
     """U(T x): the inner interaction precomposed with an invertible map."""
 
     def __init__(self, inner: Interaction, linmap: LinearMap):
+        inner = _interaction(inner)
         linmap = LinearMap.coerce(linmap)
         if linmap.n != inner.n:
             raise DimensionMismatch(

@@ -16,7 +16,8 @@ from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap, Validat
 
 #: Cholesky pivots at or below this value count as "not positive definite".
 SPD_TOLERANCE = 1e-12
-#: Max |S - S^T| entry accepted for silent symmetrization.
+#: Max |S - S^T| entry accepted for silent symmetrization, relative to the
+#: matrix's largest |entry| when that exceeds 1.
 SYM_TOLERANCE = 1e-9
 #: Reciprocal condition number below which a map counts as singular (unlike
 #: |det T|, it does not change when T is scaled).
@@ -34,7 +35,8 @@ def float_array(entries, what: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def _square_array(entries, what: str) -> np.ndarray:
+def _square_array(entries, what: str):
+    """(arr, largest |entry|) of a square, finite, non-empty float matrix."""
     arr = float_array(entries, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
@@ -42,9 +44,10 @@ def _square_array(entries, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must have positive dimension")
     # half the float range, so that the sum of two entries (symmetrization) stays finite
     limit = 0.5 * np.finfo(float).max
-    if not np.all(np.abs(arr) <= limit):
+    largest = np.abs(arr).max()
+    if not largest <= limit:
         raise ValidationError(f"{what} has non-finite entries or entries above {limit:.2e}")
-    return arr
+    return arr, float(largest)
 
 
 def cholesky_factor(arr: np.ndarray) -> np.ndarray:
@@ -121,19 +124,21 @@ class SymMatrix(_FrozenMatrix):
     """Real symmetric matrix.
 
     Construction symmetrizes inputs whose asymmetry is at most
-    ``SYM_TOLERANCE`` (tolerates file-I/O roundoff) and rejects anything worse
-    (catches user error).
+    ``SYM_TOLERANCE * max(1, largest |entry|)`` (tolerates file-I/O and
+    arithmetic roundoff at any scale) and rejects anything worse (catches
+    user error).
     """
 
     __slots__ = ()
     _family = "symmetric"
 
     def __init__(self, entries):
-        arr = _square_array(entries, "symmetric matrix")
+        arr, largest = _square_array(entries, "symmetric matrix")
         asym = np.abs(arr - arr.T).max()
-        if asym > SYM_TOLERANCE:
+        bound = SYM_TOLERANCE * max(1.0, largest)
+        if asym > bound:
             raise ValidationError(
-                f"matrix not symmetric: max asymmetry {asym:.3e} exceeds {SYM_TOLERANCE:.1e}"
+                f"matrix not symmetric: max asymmetry {asym:.3e} exceeds {bound:.1e}"
             )
         self._freeze(mat=0.5 * (arr + arr.T))
 
@@ -164,7 +169,7 @@ class LinearMap(_FrozenMatrix):
     _family = "map"
 
     def __init__(self, entries):
-        arr = _square_array(entries, "linear map")
+        arr = _square_array(entries, "linear map")[0]
         rcond = 1.0 / np.linalg.cond(arr)
         if rcond < INV_TOLERANCE:
             raise SingularMap(f"reciprocal condition number {rcond:.3e} below {INV_TOLERANCE:.0e}")

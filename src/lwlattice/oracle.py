@@ -48,6 +48,16 @@ DEFAULT_NODES_PER_DIM = 64
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_ENVELOPE_FLOOR = 0.5
 MC_BATCHES = 64
+#: Hard cap on Monte Carlo samples, checked before any draw. Memory and time
+#: grow linearly with the count: each of the MC_BATCHES batches holds its
+#: samples // 64 points (and their pair products) at once. On a 2-core Xeon,
+#: at A = I + J / 10 and U = DiagonalQuartic(I), one call at 8e5 and 3.2e6
+#: samples peaked (tracemalloc) at 2.3 and 9.2 MiB in 0.21 and 0.75 s for
+#: n = 6 G-only, 5.8 and 22 MiB in 0.30 and 1.1 s with pair moments; for
+#: n = 20 at 6.5 and 25 MiB in 0.97 and 3.8 s G-only, 90 and 199 MiB in 2.9
+#: and 12.6 s with pair moments. Extrapolated to the cap: n = 6 at about
+#: 70 MiB and 4 s, n = 20 at about 0.5 GiB and 40 s, both with pair moments.
+MC_SAMPLE_CAP = 10_000_000
 #: Hard cap on tensor-grid size (nodes_per_dim ** n). The grid is evaluated
 #: in chunks, so memory does not bound it; time does: at 64^4 = 16.7M points
 #: (8.4M evaluated once the first axis is folded) one G-only evaluation takes
@@ -97,7 +107,7 @@ class OracleConfig:
     bit-reproducible: each batch owns a counter-based random stream and the
     reduction order never changes. Each batch draws ``samples // MC_BATCHES``
     points, so ``samples`` is rounded down to a multiple of MC_BATCHES = 64:
-    ``samples=100`` draws 64 points.
+    ``samples=100`` draws 64 points. ``samples`` is capped at MC_SAMPLE_CAP.
     """
 
     mode: str = "quadrature"
@@ -119,6 +129,10 @@ class OracleConfig:
             raise ValidationError("nodes_per_dim must be at least 2")
         if self.samples < MC_BATCHES:
             raise ValidationError(f"samples must be at least {MC_BATCHES}")
+        if self.samples > MC_SAMPLE_CAP:
+            raise ValidationError(
+                f"samples must be at most {MC_SAMPLE_CAP:.0e}, got {self.samples}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 unsigned bits")
         if not (
@@ -368,10 +382,7 @@ def _moments(
     log_z = log_front + shift + np.log(tot0)
     if not np.isfinite(log_z):
         raise NonFinite("partition function overflowed or vanished")
-    green = np.einsum("b,bij->ij", scale, s2) / tot0
-    # the weighted GEMM leaves rounding asymmetry relative to |G|, which the
-    # absolute tolerance of SymMatrix would reject for large G
-    green = 0.5 * (green + green.T)
+    green = SpdMatrix(np.einsum("b,bij->ij", scale, s2) / tot0)
     mean_u = float(scale @ su) / tot0
     pair_moments = None
     if cfg.want_fourth_moments:
@@ -386,7 +397,7 @@ def _moments(
         root = np.sqrt(MC_BATCHES)
         errors = StdErrors(
             omega=_floor_se(log_z_b.std(ddof=1) / root, float(-log_z)),
-            green=_floor_se((s2 / s0[:, None, None]).std(axis=0, ddof=1) / root, green),
+            green=_floor_se((s2 / s0[:, None, None]).std(axis=0, ddof=1) / root, green.mat),
             pair_moments=(
                 _floor_se((s4 / s0[:, None, None]).std(axis=0, ddof=1) / root, pair_moments)
                 if pair_moments is not None
@@ -395,7 +406,7 @@ def _moments(
         )
     return MomentReport(
         omega=float(-log_z),
-        green=SpdMatrix(green),
+        green=green,
         mean_interaction=mean_u,
         pair_moments=pair_moments,
         std_errors=errors,

@@ -15,13 +15,14 @@ exception; only leaving the SPD cone aborts a run.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
 from .diagrams import BoldSeries
-from .duality import LwReport, lw_evaluate, solver_controls
+from .duality import lw_evaluate, solver_controls
 from .errors import (
     DimensionMismatch,
     IterateLeftCone,
@@ -77,14 +78,7 @@ class SolveTrace:
 
     def to_dict(self) -> dict:
         return {
-            "iterates": [
-                {
-                    "iteration": rec.iteration,
-                    "residual": rec.residual,
-                    "free_energy": rec.free_energy,
-                }
-                for rec in self.iterates
-            ],
+            "iterates": [asdict(rec) for rec in self.iterates],
             "converged": self.converged,
             "final_green": self.final_green.mat.tolist(),
         }
@@ -96,58 +90,47 @@ def _free_energy_value(a_mat: np.ndarray, g: SpdMatrix, phi: float) -> float:
     )
 
 
-class _ModelEvaluator:
-    """Sigma_model[G] and Phi_model[G], sharing one duality solve per point."""
+def _model_terms(u: Interaction, model: SigmaModel, cfg: OracleConfig, solver_tol=None):
+    """G -> (Sigma_model[G], Phi_model[G]) for one model, picked once per solve.
 
-    def __init__(
-        self,
-        u: Interaction,
-        model: SigmaModel,
-        cfg: OracleConfig,
-        solver_tol: float | None = None,
-    ):
-        self.u = u
-        self.model = model
-        self.cfg = cfg
-        self.scale = 0.0
-        self.v = None
-        self.order = 0
-        self._warm_sigma: SymMatrix | None = None
+    Each model's function holds only its own state. The bold models check
+    their interaction here, before any iterate.
+    """
+    if not isinstance(model, SigmaModel):
+        raise ValidationError(f"model must be a SigmaModel, got {model!r}")
+    if model is SigmaModel.NONE:
+        return lambda g: (SymMatrix(np.zeros((g.n, g.n))), 0.0)
+    if model is SigmaModel.EXACT_ORACLE:
         # the exact model must resolve Sigma well below the outer tolerance;
         # in Monte Carlo mode the duality solve keeps its statistical default
-        self._inner_tol = None
+        inner_tol = None
         if solver_tol is not None and cfg.mode == "quadrature":
-            self._inner_tol = min(max(solver_tol / 100.0, 1e-13), 1e-8)
-        if model in (SigmaModel.BOLD1, SigmaModel.BOLD12):
-            try:
-                self.scale, self.v = as_diagonal_quartic(u)
-            except UnsupportedInteraction:
-                raise UnsupportedInteraction(
-                    "bold self-energy models require a (scaled) diagonal "
-                    "quartic interaction"
-                ) from None
-            self.order = 1 if model is SigmaModel.BOLD1 else 2
+            inner_tol = min(max(solver_tol / 100.0, 1e-13), 1e-8)
+        warm_sigma = None
 
-    def sigma_and_phi(self, g: SpdMatrix):
-        if self.model is SigmaModel.NONE:
-            return SymMatrix(np.zeros((g.n, g.n))), 0.0
-        if self.model is SigmaModel.EXACT_ORACLE:
-            report = self._lw(g)
+        def exact_terms(g: SpdMatrix):
+            # A[G] = G^-1 + Sigma[G], and Sigma moves slowly between iterates:
+            # G^-1 is exact at the new point, only Sigma is carried over
+            nonlocal warm_sigma
+            a_init = None if warm_sigma is None else SymMatrix(g.inverse() + warm_sigma.mat)
+            report = lw_evaluate(g, u, cfg, tol=inner_tol, max_iter=100, a_init=a_init)
+            warm_sigma = report.sigma_exact
             return report.sigma_exact, report.phi
-        series = BoldSeries.build(g, self.v, self.order)
-        return series.truncated_sigma(self.scale), series.truncated_phi(self.scale)
 
-    def _lw(self, g: SpdMatrix) -> LwReport:
-        # A[G] = G^-1 + Sigma[G], and Sigma moves slowly between iterates:
-        # G^-1 is exact at the new point, only Sigma is carried over
-        a_init = None
-        if self._warm_sigma is not None:
-            a_init = SymMatrix(g.inverse() + self._warm_sigma.mat)
-        report = lw_evaluate(
-            g, self.u, self.cfg, tol=self._inner_tol, max_iter=100, a_init=a_init
-        )
-        self._warm_sigma = report.sigma_exact
-        return report
+        return exact_terms
+    try:
+        scale, v = as_diagonal_quartic(u)
+    except UnsupportedInteraction:
+        raise UnsupportedInteraction(
+            "bold self-energy models require a (scaled) diagonal quartic interaction"
+        ) from None
+    order = 1 if model is SigmaModel.BOLD1 else 2
+
+    def bold_terms(g: SpdMatrix):
+        series = BoldSeries.build(g, v, order)
+        return series.truncated_sigma(scale), series.truncated_phi(scale)
+
+    return bold_terms
 
 
 def free_energy(
@@ -162,7 +145,7 @@ def free_energy(
     g = SpdMatrix.coerce(g)
     if a.n != g.n:
         raise DimensionMismatch(f"A has dimension {a.n}, G has {g.n}")
-    phi = _ModelEvaluator(u, model, cfg).sigma_and_phi(g)[1]
+    phi = _model_terms(u, model, cfg)(g)[1]
     return _free_energy_value(a.mat, g, phi)
 
 
@@ -197,7 +180,7 @@ def _anderson_mix(history, alpha: float) -> np.ndarray:
         d_residual = np.diff(residuals, axis=0).reshape(k, -1).T
         gamma = np.linalg.lstsq(d_residual, residual.ravel(), rcond=None)[0]
         mixed -= ((d_green + alpha * d_residual) @ gamma).reshape(green.shape)
-    return 0.5 * (mixed + mixed.T)
+    return mixed
 
 
 def dyson_solve(
@@ -223,9 +206,9 @@ def dyson_solve(
     """
     tol = solver_controls(tol, max_iter, DEFAULT_TOL)
     a = SymMatrix.coerce(a)
-    if not 0.0 < damping <= 1.0:
-        raise ValidationError("damping must lie in (0, 1]")
-    evaluator = _ModelEvaluator(u, model, cfg, solver_tol=tol)
+    if isinstance(damping, bool) or not isinstance(damping, Real) or not 0.0 < damping <= 1.0:
+        raise ValidationError(f"damping must be a number in (0, 1], got {damping!r}")
+    model_terms = _model_terms(u, model, cfg, solver_tol=tol)
     _check_solvable(a, model)
 
     green = SpdMatrix.coerce(g_init) if g_init is not None else _initial_green(a, cfg.envelope_floor)
@@ -247,7 +230,7 @@ def dyson_solve(
         return SpdMatrix(old_green + alpha * old_residual)
 
     while len(records) < max_iter:
-        sigma, phi = evaluator.sigma_and_phi(green)
+        sigma, phi = model_terms(green)
         m = a.mat - sigma.mat
         try:
             cholesky_factor(m)
@@ -296,12 +279,12 @@ def minimize_free_energy(
     """
     tol = solver_controls(tol, max_iter, DEFAULT_TOL)
     a = SymMatrix.coerce(a)
-    evaluator = _ModelEvaluator(u, model, cfg, solver_tol=tol)
+    model_terms = _model_terms(u, model, cfg, solver_tol=tol)
     _check_solvable(a, model)
     green = _initial_green(a, cfg.envelope_floor)
     low = cholesky_factor(green.mat)
 
-    sigma, phi = evaluator.sigma_and_phi(green)
+    sigma, phi = model_terms(green)
     fe = _free_energy_value(a.mat, green, phi)
     step_size = 0.1
     prev_low = None
@@ -337,7 +320,7 @@ def minimize_free_energy(
                     trial_green = SpdMatrix(trial_low @ trial_low.T)
                     if np.linalg.norm(trial_green.mat) > GREEN_NORM_GUARD:
                         raise ValidationError("trial iterate diverged")
-                    trial_sigma, trial_phi = evaluator.sigma_and_phi(trial_green)
+                    trial_sigma, trial_phi = model_terms(trial_green)
                     trial_fe = _free_energy_value(a.mat, trial_green, trial_phi)
             except LwlatticeError:
                 # truncated models can be unbounded below; diverging or

@@ -152,6 +152,13 @@ class TestOracleCommand:
         assert code == 1
         assert "error: samples" in capsys.readouterr().err
 
+    def test_sample_count_above_cap_rejected(self, capsys, model_path):
+        # 10**30 samples once ended in a TypeError traceback from np.log
+        model = dict(QUARTIC_1D, oracle={"mode": "monte_carlo", "samples": 10**30})
+        code = dispatch(["oracle", "--model", model_path(model)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: samples must be at most")
+
 
 class TestInvertAndLw:
     def test_invert_gaussian(self, capsys, model_path, tmp_path):

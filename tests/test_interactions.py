@@ -419,6 +419,26 @@ class TestTensorValidation:
         with pytest.raises(ValidationError):
             ScaledInteraction(-0.5, DiagonalQuartic([[1.0]]))
 
+    @pytest.mark.parametrize(
+        "factor", ["0.5", True, "abc", 10**400], ids=["string", "bool", "word", "huge-int"]
+    )
+    def test_scale_must_be_a_real_number(self, factor):
+        # "0.5" and True were taken as 0.5 and 1.0, "abc" raised a bare ValueError
+        with pytest.raises(ValidationError, match="scale factor"):
+            ScaledInteraction(factor, DiagonalQuartic([[1.0]]))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ScaledInteraction(0.5, "x"),
+            lambda: ComposedInteraction("x", LinearMap.identity(1)),
+        ],
+        ids=["scaled", "composed"],
+    )
+    def test_inner_must_be_an_interaction(self, build):
+        with pytest.raises(ValidationError, match="inner must be an Interaction"):
+            build()
+
     def test_zero_dimension_tensor_rejected(self):
         with pytest.raises(ValidationError, match="n >= 1"):
             GeneralQuartic(np.zeros((0, 0, 0, 0)))

@@ -131,6 +131,15 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="not symmetric"):
             SymMatrix([[1.0, 0.5], [0.0, 2.0]])
 
+    def test_rounding_asymmetry_judged_by_scale(self):
+        # one rounding step at 1e8 is 1.5e-8, above an absolute 1e-9
+        s = SymMatrix([[1e8, 1e8 * (1 + 1e-15)], [1e8, 2e8]])
+        assert s.mat[0, 1] == s.mat[1, 0] == 0.5 * (1e8 + 1e8 * (1 + 1e-15))
+
+    def test_relative_asymmetry_at_scale_rejected(self):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            SymMatrix([[1e8, 1e8 * (1 + 1e-6)], [1e8, 2e8]])
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
             SymMatrix([[np.inf, 0.0], [0.0, 1.0]])

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import oracles
 from lwlattice import duality, oracle
 from lwlattice.diagrams import sigma1
-from lwlattice.errors import DimensionCap, DimensionMismatch, DivergentIntegral, NonFinite
+from lwlattice.errors import (
+    DimensionCap,
+    DimensionMismatch,
+    DivergentIntegral,
+    NonFinite,
+    ValidationError,
+)
 from lwlattice.interactions import (
     DiagonalQuartic,
     ScaledInteraction,
@@ -21,6 +27,7 @@ from lwlattice.interactions import (
 from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix
 from lwlattice.oracle import (
     MC_BATCHES,
+    MC_SAMPLE_CAP,
     QUAD_CHUNK,
     QUAD_NODE_CAP,
     OracleConfig,
@@ -98,8 +105,8 @@ class TestGaussianClosedForm:
         assert np.abs(rep.green.mat - np.linalg.inv(a)).max() <= 1e-10
 
     def test_tiny_a_huge_green(self):
-        # G ~ 1e10: the weighted GEMM leaves an asymmetry (6e-8 here) above the
-        # absolute 1e-9 tolerance of SymMatrix unless G is symmetrized first
+        # G ~ 1e10: the weighted GEMM leaves an asymmetry (6e-8 here) that is
+        # rounding relative to |G|, which SymMatrix accepts and symmetrizes
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
         a = SymMatrix(1e-10 * q @ np.diag([1.0, 2.0, 3.0]) @ q.T)
         rep = evaluate_moments(a, ZeroInteraction(3), OracleConfig(nodes_per_dim=16))
@@ -671,6 +678,11 @@ class TestErrors:
     def test_samples_floor(self):
         with pytest.raises(Exception):
             OracleConfig(mode="monte_carlo", samples=MC_BATCHES - 1)
+
+    def test_samples_cap(self):
+        OracleConfig(mode="monte_carlo", samples=MC_SAMPLE_CAP)
+        with pytest.raises(ValidationError, match="samples must be at most"):
+            OracleConfig(mode="monte_carlo", samples=MC_SAMPLE_CAP + MC_BATCHES)
 
     def test_samples_rounded_down_to_whole_batches(self):
         a, u = SymMatrix([[1.0]]), DiagonalQuartic([[1.0]])

@@ -159,20 +159,25 @@ class TestAndersonMixing:
         # shorter damped steps, and the run still reaches the damped solution
         a, v, g0 = [[1.733]], [[-0.279]], [[3.099]]
         cone_margins, mixes = [], []
-        sigma_and_phi = solver._ModelEvaluator.sigma_and_phi
+        model_terms = solver._model_terms
         anderson_mix = solver._anderson_mix
 
-        def logged_sigma(self, g):
-            sigma, phi = sigma_and_phi(self, g)
-            cone_margins.append(np.linalg.eigvalsh(np.asarray(a) - sigma.mat).min())
-            return sigma, phi
+        def logged_terms(*args, **kwargs):
+            terms = model_terms(*args, **kwargs)
+
+            def logged_sigma(g):
+                sigma, phi = terms(g)
+                cone_margins.append(np.linalg.eigvalsh(np.asarray(a) - sigma.mat).min())
+                return sigma, phi
+
+            return logged_sigma
 
         def logged_mix(history, alpha):
             mixed = anderson_mix(history, alpha)
             mixes.append(np.linalg.eigvalsh(mixed).min())
             return mixed
 
-        monkeypatch.setattr(solver._ModelEvaluator, "sigma_and_phi", logged_sigma)
+        monkeypatch.setattr(solver, "_model_terms", logged_terms)
         monkeypatch.setattr(solver, "_anderson_mix", logged_mix)
         trace = dyson_solve(
             SymMatrix(a), DiagonalQuartic(v), SigmaModel.BOLD1, tol=1e-10, g_init=SpdMatrix(g0)
@@ -227,10 +232,10 @@ class TestSolverControls:
         "controls", [{"tol": -1.0}, {"tol": float("nan")}, {"max_iter": -1}, {"max_iter": 2.5}]
     )
     def test_rejected_before_the_first_iterate(self, monkeypatch, solve, controls):
-        def no_iterate(*args):
+        def no_iterate(g):
             raise AssertionError("an iterate was evaluated")
 
-        monkeypatch.setattr(solver._ModelEvaluator, "sigma_and_phi", no_iterate)
+        monkeypatch.setattr(solver, "_model_terms", lambda *args, **kwargs: no_iterate)
         with pytest.raises(ValidationError, match="tol must|max_iter must"):
             solve(SymMatrix(A2), DiagonalQuartic(V2), SigmaModel.EXACT_ORACLE, **controls)
 
@@ -238,6 +243,17 @@ class TestSolverControls:
     def test_none_keeps_the_default_tolerance(self, solve):
         u = DiagonalQuartic(V2)
         assert solve(A2, u, SigmaModel.BOLD1, tol=None) == solve(A2, u, SigmaModel.BOLD1)
+
+    @pytest.mark.parametrize("damping", ["0.5", True])
+    def test_damping_must_be_a_number(self, damping):
+        # "0.5" raised a TypeError from the range check, True was taken as 1
+        with pytest.raises(ValidationError, match="damping must"):
+            dyson_solve(SymMatrix(A2), DiagonalQuartic(V2), SigmaModel.BOLD1, damping=damping)
+
+    @pytest.mark.parametrize("solve", [dyson_solve, minimize_free_energy])
+    def test_model_must_be_a_sigma_model(self, solve):
+        with pytest.raises(ValidationError, match="SigmaModel"):
+            solve(SymMatrix(A2), DiagonalQuartic(V2), "bold1")
 
     def test_free_energy_dimensions_checked(self):
         with pytest.raises(DimensionMismatch):
