@@ -192,7 +192,7 @@ def _cmd_invert(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    _emit_json({"a_of_g": a.mat.tolist()}, args.out)
+    _emit_json({"a_of_g": a}, args.out)
     return 0
 
 
@@ -216,10 +216,7 @@ def _cmd_sigma(args) -> int:
     green = _load_green(args.green)
     scale, v = as_diagonal_quartic(model.interaction)
     sig = BoldSeries.build(green, v, args.order).sigma_terms[-1]
-    _emit_json(
-        {"order": args.order, "sigma": (scale**args.order * sig.mat).tolist()},
-        args.out,
-    )
+    _emit_json({"order": args.order, "sigma": scale**args.order * sig.mat}, args.out)
     return 0
 
 

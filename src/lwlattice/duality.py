@@ -16,7 +16,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .diagrams import sigma1
+from .diagrams import BoldSeries
 from .errors import (
     BoundaryTooClose,
     DimensionMismatch,
@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .interactions import Interaction, as_diagonal_quartic, pair_basis
-from .matrices import SpdMatrix, SymMatrix, logdet_spd, min_eigenvalue
+from .matrices import SpdMatrix, SymMatrix, logdet_spd, min_eigenvalue, plain
 from .oracle import MomentReport, OracleConfig, evaluate_moments
 
 #: Minimum eigenvalue of a target Green's function accepted by the solver;
@@ -52,17 +52,7 @@ class LwReport:
     residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "a_of_g": self.a_of_g.mat.tolist(),
-            "universal_f": self.universal_f,
-            "phi": self.phi,
-            "phi0": self.phi0,
-            "sigma_exact": self.sigma_exact.mat.tolist(),
-            "entropy": self.entropy,
-            "mean_interaction": self.mean_interaction,
-            "solver_iterations": self.solver_iterations,
-            "residual": self.residual,
-        }
+        return plain(self)
 
 
 def _newton_step(report: MomentReport, g_target: np.ndarray) -> np.ndarray:
@@ -123,7 +113,8 @@ def _start(
         except LwlatticeError:
             candidates = [g_inv]
         else:
-            candidates = [g_inv + factor * sigma1(g_target, v).mat, g_inv]
+            sigma = BoldSeries.build(g_target, v, 1).truncated_sigma(factor)
+            candidates = [g_inv + sigma.mat, g_inv]
     # G-only, and built only when a candidate has a rival to be compared with
     probe = replace(full_cfg, want_fourth_moments=False) if len(candidates) > 1 else None
     rivals = []

@@ -10,6 +10,8 @@ a LinearMap never equals a SymMatrix.
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularMap, ValidationError
@@ -118,6 +120,28 @@ class _FrozenMatrix(_Frozen):
 
     def __repr__(self):
         return f"{type(self).__name__}({self.mat.tolist()!r})"
+
+
+def plain(value):
+    """A result as the builtins json prints: the one rule of every JSON output.
+
+    A dataclass becomes a dict of its fields in declaration order, with None
+    fields left out; a matrix value, numpy array or numpy scalar becomes
+    nested lists or a Python number; lists, tuples and dicts are converted
+    element by element. Anything else is returned as it is.
+    """
+    if is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: plain(item) for name, item in items if item is not None}
+    if isinstance(value, _FrozenMatrix):
+        return value.mat.tolist()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
 
 
 class SymMatrix(_FrozenMatrix):

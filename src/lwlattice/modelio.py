@@ -1,9 +1,12 @@
 """Model-file I/O and machine-readable output helpers.
 
 A model file is JSON: {"n": int, "A": [[...]], "interaction": {...}} plus an
-optional "oracle" object overriding OracleConfig fields. Floats are printed
-as Python's repr, the shortest string that reads back to the same double, so
-they round-trip exactly: -0.0 stays -0.0 and 1.0 stays a float, 1.0.
+optional "oracle" object overriding OracleConfig fields. Every other JSON
+output is a result passed through ``matrices.plain``: a record prints its
+fields in declaration order, None fields left out, and matrices as nested
+lists. Floats are printed as Python's repr, the shortest string that reads
+back to the same double, so they round-trip exactly: -0.0 stays -0.0 and 1.0
+stays a float, 1.0.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .interactions import Interaction, interaction_from_dict
-from .matrices import SymMatrix, float_array
+from .matrices import SymMatrix, float_array, plain
 from .oracle import OracleConfig
 
 
@@ -119,16 +122,9 @@ def load_matrix(path) -> np.ndarray:
     return arr
 
 
-def _plain(o):
-    """numpy scalars and arrays as the Python values json prints."""
-    if isinstance(o, (np.generic, np.ndarray)):
-        return o.tolist()
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def dumps(obj) -> str:
-    """Serialize to indented JSON; floats print as their repr, which reads back exactly."""
-    return json.dumps(obj, indent=2, default=_plain)
+    """Serialize plain(obj) to indented JSON; floats print as their repr, which reads back exactly."""
+    return json.dumps(plain(obj), indent=2)
 
 
 def write_csv(path_or_handle, header, rows) -> None:

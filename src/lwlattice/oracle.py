@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .interactions import Growth, Interaction, pair_products, validate_growth
-from .matrices import SpdMatrix, SymMatrix
+from .matrices import SpdMatrix, SymMatrix, plain
 
 QUAD_DIM_CAP = 6
 DEFAULT_NODES_PER_DIM = 64
@@ -53,10 +53,12 @@ MC_BATCHES = 64
 #: samples // 64 points (and their pair products) at once. On a 2-core Xeon,
 #: at A = I + J / 10 and U = DiagonalQuartic(I), one call at 8e5 and 3.2e6
 #: samples peaked (tracemalloc) at 2.3 and 9.2 MiB in 0.21 and 0.75 s for
-#: n = 6 G-only, 5.8 and 22 MiB in 0.30 and 1.1 s with pair moments; for
-#: n = 20 at 6.5 and 25 MiB in 0.97 and 3.8 s G-only, 90 and 199 MiB in 2.9
-#: and 12.6 s with pair moments. Extrapolated to the cap: n = 6 at about
-#: 70 MiB and 4 s, n = 20 at about 0.5 GiB and 40 s, both with pair moments.
+#: n = 6 G-only, at 6.5 and 25 MiB in 0.97 and 3.8 s for n = 20 G-only. With
+#: pair moments the peak is a fixed part (the 64 batch sums of the pair
+#: block) plus a slope: 0.3 MiB + 7.3 B per sample at n = 6, 24 MiB + 57 B
+#: at n = 20 (fitted at 8e5, 1.6e6 and 3.2e6; 1.2 and 12.5 s at 3.2e6), and
+#: at n = 20 never below about 50 MiB. Extrapolated to the cap: n = 6 at
+#: about 70 MiB and 4 s, n = 20 at about 0.55 GiB and 40 s.
 MC_SAMPLE_CAP = 10_000_000
 #: Hard cap on tensor-grid size (nodes_per_dim ** n). The grid is evaluated
 #: in chunks, so memory does not bound it; time does: at 64^4 = 16.7M points
@@ -146,11 +148,10 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class StdErrors:
-    """Per-entry batch-means standard errors (Monte Carlo only)."""
+    """Batch-means standard errors of omega and of each entry of G (Monte Carlo only)."""
 
     omega: float
     green: np.ndarray
-    pair_moments: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -168,17 +169,7 @@ class MomentReport:
     std_errors: StdErrors | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "omega": self.omega,
-            "green": self.green.mat.tolist(),
-            "mean_interaction": self.mean_interaction,
-        }
-        if self.std_errors is not None:
-            out["std_errors"] = {
-                "omega": self.std_errors.omega,
-                "green": self.std_errors.green.tolist(),
-            }
-        return out
+        return plain(self)
 
 
 def _envelope_lift(a: SymMatrix, u: Interaction, tau: float) -> float:
@@ -398,11 +389,6 @@ def _moments(
         errors = StdErrors(
             omega=_floor_se(log_z_b.std(ddof=1) / root, float(-log_z)),
             green=_floor_se((s2 / s0[:, None, None]).std(axis=0, ddof=1) / root, green.mat),
-            pair_moments=(
-                _floor_se((s4 / s0[:, None, None]).std(axis=0, ddof=1) / root, pair_moments)
-                if pair_moments is not None
-                else None
-            ),
         )
     return MomentReport(
         omega=float(-log_z),

@@ -15,7 +15,7 @@ exception; only leaving the SPD cone aborts a run.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 
@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .interactions import Interaction, as_diagonal_quartic
-from .matrices import SpdMatrix, SymMatrix, cholesky_factor, logdet_spd, min_eigenvalue
+from .matrices import SpdMatrix, SymMatrix, cholesky_factor, logdet_spd, min_eigenvalue, plain
 from .oracle import OracleConfig
 
 DEFAULT_DAMPING = 0.5
@@ -77,11 +77,7 @@ class SolveTrace:
     final_green: SpdMatrix
 
     def to_dict(self) -> dict:
-        return {
-            "iterates": [asdict(rec) for rec in self.iterates],
-            "converged": self.converged,
-            "final_green": self.final_green.mat.tolist(),
-        }
+        return plain(self)
 
 
 def _free_energy_value(a_mat: np.ndarray, g: SpdMatrix, phi: float) -> float:

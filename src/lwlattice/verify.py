@@ -9,7 +9,7 @@ Carlo; the config's mode picks the set.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .interactions import (
     compose,
     restrict,
 )
-from .matrices import LinearMap, SpdMatrix, SymMatrix, congruence
+from .matrices import LinearMap, SpdMatrix, SymMatrix, congruence, plain
 from .oracle import OracleConfig, evaluate_moments, green_of_a
 
 #: Per-check pass thresholds. "asymptotic_margin" and "truncation_margin"
@@ -77,7 +77,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return plain(self)
 
 
 def _bound(cfg: OracleConfig, key: str) -> float:

@@ -534,6 +534,22 @@ class TestSweepCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("a:b:log:3", "malformed eps grid"),
+            ("0:1e-1:log:3", "bounds must be positive"),
+            ("1e-3:1e-1:cubic:3", "kind must be 'log' or 'lin'"),
+        ],
+    )
+    def test_rejected_grid_values(self, capsys, model_path, tmp_path, spec, message):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1.0]]))
+        argv = ["sweep", "--model", model_path(QUARTIC_1D), "--G", str(g), "--eps", spec]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestMalformedInput:
     """Malformed numbers in input files are usage errors, not tracebacks."""

@@ -29,10 +29,11 @@ from lwlattice.interactions import (
     Growth,
     ScaledInteraction,
     ZeroInteraction,
+    pair_basis,
     validate_growth,
 )
 from lwlattice.matrices import SpdMatrix, SymMatrix
-from lwlattice.oracle import OracleConfig, evaluate_moments, green_of_a
+from lwlattice.oracle import MomentReport, OracleConfig, evaluate_moments, green_of_a
 
 QUAD = OracleConfig()
 QUAD_TIGHT = OracleConfig(nodes_per_dim=192)
@@ -382,6 +383,18 @@ class TestJacobian:
         fd = (plus - minus) / (2.0 * h)
         analytic = -0.5 * np.einsum("ijkl,kl->ij", cov, d)
         assert np.abs(fd - analytic).max() <= 1e-4 * max(1.0, np.abs(analytic).max())
+
+
+class TestNewtonStep:
+    def test_zero_covariance_raises_with_the_residual(self):
+        # a pair block equal to the outer product of G's pairs has no covariance
+        g = np.array([[1.0, 0.2], [0.2, 0.5]])
+        rows, cols, _ = pair_basis(2)
+        pairs = g[rows, cols]
+        report = MomentReport(0.0, SpdMatrix(g), 0.0, pair_moments=np.outer(pairs, pairs))
+        with pytest.raises(NoConvergence, match="singular moment-sensitivity Jacobian") as excinfo:
+            _newton_step(report, g + np.diag([0.3, 0.4]))
+        assert excinfo.value.residual == pytest.approx(0.5)
 
 
 class TestSecondOrderIdentity:

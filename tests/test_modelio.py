@@ -1,12 +1,15 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from lwlattice import verify
+from lwlattice.duality import lw_evaluate
 from lwlattice.errors import ParseError, ValidationError
 from lwlattice.interactions import DiagonalQuartic, ZeroInteraction
-from lwlattice.matrices import SymMatrix
+from lwlattice.matrices import SpdMatrix, SymMatrix, plain
 from lwlattice.modelio import (
     ModelFile,
     dumps,
@@ -16,7 +19,8 @@ from lwlattice.modelio import (
     save_model,
     write_csv,
 )
-from lwlattice.oracle import OracleConfig
+from lwlattice.oracle import OracleConfig, evaluate_moments
+from lwlattice.solver import SigmaModel, dyson_solve
 
 
 #: Values a lossless format must read back as floats of the same sign.
@@ -168,6 +172,68 @@ class TestFloatFormat:
     def test_numpy_scalars_serialized(self):
         text = dumps({"a": np.float64(0.5), "b": np.int64(3), "c": np.bool_(True)})
         assert json.loads(text) == {"a": 0.5, "b": 3, "c": True}
+
+
+def assert_builtins(value):
+    """Only the exact builtin types json prints, at every depth."""
+    assert type(value) in (dict, list, str, bool, int, float), type(value)
+    if type(value) is dict:
+        assert all(type(key) is str for key in value)
+        value = list(value.values())
+    if type(value) is list:
+        for item in value:
+            assert_builtins(item)
+
+
+class TestResultJson:
+    QUAD = OracleConfig(nodes_per_dim=16)
+
+    def records(self):
+        u = DiagonalQuartic([[1.0, 0.3], [0.3, 1.0]])
+        mc = OracleConfig(mode="monte_carlo", samples=640, seed=1, want_fourth_moments=True)
+        return {
+            "moments": evaluate_moments(SymMatrix(np.eye(2)), u, self.QUAD),
+            "moments_mc": evaluate_moments(SymMatrix(np.eye(2)), u, mc),
+            "lw": lw_evaluate(SpdMatrix([[0.8, 0.1], [0.1, 0.9]]), u, self.QUAD),
+            "trace": dyson_solve(SymMatrix(np.eye(2)), u, SigmaModel.BOLD1, cfg=self.QUAD),
+            "check": verify.check_gradient_omega(SymMatrix(np.eye(2)), u, self.QUAD),
+        }
+
+    def test_field_order_and_keys(self):
+        out = {name: record.to_dict() for name, record in self.records().items()}
+        # fields in declaration order, None fields left out
+        assert list(out["moments"]) == ["omega", "green", "mean_interaction"]
+        assert list(out["moments_mc"]) == [
+            "omega", "green", "mean_interaction", "pair_moments", "std_errors"
+        ]
+        assert list(out["moments_mc"]["std_errors"]) == ["omega", "green"]
+        assert np.shape(out["moments_mc"]["pair_moments"]) == (3, 3)
+        assert list(out["lw"]) == [
+            "a_of_g", "universal_f", "phi", "phi0", "sigma_exact", "entropy",
+            "mean_interaction", "solver_iterations", "residual",
+        ]
+        assert list(out["trace"]) == ["iterates", "converged", "final_green"]
+        assert list(out["trace"]["iterates"][0]) == ["iteration", "residual", "free_energy"]
+        assert list(out["check"]) == ["name", "passed", "metric", "threshold", "details"]
+
+    def test_values_are_builtins_and_dumps_agrees(self):
+        for record in self.records().values():
+            out = record.to_dict()
+            assert_builtins(out)
+            assert json.loads(dumps(record)) == out
+            assert dumps(record) == dumps(out)
+
+    def test_plain_rule(self):
+        @dataclass
+        class Inner:
+            x: object
+            gone: object = None
+
+        value = {"t": (np.int64(2), Inner(np.float64(0.5))), "kept": None, "m": SymMatrix([[1.0]])}
+        out = plain(value)
+        assert out == {"t": [2, {"x": 0.5}], "kept": None, "m": [[1.0]]}
+        assert_builtins(out["t"])
+        assert plain(np.arange(3)) == [0, 1, 2] and plain("s") == "s"
 
 
 class TestMatrixFile:

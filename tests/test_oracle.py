@@ -550,20 +550,24 @@ class TestMonteCarlo:
         assert rep.std_errors.omega > 0.0
         assert np.all(rep.std_errors.green > 0.0)
 
-    def test_fourth_moment_errors_symmetric_positive(self):
-        cfg = OracleConfig(mode="monte_carlo", samples=200_000, seed=9, want_fourth_moments=True)
-        u = DiagonalQuartic([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        se = evaluate_moments(SymMatrix(A3), u, cfg).std_errors.pair_moments
-        assert se.shape == (6, 6)
-        assert np.all(se > 0.0)
-        assert_pairings_agree(se, 3, 1e-10)
-
     def test_gaussian_fourth_moments_within_errors(self):
-        # independent oracle: Wick pairing; plain sampling of N(0, A^-1)
-        cfg = OracleConfig(mode="monte_carlo", samples=200_000, seed=9, want_fourth_moments=True)
-        rep = evaluate_moments(SymMatrix(A3), ZeroInteraction(3), cfg)
-        err = np.abs(rep.pair_moments - at_pairs(wick(np.linalg.inv(A3))))
-        assert np.all(err <= 4.0 * rep.std_errors.pair_moments)
+        # independent oracle: Wick pairing; plain sampling of N(0, A^-1). The
+        # error of the mean over eight seeds is their spread over sqrt(8).
+        blocks = np.array(
+            [
+                evaluate_moments(
+                    SymMatrix(A3),
+                    ZeroInteraction(3),
+                    OracleConfig(
+                        mode="monte_carlo", samples=200_000, seed=seed, want_fourth_moments=True
+                    ),
+                ).pair_moments
+                for seed in range(8)
+            ]
+        )
+        se = blocks.std(axis=0, ddof=1) / np.sqrt(len(blocks))
+        err = np.abs(blocks.mean(axis=0) - at_pairs(wick(np.linalg.inv(A3))))
+        assert np.all(err <= 4.0 * se)
 
     def test_quadrature_has_no_std_errors(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), ZeroInteraction(1), QUAD)
@@ -656,6 +660,26 @@ class TestErrors:
         n = 7
         with pytest.raises(DimensionCap):
             evaluate_moments(SymMatrix(np.eye(n)), ZeroInteraction(n), QUAD)
+
+    def test_grid_cap_before_any_node(self, monkeypatch):
+        # n = 5 and 30 nodes are each within their caps, 30^5 points are not
+        monkeypatch.setattr(oracle, "_grid_chunks", lambda *args: pytest.fail("grid built"))
+        with pytest.raises(DimensionCap, match=r"tensor grid of 30\^5 points"):
+            evaluate_moments(SymMatrix(np.eye(5)), ZeroInteraction(5), OracleConfig(nodes_per_dim=30))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"mode": "exact"}, "mode must be one of"),
+            ({"seed": 2**64}, "seed must fit in 64 unsigned bits"),
+            ({"envelope_floor": 0.0}, "envelope_floor must be a positive number"),
+            ({"envelope_floor": float("nan")}, "envelope_floor must be a positive number"),
+            ({"envelope_floor": True}, "envelope_floor must be a positive number"),
+        ],
+    )
+    def test_config_rejected(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            OracleConfig(**fields)
 
     def test_node_cap(self):
         assert QUAD_NODE_CAP <= QUAD_CHUNK  # the slab split keeps a tail axis

@@ -114,6 +114,29 @@ class TestDysonSolve:
         with pytest.raises(IterateLeftCone):
             dyson_solve(SymMatrix([[0.5]]), u, SigmaModel.BOLD1, tol=1e-10)
 
+    def test_damping_floor_raises(self, monkeypatch):
+        # after the first iterate A - Sigma[G] is pushed out of the cone, so
+        # every retry halves the mixing until it falls below the floor
+        model_terms = solver._model_terms
+        evaluations = []
+
+        def leaving_terms(*args, **kwargs):
+            terms = model_terms(*args, **kwargs)
+
+            def shifted(g):
+                evaluations.append(g)
+                sigma, phi = terms(g)
+                shift = 0.0 if len(evaluations) == 1 else 10.0
+                return SymMatrix(sigma.mat + shift * np.eye(g.n)), phi
+
+            return shifted
+
+        monkeypatch.setattr(solver, "_model_terms", leaving_terms)
+        with pytest.raises(IterateLeftCone, match="damping floor"):
+            dyson_solve(SymMatrix(A2), DiagonalQuartic(V2), SigmaModel.BOLD1)
+        # one accepted iterate, then mixing 1/4, 1/8, ..., 1/64 and 1/128 < DAMPING_FLOOR
+        assert len(evaluations) == 1 + 6
+
 
 class TestAndersonMixing:
     """dyson_solve against the plain damped fixed point of tests/oracles.py."""
