@@ -112,16 +112,27 @@ class ZeroInteraction(Interaction):
         return f"ZeroInteraction({self.n})"
 
 
+def _quadratic_form(mat: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """s' M s for every column s of the (k, m) array cols.
+
+    One BLAS product and a sum over k rows. The moment oracle hands over
+    F-ordered (m, n) points, so cols, built from their transpose, is C-ordered
+    and every row of the sum is contiguous.
+    """
+    out = mat @ cols
+    out *= cols
+    return out.sum(axis=0)
+
+
 class DiagonalQuartic(Interaction):
     """U(x) = (1/8) sum_ij v_ij x_i^2 x_j^2 with symmetric coupling v."""
 
     def __init__(self, v):
         v = SymMatrix.coerce(v)
-        self._freeze(v=v, n=v.n)
+        self._freeze(v=v, n=v.n, _v8=v.mat / 8.0)
 
     def _evaluate(self, batch):
-        sq = batch * batch
-        return 0.125 * np.einsum("mi,ij,mj->m", sq, self.v.mat, sq)
+        return _quadratic_form(self._v8, (batch * batch).T)
 
     def to_dict(self):
         return {"type": "diagonal_quartic", "v": self.v.mat.tolist()}
@@ -194,8 +205,7 @@ class GeneralQuartic(Interaction):
         self._freeze(w=w, n=w.shape[0], _pair_weights=pair_weights)
 
     def _evaluate(self, batch):
-        pairs = pair_products(batch)
-        return np.einsum("mp,mp->m", pairs @ self._pair_weights, pairs)
+        return _quadratic_form(self._pair_weights, pair_products(batch).T)
 
     def to_dict(self):
         return {"type": "general_quartic", "n": self.n, "w": self.w.ravel().tolist()}
@@ -243,7 +253,8 @@ class ComposedInteraction(Interaction):
         self._freeze(inner=inner, map=linmap, n=inner.n)
 
     def _evaluate(self, batch):
-        return self.inner._evaluate(batch @ self.map.mat.T)
+        # (T x')' is F-ordered, the layout the moment oracle hands over
+        return self.inner._evaluate((self.map.mat @ batch.T).T)
 
     def to_dict(self):
         return {
@@ -355,7 +366,22 @@ def validate_growth(u: Interaction) -> GrowthReport:
     zero factor makes it ZERO_INTERACTION, and composition with an
     invertible map preserves the class (``LinearMap`` accepts only
     well-conditioned maps, so c1 |x| <= |T x| <= c2 |x|).
+
+    An interaction is immutable, so its report is computed once and kept on
+    it, outside ``to_dict``, equality and pickling. An object that cannot
+    take the attribute is screened on every call.
     """
+    report = getattr(u, "_growth", None)
+    if report is None:
+        report = _screen_growth(u)
+        try:
+            object.__setattr__(u, "_growth", report)
+        except (AttributeError, TypeError):
+            pass
+    return report
+
+
+def _screen_growth(u: Interaction) -> GrowthReport:
     factor, base, _ = _unwound(u)
     if factor == 0.0 or isinstance(base, ZeroInteraction):
         return GrowthReport(Growth.ZERO_INTERACTION)

@@ -52,13 +52,13 @@ MC_BATCHES = 64
 #: grow linearly with the count: each of the MC_BATCHES batches holds its
 #: samples // 64 points (and their pair products) at once. On a 2-core Xeon,
 #: at A = I + J / 10 and U = DiagonalQuartic(I), one call at 8e5 and 3.2e6
-#: samples peaked (tracemalloc) at 2.3 and 9.2 MiB in 0.21 and 0.75 s for
-#: n = 6 G-only, at 6.5 and 25 MiB in 0.97 and 3.8 s for n = 20 G-only. With
-#: pair moments the peak is a fixed part (the 64 batch sums of the pair
-#: block) plus a slope: 0.3 MiB + 7.3 B per sample at n = 6, 24 MiB + 57 B
-#: at n = 20 (fitted at 8e5, 1.6e6 and 3.2e6; 1.2 and 12.5 s at 3.2e6), and
-#: at n = 20 never below about 50 MiB. Extrapolated to the cap: n = 6 at
-#: about 70 MiB and 4 s, n = 20 at about 0.55 GiB and 40 s.
+#: samples peaked (tracemalloc) at 2.8 and 11 MiB in 0.19-0.24 and 0.86-0.89 s
+#: for n = 6 G-only, at 8.3 and 33 MiB in 0.64-0.75 and 2.7 s for n = 20
+#: G-only (three calls each). With pair moments the peak is a fixed part (the
+#: 64 batch sums of the pair block) plus a slope: 0.3 MiB + 7.3 B per sample
+#: at n = 6, 24 MiB + 57 B at n = 20 (fitted at 8e5, 1.6e6 and 3.2e6; 1.2 and
+#: 12.5 s at 3.2e6), and at n = 20 never below about 50 MiB. Extrapolated to
+#: the cap: n = 6 at about 70 MiB and 4 s, n = 20 at about 0.55 GiB and 40 s.
 MC_SAMPLE_CAP = 10_000_000
 #: Hard cap on tensor-grid size (nodes_per_dim ** n). The grid is evaluated
 #: in chunks, so memory does not bound it; time does: at 64^4 = 16.7M points
@@ -359,7 +359,9 @@ def _moments(
         w = np.exp(logw - shifts[-1])
         s0.append(w.sum())
         s2.append((w[:, None] * x).T @ x)
-        su.append(w @ uvals)
+        # not w @ uvals: OpenBLAS threads a dot product of more than 10000
+        # elements, which can stall for milliseconds on a loaded host
+        su.append(np.einsum("m,m->", w, uvals))
         if cfg.want_fourth_moments:
             pairs = pair_products(x)
             s4.append((w[:, None] * pairs).T @ pairs)

@@ -274,12 +274,13 @@ def check_selfenergy_gradient(g: SpdMatrix, u: Interaction, cfg: OracleConfig) -
     """Directional derivatives of Phi against Tr[Sigma dG]."""
     threshold = _bound(cfg, "selfenergy_gradient")
     g = SpdMatrix.coerce(g)
-    sigma = lw_evaluate(g, u, cfg, tol=1e-10).sigma_exact.mat
+    center = lw_evaluate(g, u, cfg, tol=1e-10)
+    # the finite-difference points lie within FD_STEP of g: A[g] starts their solves
     return _directional_check(
         "selfenergy_gradient",
-        lambda mat: lw_evaluate(SpdMatrix(mat), u, cfg, tol=1e-10).phi,
+        lambda mat: lw_evaluate(SpdMatrix(mat), u, cfg, tol=1e-10, a_init=center.a_of_g).phi,
         g.mat,
-        sigma,
+        center.sigma_exact.mat,
         202,
         threshold,
     )

@@ -1,5 +1,6 @@
 import itertools
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from lwlattice.interactions import (
     DiagonalQuartic,
     GeneralQuartic,
     Growth,
+    GrowthReport,
     Interaction,
     ScaledInteraction,
     ZeroInteraction,
@@ -30,7 +32,8 @@ from lwlattice.interactions import (
     restrict,
     validate_growth,
 )
-from lwlattice.matrices import LinearMap
+from lwlattice.matrices import LinearMap, SymMatrix
+from lwlattice.oracle import OracleConfig, evaluate_moments
 
 
 def random_points(n, count, seed=0):
@@ -98,6 +101,55 @@ class TestGeneralQuarticPairs:
 def symmetric_tensor(n, seed):
     raw = np.random.default_rng(seed).standard_normal((n,) * 4)
     return sum(np.transpose(raw, perm) for perm in itertools.permutations(range(4))) / 24.0
+
+
+def quartic_cases(n, seed):
+    """One interaction of each library quartic class in dimension n."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-0.5, 1.0, (n, n))
+    shear = LinearMap(np.eye(n) + np.triu(rng.uniform(-0.5, 0.5, (n, n)), 1))
+    general = GeneralQuartic(symmetric_tensor(n, seed))
+    return [
+        DiagonalQuartic(v + v.T),
+        general,
+        ScaledInteraction(0.7, general),
+        ComposedInteraction(DiagonalQuartic(v + v.T), shear),
+    ]
+
+
+class TestEveryQuarticAgainstDirectSum:
+    """Batch evaluation against the n^4 sum over the materialized tensor."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_batch_in_either_layout(self, n):
+        pts = random_points(n, 300, seed=n) * 1.5
+        for u in quartic_cases(n, seed=10 + n):
+            # composing with the identity expands every class to a full tensor
+            direct = direct_quartic(materialize(compose(u, LinearMap(np.eye(n)))).w, pts)
+            scale = np.abs(direct).max()
+            rows = u.evaluate(pts)
+            columns = u.evaluate(np.asfortranarray(pts))
+            assert np.abs(rows - direct).max() <= 1e-12 * scale, u
+            assert np.abs(columns - rows).max() <= 1e-14 * scale, u
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_single_point_is_its_row(self, n):
+        pts = random_points(n, 40, seed=20 + n)
+        for u in quartic_cases(n, seed=30 + n):
+            batch = u.evaluate(np.asfortranarray(pts))
+            single = [u.evaluate(p) for p in pts]
+            assert np.abs(batch - single).max() <= 1e-14 * np.abs(batch).max(), u
+
+    def test_diagonal_quartic_at_twenty_sites(self):
+        n = 20
+        rng = np.random.default_rng(5)
+        v = rng.uniform(-0.2, 1.0, (n, n))
+        v = v + v.T
+        pts = np.asfortranarray(random_points(n, 500, seed=5))
+        sq = pts * pts
+        direct = sum(v[i, j] * sq[:, i] * sq[:, j] for i in range(n) for j in range(n)) / 8.0
+        got = DiagonalQuartic(v).evaluate(pts)
+        assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def library_subclasses(cls):
@@ -364,6 +416,32 @@ class TestGrowth:
         w[0, 0, 0, 0] = 1.0
         w[1, 1, 1, 1] = -1.0  # negative along e_2
         assert validate_growth(GeneralQuartic(w)).kind is Growth.UNVERIFIED
+
+    def test_screen_runs_once_per_interaction(self, monkeypatch):
+        screened = []
+        grid = interactions._direction_grid
+        monkeypatch.setattr(interactions, "_direction_grid", lambda n: screened.append(n) or grid(n))
+        u = materialize(compose(DiagonalQuartic(np.eye(2)), LinearMap([[1.0, 0.2], [-0.3, 1.0]])))
+        a = SymMatrix([[0.5, 0.1], [0.1, -0.2]])  # indefinite: the report decides the envelope
+        for _ in range(3):
+            evaluate_moments(a, u, OracleConfig(nodes_per_dim=8))
+        assert screened == [2]
+        report = validate_growth(u)
+        assert report.kind is Growth.SUPERQUADRATIC and report.screened
+        # the report is kept outside the value: a copy equals u and screens anew
+        again = pickle.loads(pickle.dumps(u))
+        assert again == u and again.to_dict() == u.to_dict()
+        assert validate_growth(again) == report and screened == [2, 2]
+
+    def test_object_that_cannot_hold_the_report(self):
+        class Slotted:
+            __slots__ = ("n",)
+
+            def __init__(self):
+                self.n = 2
+
+        u = Slotted()
+        assert validate_growth(u) == validate_growth(u) == GrowthReport(Growth.UNVERIFIED)
 
     def test_direction_grid_built_once_and_read_only(self):
         dirs = _direction_grid(3)

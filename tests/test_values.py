@@ -62,7 +62,7 @@ def build(cls, arr):
 
 
 def assert_read_only(value):
-    for name in ("mat", "chol", "w", "_pair_weights"):
+    for name in ("mat", "chol", "w", "_pair_weights", "_v8"):
         arr = getattr(value, name, None)
         if arr is not None:
             assert not arr.flags.writeable, name

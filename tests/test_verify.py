@@ -143,6 +143,21 @@ class TestSelfEnergyGradient:
         )
         assert report.passed
 
+    def test_difference_solves_start_from_the_centre(self, monkeypatch):
+        calls = []
+        solve = verify.lw_evaluate
+
+        def recorded(g, u, cfg, **kwargs):
+            result = solve(g, u, cfg, **kwargs)
+            calls.append((kwargs.get("a_init"), result))
+            return result
+
+        monkeypatch.setattr(verify, "lw_evaluate", recorded)
+        check_selfenergy_gradient(SpdMatrix([[1.0, 0.2], [0.2, 0.8]]), DiagonalQuartic(V2), QUAD)
+        (first, center), *steps = calls
+        assert first is None and len(steps) == 12
+        assert all(a_init is center.a_of_g for a_init, _ in steps)
+
 
 class TestSharedPieces:
     X = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
