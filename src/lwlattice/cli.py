@@ -20,7 +20,7 @@ from .duality import inverse_map, lw_evaluate
 from .errors import LwlatticeError, ValidationError
 from .interactions import as_diagonal_quartic
 from .matrices import SpdMatrix
-from .modelio import dumps, load_matrix, load_model, write_csv
+from .modelio import ORACLE_FIELDS, dumps, load_matrix, load_model, write_csv
 from .oracle import OracleConfig, evaluate_moments
 from .solver import SigmaModel, dyson_solve, free_energy, minimize_free_energy
 from .verify import bold_residuals, run_suite, suite_names
@@ -34,11 +34,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-#: OracleConfig fields the oracle flags override; each flag's dest is its field.
-_ORACLE_FIELDS = ("mode", "nodes_per_dim", "samples", "seed")
-
-
 def _add_oracle_flags(parser):
+    """One flag per modelio.ORACLE_FIELDS entry; each flag's dest is its field."""
     parser.add_argument("--mode", choices=["quadrature", "mc"], help="oracle backend")
     parser.add_argument(
         "--quad-nodes", type=int, dest="nodes_per_dim", help="Gauss-Hermite nodes per dimension"
@@ -134,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_cfg(base: OracleConfig, args) -> OracleConfig:
     overrides = {
         name: getattr(args, name)
-        for name in _ORACLE_FIELDS
+        for name in ORACLE_FIELDS
         if getattr(args, name) is not None
     }
     if overrides.get("mode") == "mc":

@@ -69,11 +69,14 @@ class Interaction(_Frozen):
     attributes through ``_freeze``. It is what its model file stores: two are
     equal when they have the same type and the same ``to_dict()``, and copies
     and pickles are rebuilt from that dict through the validating constructors.
-    A class outside the library can be evaluated, but not materialized or
-    restricted: those raise UnsupportedInteraction.
+    Each library class decides its ``growth`` (see ``validate_growth``) in its
+    constructor. A class outside the library keeps the UNVERIFIED default; it
+    can be evaluated, but not materialized or restricted: those raise
+    UnsupportedInteraction.
     """
 
     n: int
+    growth: GrowthReport = GrowthReport(Growth.UNVERIFIED)
 
     def __eq__(self, other):
         return type(other) is type(self) and other.to_dict() == self.to_dict()
@@ -100,7 +103,7 @@ class ZeroInteraction(Interaction):
     def __init__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
             raise ValidationError(f"dimension must be a positive integer, got {n!r}")
-        self._freeze(n=int(n))
+        self._freeze(n=int(n), growth=GrowthReport(Growth.ZERO_INTERACTION))
 
     def _evaluate(self, batch):
         return np.zeros(batch.shape[0])
@@ -129,7 +132,10 @@ class DiagonalQuartic(Interaction):
 
     def __init__(self, v):
         v = SymMatrix.coerce(v)
-        self._freeze(v=v, n=v.n, _v8=v.mat / 8.0)
+        # U(x) >= (1/8) sum_i v_ii x_i^4 when v_ii > 0 and v_ij >= 0
+        confining = np.all(np.diag(v.mat) > 0.0) and np.all(v.mat >= 0.0)
+        growth = GrowthReport(Growth.SUPERQUADRATIC if confining else Growth.UNVERIFIED)
+        self._freeze(v=v, n=v.n, _v8=v.mat / 8.0, growth=growth)
 
     def _evaluate(self, batch):
         return _quadratic_form(self._v8, (batch * batch).T)
@@ -173,6 +179,16 @@ def _symmetrize_quartic_tensor(w: np.ndarray) -> np.ndarray:
     return acc / 24.0
 
 
+@lru_cache(maxsize=16)
+def _direction_grid(n: int) -> np.ndarray:
+    """Unit directions of the growth screen, built once per dimension, read-only because shared."""
+    rng = np.random.Generator(np.random.Philox(key=GROWTH_GRID_SEED))
+    z = rng.standard_normal((GROWTH_GRID_SIZE, n))
+    dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
+    dirs.setflags(write=False)
+    return dirs
+
+
 class GeneralQuartic(Interaction):
     """U(x) = sum_ijkl W_ijkl x_i x_j x_k x_l with fully symmetric W."""
 
@@ -202,7 +218,13 @@ class GeneralQuartic(Interaction):
         # U = sum_pq s_p M_pq s_q over the pair products s_p = x_i x_j, i <= j
         rows, cols, mult = pair_basis(w.shape[0])
         pair_weights = w[rows, cols][:, rows, cols] * np.outer(mult, mult)
-        self._freeze(w=w, n=w.shape[0], _pair_weights=pair_weights)
+        # the advisory screen: the form's minimum over fixed unit directions
+        dirs = _direction_grid(w.shape[0])
+        if _quadratic_form(pair_weights, pair_products(dirs).T).min() > 0.0:
+            growth = GrowthReport(Growth.SUPERQUADRATIC, screened=True)
+        else:
+            growth = GrowthReport(Growth.UNVERIFIED)
+        self._freeze(w=w, n=w.shape[0], _pair_weights=pair_weights, growth=growth)
 
     def _evaluate(self, batch):
         return _quadratic_form(self._pair_weights, pair_products(batch).T)
@@ -228,7 +250,8 @@ class ScaledInteraction(Interaction):
         if not (real and 0.0 <= factor <= sys.float_info.max):
             raise ValidationError(f"scale factor must be a finite number >= 0, got {factor!r}")
         inner = _interaction(inner)
-        self._freeze(factor=float(factor), inner=inner, n=inner.n)
+        growth = GrowthReport(Growth.ZERO_INTERACTION) if factor == 0.0 else inner.growth
+        self._freeze(factor=float(factor), inner=inner, n=inner.n, growth=growth)
 
     def _evaluate(self, batch):
         return self.factor * self.inner._evaluate(batch)
@@ -250,7 +273,7 @@ class ComposedInteraction(Interaction):
             raise DimensionMismatch(
                 f"map dimension {linmap.n} != interaction dimension {inner.n}"
             )
-        self._freeze(inner=inner, map=linmap, n=inner.n)
+        self._freeze(inner=inner, map=linmap, n=inner.n, growth=inner.growth)
 
     def _evaluate(self, batch):
         # (T x')' is F-ordered, the layout the moment oracle hands over
@@ -342,57 +365,26 @@ def as_diagonal_quartic(u: Interaction):
     raise UnsupportedInteraction(f"{name} is not a (scaled) diagonal quartic interaction")
 
 
-@lru_cache(maxsize=16)
-def _direction_grid(n: int) -> np.ndarray:
-    """Unit directions of the growth screen, built once per dimension, read-only because shared."""
-    rng = np.random.Generator(np.random.Philox(key=GROWTH_GRID_SEED))
-    z = rng.standard_normal((GROWTH_GRID_SIZE, n))
-    dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
-    dirs.setflags(write=False)
-    return dirs
-
-
 def validate_growth(u: Interaction) -> GrowthReport:
-    """Classify whether U grows faster than any quadratic.
+    """Classify whether U grows faster than any quadratic: ``u.growth``.
 
-    Sufficient entrywise condition for diagonal quartics: v_ii > 0 and
-    v_ij >= 0 gives U(x) >= (1/8) sum_i v_ii x_i^4. General quartics get an
-    advisory screen: the quartic form is minimized over GROWTH_GRID_SIZE
-    fixed random unit directions (normalised Gaussian draws from a Philox
-    stream keyed by GROWTH_GRID_SEED). A strictly positive minimum is taken
-    for U(x) >= c |x|^4, which the draws cannot prove: the form may still
-    dip below zero between them, hence ``screened``. Scaling and composition
-    are unwound first, so the class is decided on the base interaction: a
-    zero factor makes it ZERO_INTERACTION, and composition with an
-    invertible map preserves the class (``LinearMap`` accepts only
-    well-conditioned maps, so c1 |x| <= |T x| <= c2 |x|).
+    Each library interaction decides its class once, in its constructor.
+    Diagonal quartics use the sufficient entrywise condition v_ii > 0 and
+    v_ij >= 0, which gives U(x) >= (1/8) sum_i v_ii x_i^4. General quartics
+    get an advisory screen: the quartic form is minimized over
+    GROWTH_GRID_SIZE fixed random unit directions (normalised Gaussian draws
+    from a Philox stream keyed by GROWTH_GRID_SEED). A strictly positive
+    minimum is taken for U(x) >= c |x|^4, which the draws cannot prove: the
+    form may still dip below zero between them, hence ``screened``. A scaled
+    interaction is ZERO_INTERACTION at factor 0 and otherwise takes its
+    inner's class, as does a composed one (``LinearMap`` accepts only
+    well-conditioned maps, so c1 |x| <= |T x| <= c2 |x|). The report is not
+    part of ``to_dict``, so equality and pickling do not see it.
 
-    An interaction is immutable, so its report is computed once and kept on
-    it, outside ``to_dict``, equality and pickling. An object that cannot
-    take the attribute is screened on every call.
+    Anything else, including an object that is not an Interaction, is
+    UNVERIFIED.
     """
-    report = getattr(u, "_growth", None)
-    if report is None:
-        report = _screen_growth(u)
-        try:
-            object.__setattr__(u, "_growth", report)
-        except (AttributeError, TypeError):
-            pass
-    return report
-
-
-def _screen_growth(u: Interaction) -> GrowthReport:
-    factor, base, _ = _unwound(u)
-    if factor == 0.0 or isinstance(base, ZeroInteraction):
-        return GrowthReport(Growth.ZERO_INTERACTION)
-    if isinstance(base, DiagonalQuartic):
-        v = base.v.mat
-        if np.all(np.diag(v) > 0.0) and np.all(v >= 0.0):
-            return GrowthReport(Growth.SUPERQUADRATIC)
-    elif isinstance(base, GeneralQuartic):
-        if base._evaluate(_direction_grid(base.n)).min() > 0.0:
-            return GrowthReport(Growth.SUPERQUADRATIC, screened=True)
-    return GrowthReport(Growth.UNVERIFIED)
+    return u.growth if isinstance(u, Interaction) else GrowthReport(Growth.UNVERIFIED)
 
 
 def interaction_from_dict(obj: dict, n: int | None = None) -> Interaction:

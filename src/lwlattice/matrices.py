@@ -167,7 +167,12 @@ class SymMatrix(_FrozenMatrix):
         self._freeze(mat=0.5 * (arr + arr.T))
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.mat, dtype=dtype)
+        # numpy 2's copy protocol: True a fresh array, False none or ValueError;
+        # numpy 1 passes no copy and rejects np.array(..., copy=None)
+        arr = np.asarray(self.mat, dtype=dtype)
+        if copy is False and arr is not self.mat:
+            raise ValueError("a dtype change needs a copy of the matrix")
+        return arr.copy() if copy and arr is self.mat else arr
 
 
 class SpdMatrix(SymMatrix):

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .interactions import Interaction, interaction_from_dict
 from .matrices import SymMatrix, float_array, plain
-from .oracle import OracleConfig
+from .oracle import ENVELOPE_FLOOR, OracleConfig
 
 
 @dataclass(frozen=True)
@@ -40,18 +41,24 @@ class ModelFile:
         }
 
 
-#: OracleConfig fields a model file sets; the duality solver asks for fourth moments.
-_ORACLE_FIELDS = tuple(f.name for f in fields(OracleConfig) if f.name != "want_fourth_moments")
+#: OracleConfig fields a model file and the CLI flags set; the duality solver
+#: asks for fourth moments.
+ORACLE_FIELDS = tuple(f.name for f in fields(OracleConfig) if f.name != "want_fourth_moments")
 
 
 def _oracle_to_dict(cfg: OracleConfig) -> dict:
-    return {name: getattr(cfg, name) for name in _ORACLE_FIELDS}
+    return {name: getattr(cfg, name) for name in ORACLE_FIELDS}
 
 
 def oracle_from_dict(obj: dict) -> OracleConfig:
     if not isinstance(obj, dict):
         raise ParseError("'oracle' must be a JSON object")
-    unknown = set(obj) - set(_ORACLE_FIELDS)
+    # files saved while the floor was a field carry it at its one value
+    obj = dict(obj)
+    floor = obj.pop("envelope_floor", ENVELOPE_FLOOR)
+    if floor != ENVELOPE_FLOOR:
+        raise ParseError(f"envelope_floor is fixed at {ENVELOPE_FLOOR}, got {floor!r}")
+    unknown = set(obj) - set(ORACLE_FIELDS)
     if unknown:
         raise ParseError(f"unknown oracle fields: {sorted(unknown)}")
     return OracleConfig(**obj)
@@ -64,8 +71,9 @@ def model_from_dict(obj: dict) -> ModelFile:
         if key not in obj:
             raise ParseError(f"model file misses required field {key!r}")
     n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
         raise ValidationError(f"'n' must be a positive integer, got {n!r}")
+    n = int(n)
     a = SymMatrix(obj["A"])
     if a.n != n:
         raise ValidationError(f"A has dimension {a.n}, expected n = {n}")

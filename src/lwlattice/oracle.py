@@ -18,9 +18,10 @@ chunks; fourth moments are the block over the n(n+1)/2 pair products x_i x_j
 (i <= j), the statistics behind the duality solver's Newton Jacobian.
 
 The envelope matrix is B = A when lambda_min(A) >= tau and
-B = A + (tau - lambda_min(A)) I otherwise: A may be indefinite as long as the
-interaction grows super-quadratically, so the envelope must be repaired before
-it can serve as a node/proposal generator. Since A - B = -lift I, the leftover
+B = A + (tau - lambda_min(A)) I otherwise, with the constant tau =
+ENVELOPE_FLOOR: A may be indefinite as long as the interaction grows
+super-quadratically, so the envelope must be repaired before it can serve as
+a node/proposal generator. Since A - B = -lift I, the leftover
 factor exp(lift |x|^2 / 2 - U(x)) multiplies the integrand and is handled in
 log space.
 """
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from numbers import Integral, Real
+from numbers import Integral
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,7 +48,8 @@ from .matrices import SpdMatrix, SymMatrix, plain
 QUAD_DIM_CAP = 6
 DEFAULT_NODES_PER_DIM = 64
 DEFAULT_SAMPLES = 1_000_000
-DEFAULT_ENVELOPE_FLOOR = 0.5
+#: The floor tau of the repaired envelope: lambda_min(B) >= tau.
+ENVELOPE_FLOOR = 0.5
 MC_BATCHES = 64
 #: Hard cap on Monte Carlo samples, checked before any draw. Memory and time
 #: grow linearly with the count: each of the MC_BATCHES batches holds its
@@ -110,14 +113,16 @@ class OracleConfig:
     reduction order never changes. Each batch draws ``samples // MC_BATCHES``
     points, so ``samples`` is rounded down to a multiple of MC_BATCHES = 64:
     ``samples=100`` draws 64 points. ``samples`` is capped at MC_SAMPLE_CAP.
+    ``envelope_floor`` reads the constant ENVELOPE_FLOOR; it is not a field,
+    only a name kept for perfbench's lw-quad gate.
     """
 
     mode: str = "quadrature"
     nodes_per_dim: int = DEFAULT_NODES_PER_DIM
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    envelope_floor: float = DEFAULT_ENVELOPE_FLOOR
     want_fourth_moments: bool = False
+    envelope_floor: ClassVar[float] = ENVELOPE_FLOOR
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -137,13 +142,6 @@ class OracleConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 unsigned bits")
-        if not (
-            isinstance(self.envelope_floor, Real)
-            and not isinstance(self.envelope_floor, bool)
-            and np.isfinite(self.envelope_floor)
-            and self.envelope_floor > 0.0
-        ):
-            raise ValidationError("envelope_floor must be a positive number")
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ class MomentReport:
         return plain(self)
 
 
-def _envelope_lift(a: SymMatrix, u: Interaction, tau: float) -> float:
+def _envelope_lift(a: SymMatrix, u: Interaction) -> float:
     """Validate integrability; returns the scalar lift of the envelope B = A + lift I.
 
     The floor repair presumes a confining (super-quadratic) interaction that
@@ -185,7 +183,7 @@ def _envelope_lift(a: SymMatrix, u: Interaction, tau: float) -> float:
     growth = validate_growth(u)
     lam_min = np.linalg.eigvalsh(a.mat)[0]
     if growth.kind is Growth.SUPERQUADRATIC:
-        return tau - lam_min if lam_min < tau else 0.0
+        return ENVELOPE_FLOOR - lam_min if lam_min < ENVELOPE_FLOOR else 0.0
     if lam_min <= 0.0:
         raise DivergentIntegral(
             "A is not positive definite and the interaction growth is "
@@ -218,7 +216,7 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
         numerically positive definite.
     """
     a = SymMatrix.coerce(a)
-    lift = _envelope_lift(a, u, cfg.envelope_floor)
+    lift = _envelope_lift(a, u)
     n = a.n
     if cfg.mode == "monte_carlo":
         return _moments(a, u, cfg, lift, _sample_chunks(n, cfg))
@@ -332,7 +330,7 @@ def _moments(
     try:
         low = np.linalg.cholesky(a.mat + lift * np.eye(n))
     except np.linalg.LinAlgError:
-        # the lift is lost to rounding when |A| dwarfs tau
+        # the lift is lost to rounding when |A| dwarfs ENVELOPE_FLOOR
         raise NonFinite(
             f"envelope A + {lift:.3e} I is not numerically positive definite"
         ) from None
@@ -352,11 +350,14 @@ def _moments(
             raise NonFinite(f"non-finite integrand value in {cfg.mode} mode")
         logw = phi + logp
         shifts.append(logw.max())
-        keep = logw > shifts[-1] - _NEGLIGIBLE_LOGW
+        # compared after the shift: shift - _NEGLIGIBLE_LOGW rounds to shift
+        # once |shift| passes about 3.6e17, which would drop the largest point
+        logw -= shifts[-1]
+        keep = logw > -_NEGLIGIBLE_LOGW
         if not keep.all():  # a Monte Carlo batch usually keeps every draw: no copy
             # compressing the rows of x.T keeps x F-ordered
             x, uvals, logw = x.T.compress(keep, axis=1).T, uvals[keep], logw[keep]
-        w = np.exp(logw - shifts[-1])
+        w = np.exp(logw)
         s0.append(w.sum())
         s2.append((w[:, None] * x).T @ x)
         # not w @ uvals: OpenBLAS threads a dot product of more than 10000

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .interactions import Interaction, as_diagonal_quartic
 from .matrices import SpdMatrix, SymMatrix, cholesky_factor, logdet_spd, min_eigenvalue, plain
-from .oracle import OracleConfig
+from .oracle import ENVELOPE_FLOOR, OracleConfig
 
 DEFAULT_DAMPING = 0.5
 DAMPING_FLOOR = 1.0 / 64.0
@@ -151,10 +151,10 @@ def _check_solvable(a: SymMatrix, model: SigmaModel):
         raise ValidationError("the non-interacting Green's function requires A to be SPD")
 
 
-def _initial_green(a: SymMatrix, tau: float) -> SpdMatrix:
-    """A^-1, or the inverse of the tau-repaired A when A is not SPD."""
+def _initial_green(a: SymMatrix) -> SpdMatrix:
+    """A^-1, or the inverse of A repaired to ENVELOPE_FLOOR when A is not SPD."""
     lam = min_eigenvalue(a)
-    mat = a.mat if lam > 0.0 else a.mat + (tau - lam) * np.eye(a.n)
+    mat = a.mat if lam > 0.0 else a.mat + (ENVELOPE_FLOOR - lam) * np.eye(a.n)
     return SpdMatrix(np.linalg.inv(SpdMatrix(mat).mat))
 
 
@@ -207,7 +207,7 @@ def dyson_solve(
     model_terms = _model_terms(u, model, cfg, solver_tol=tol)
     _check_solvable(a, model)
 
-    green = SpdMatrix.coerce(g_init) if g_init is not None else _initial_green(a, cfg.envelope_floor)
+    green = SpdMatrix.coerce(g_init) if g_init is not None else _initial_green(a)
     alpha = damping
     history = deque(maxlen=ANDERSON_DEPTH + 1)  # (G, T(G) - G) of accepted iterates
     last = None  # the newest accepted pair, kept across history resets
@@ -277,7 +277,7 @@ def minimize_free_energy(
     a = SymMatrix.coerce(a)
     model_terms = _model_terms(u, model, cfg, solver_tol=tol)
     _check_solvable(a, model)
-    green = _initial_green(a, cfg.envelope_floor)
+    green = _initial_green(a)
     low = cholesky_factor(green.mat)
 
     sigma, phi = model_terms(green)

@@ -14,6 +14,7 @@ from lwlattice.diagrams import BoldSeries
 from lwlattice.duality import lw_evaluate
 from lwlattice.interactions import DiagonalQuartic, ScaledInteraction
 from lwlattice.matrices import SpdMatrix, SymMatrix
+from lwlattice.modelio import ORACLE_FIELDS
 from lwlattice.oracle import QUAD_NODE_CAP, OracleConfig
 
 GAUSS_1D = {"n": 1, "A": [[1.0]], "interaction": {"type": "zero"}}
@@ -43,6 +44,17 @@ class TestOracleCommand:
         assert payload["omega"] == pytest.approx(-0.91893853320467274, abs=1e-12)
         assert payload["green"] == [[pytest.approx(1.0)]]
         assert "std_errors" not in payload
+
+    def test_flags_override_every_model_file_field(self):
+        # the flags and the model file set the one list of OracleConfig fields
+        assert set(ORACLE_FIELDS) == {"mode", "nodes_per_dim", "samples", "seed"}
+        from_file = OracleConfig(nodes_per_dim=8)
+        argv = ["oracle", "--model", "m.json"]
+        flags = ["--mode", "mc", "--quad-nodes", "12", "--mc-samples", "640", "--seed", "3"]
+        args = cli.build_parser().parse_args(argv + flags)
+        want = OracleConfig(mode="monte_carlo", nodes_per_dim=12, samples=640, seed=3)
+        assert cli._resolve_cfg(from_file, args) == want
+        assert cli._resolve_cfg(from_file, cli.build_parser().parse_args(argv)) == from_file
 
     def test_out_file(self, tmp_path, model_path):
         out = tmp_path / "report.json"
@@ -111,6 +123,21 @@ class TestOracleCommand:
         )
         assert done.returncode == 3
         assert done.stderr.startswith("error: non-finite integrand value")
+
+    def test_huge_coupling_exit_zero_under_warnings_as_errors(self, model_path):
+        # log-weights near -1e20: the negligible-point screen keeps each chunk's largest
+        steep = {"n": 1, "A": [[1.0]], "interaction": {"type": "diagonal_quartic", "v": [[1e24]]}}
+        path = model_path(steep)
+        src = os.path.dirname(os.path.dirname(lwlattice.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lwlattice.cli", "oracle", "--model", path],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert np.isfinite(json.loads(done.stdout)["omega"])
 
     def test_deep_well_reports_omega_not_z(self, capsys, model_path):
         # Z = exp(-Omega) overflows a float here; warnings fail this suite

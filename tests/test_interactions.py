@@ -63,6 +63,14 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatch):
             DiagonalQuartic([[1.0]]).evaluate([1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((4, 3), "points have dimension 3, expected 2"), ((2, 4, 2), "ndim=3")],
+    )
+    def test_points_of_the_wrong_shape(self, shape, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            DiagonalQuartic(np.eye(2)).evaluate(np.ones(shape))
+
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.0, 8.0), st.integers(0, 2**31))
     def test_scaled_is_exact_multiple(self, factor, seed):
@@ -189,6 +197,10 @@ class TestEvenness:
 
 
 class TestCompose:
+    def test_map_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch, match="map dimension 3 != interaction dimension 2"):
+            ComposedInteraction(DiagonalQuartic(np.eye(2)), LinearMap.identity(3))
+
     def test_identity_map(self):
         u = DiagonalQuartic([[1.0, 0.4], [0.4, 1.0]])
         composed = compose(u, LinearMap.identity(2))
@@ -433,6 +445,26 @@ class TestGrowth:
         assert again == u and again.to_dict() == u.to_dict()
         assert validate_growth(again) == report and screened == [2, 2]
 
+    def test_report_is_decided_at_construction(self):
+        diag = DiagonalQuartic([[1.0, 0.5], [0.5, 1.0]])
+        shear = LinearMap([[1.0, 0.2], [-0.3, 1.0]])
+        superquadratic = GrowthReport(Growth.SUPERQUADRATIC)
+        assert ZeroInteraction(2).growth == GrowthReport(Growth.ZERO_INTERACTION)
+        assert diag.growth == superquadratic
+        assert materialize(compose(diag, shear)).growth == GrowthReport(
+            Growth.SUPERQUADRATIC, screened=True
+        )
+        assert ScaledInteraction(2.0, diag).growth == superquadratic
+        assert ScaledInteraction(0.0, diag).growth == GrowthReport(Growth.ZERO_INTERACTION)
+        assert ComposedInteraction(diag, shear).growth == superquadratic
+
+        class Custom(Interaction):
+            n = 2
+
+        assert Custom().growth == validate_growth(Custom()) == GrowthReport(Growth.UNVERIFIED)
+        with pytest.raises(AttributeError):
+            diag.growth = GrowthReport(Growth.UNVERIFIED)
+
     def test_object_that_cannot_hold_the_report(self):
         class Slotted:
             __slots__ = ("n",)
@@ -606,6 +638,15 @@ class TestJson:
     def test_missing_field(self):
         with pytest.raises(ParseError):
             interaction_from_dict({"type": "diagonal_quartic"})
+
+    def test_not_an_object(self):
+        with pytest.raises(ParseError, match="object with a 'type' field"):
+            interaction_from_dict([["zero"]])
+
+    def test_zero_without_a_dimension(self):
+        with pytest.raises(ParseError, match="needs a dimension"):
+            interaction_from_dict({"type": "zero"})
+        assert interaction_from_dict({"type": "zero"}, 2) == ZeroInteraction(2)
 
     def test_flat_tensor_length_checked(self):
         with pytest.raises(ParseError):

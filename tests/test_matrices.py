@@ -155,12 +155,38 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             SymMatrix([[1.0, 0.0]])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="positive dimension"):
+            SymMatrix(np.zeros((0, 0)))
+
     def test_immutability(self):
         s = SymMatrix(np.eye(2))
         with pytest.raises((ValueError, AttributeError)):
             s.mat[0, 0] = 5.0
         with pytest.raises(AttributeError):
             s.mat = np.zeros((2, 2))
+
+    @pytest.mark.parametrize("copy", [True, None])
+    def test_array_copy_is_fresh_and_writeable(self, copy):
+        s = SymMatrix([[1.0, 0.5], [0.5, 2.0]])
+        arr = np.array(s) if copy is None else np.array(s, copy=copy)
+        assert not np.shares_memory(arr, s.mat) and arr.flags.writeable
+        arr[0, 0] = 5.0
+        assert s.mat[0, 0] == 1.0
+
+    def test_array_without_copy_is_the_read_only_entries(self):
+        s = SymMatrix([[1.0, 0.5], [0.5, 2.0]])
+        assert np.asarray(s) is s.mat and np.array(s, copy=False) is s.mat
+        assert np.array(s, dtype=np.float32).dtype == np.float32
+        with pytest.raises(ValueError):
+            np.array(s, dtype=np.float32, copy=False)
+
+    def test_array_called_without_copy(self):
+        # numpy 1 calls __array__() and __array__(dtype) with no copy argument
+        s = SymMatrix([[1.0, 0.5], [0.5, 2.0]])
+        assert s.__array__() is s.mat
+        arr = s.__array__(np.float32)
+        assert arr.dtype == np.float32 and np.array_equal(arr, s.mat)
 
     def test_spd_caches_factor(self):
         g = SpdMatrix([[4.0, 2.0], [2.0, 5.0]])

@@ -112,6 +112,50 @@ class TestLoadModel:
         assert model.oracle.samples == 4096
         assert model.oracle.seed == 7
 
+    def test_numpy_integer_dimension(self):
+        obj = {"n": np.int64(2), "A": np.eye(2).tolist(), "interaction": {"type": "zero"}}
+        model = model_from_dict(obj)
+        assert type(model.n) is int and model.n == 2
+        assert json.loads(dumps(model.to_dict()))["n"] == 2
+        with pytest.raises(ValidationError, match="positive integer"):
+            model_from_dict({**obj, "n": np.True_})
+        with pytest.raises(ValidationError, match="positive integer"):
+            model_from_dict({**obj, "n": True})
+
+    def test_not_an_object(self):
+        with pytest.raises(ParseError, match="JSON object"):
+            model_from_dict([1, 2])
+
+    def test_interaction_of_another_dimension(self):
+        inner = {"type": "zero", "n": 3}
+        with pytest.raises(ValidationError, match="interaction has dimension 3"):
+            model_from_dict({"n": 2, "A": np.eye(2).tolist(), "interaction": inner})
+
+    @pytest.mark.parametrize("floor", [1.0, 0.25, "0.5", None])
+    def test_envelope_floor_is_not_a_model_setting(self, tmp_path, floor):
+        gauss = {"n": 1, "A": [[1.0]], "interaction": {"type": "zero"}}
+        path = write(tmp_path, "m.json", {**gauss, "oracle": {"envelope_floor": floor}})
+        with pytest.raises(ParseError, match="envelope_floor"):
+            load_model(path)
+
+    def test_file_saved_with_the_envelope_floor_field_loads(self, tmp_path):
+        # as save_model wrote every file while the floor was an OracleConfig field
+        saved = {
+            "n": 2,
+            "A": [[1.0, 0.25], [0.25, 2.0]],
+            "interaction": {"type": "diagonal_quartic", "v": [[0.1, 0.0], [0.0, 0.2]]},
+            "oracle": {
+                "mode": "quadrature",
+                "nodes_per_dim": 64,
+                "samples": 1000000,
+                "seed": 0,
+                "envelope_floor": 0.5,
+            },
+        }
+        model = load_model(write(tmp_path, "m.json", saved))
+        assert model.oracle == OracleConfig(samples=1000000)
+        assert "envelope_floor" not in model.to_dict()["oracle"]
+
     def test_unknown_oracle_field(self, tmp_path):
         path = write(
             tmp_path,
@@ -150,14 +194,13 @@ class TestRoundTrip:
             n=2,
             a=SymMatrix([[1.0, -0.0], [-0.0, 2.0**60]]),
             interaction=DiagonalQuartic([[1e-300, 0.0], [0.0, 1.0]]),
-            oracle=OracleConfig(envelope_floor=1.0),
+            oracle=OracleConfig(),
         )
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         assert_same_floats(loaded.a.mat.ravel().tolist(), [1.0, -0.0, -0.0, 2.0**60])
         assert np.array_equal(loaded.interaction.v.mat, model.interaction.v.mat)
-        assert_same_floats([loaded.oracle.envelope_floor], [1.0])
 
 
 class TestFloatFormat:
@@ -248,6 +291,11 @@ class TestMatrixFile:
     def test_bad_shape(self, tmp_path):
         path = write(tmp_path, "g.json", [1.0, 2.0])
         with pytest.raises(ParseError):
+            load_matrix(path)
+
+    def test_object_without_a_matrix_key(self, tmp_path):
+        path = write(tmp_path, "g.json", {"green": [[1.0]]})
+        with pytest.raises(ParseError, match="no 'G', 'A' or 'matrix' field"):
             load_matrix(path)
 
 

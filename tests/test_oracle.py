@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import warnings
@@ -26,6 +27,7 @@ from lwlattice.interactions import (
 )
 from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix
 from lwlattice.oracle import (
+    ENVELOPE_FLOOR,
     MC_BATCHES,
     MC_SAMPLE_CAP,
     QUAD_CHUNK,
@@ -382,7 +384,7 @@ class TestChunkBufferReuse:
     def assert_stream_matches_whole_grid(a, u, nodes):
         """The folded stream against _moments over the whole unfolded grid."""
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
-        lift = _envelope_lift(a, u, cfg.envelope_floor)
+        lift = _envelope_lift(a, u)
         streamed = _moments(a, u, cfg, lift, _grid_chunks(3, nodes))
         whole = _moments(a, u, cfg, lift, [whole_grid(3, nodes)])
         assert streamed.omega == pytest.approx(whole.omega, rel=1e-14, abs=0.0)
@@ -411,7 +413,7 @@ class TestChunkBufferReuse:
     def test_other_integrands_match_the_whole_grid(self, case, nodes):
         a, u = {"sheared": (self.A, self.SHEARED), "unrepaired": (self.A_SPD, self.U)}[case]
         if case == "unrepaired":
-            assert np.linalg.eigvalsh(a.mat)[0] >= OracleConfig().envelope_floor
+            assert np.linalg.eigvalsh(a.mat)[0] >= ENVELOPE_FLOOR
         self.assert_stream_matches_whole_grid(a, u, nodes)
 
     def test_repeated_calls_bit_identical(self):
@@ -466,7 +468,7 @@ class TestNegligiblePoints:
         a, u = self.CASES[case]
         cfg = OracleConfig(nodes_per_dim=64, want_fourth_moments=True)
         rep = evaluate_moments(a, u, cfg)
-        omega, green, block = oracles.grid_moments(a.mat, u, 64, cfg.envelope_floor)
+        omega, green, block = oracles.grid_moments(a.mat, u, 64, ENVELOPE_FLOOR)
         assert abs(rep.omega - omega) <= 1e-14
         assert np.abs(rep.green.mat - green).max() <= 2e-14 * np.abs(green).max()
         assert np.abs(rep.pair_moments - block).max() <= 2e-14 * np.abs(block).max()
@@ -518,6 +520,27 @@ class TestNegligiblePoints:
             warnings.simplefilter("error")
             with pytest.raises(NonFinite, match="non-finite integrand value"):
                 evaluate_moments(SymMatrix(np.eye(2)), ScaledInteraction(1e305, inner), QUAD)
+
+    # omega / v at 1e20 (quadrature) and 1e26 (Monte Carlo): the points with
+    # the least U carry all the weight, so omega is linear in v from there on
+    @pytest.mark.parametrize(
+        "cfg, v, v_ref",
+        [
+            (OracleConfig(nodes_per_dim=64), 1e24, 1e20),
+            (OracleConfig(mode="monte_carlo", samples=6400, seed=1), 1e30, 1e26),
+        ],
+    )
+    def test_largest_point_kept_at_huge_log_weights(self, cfg, v, v_ref):
+        # some chunk's largest log-weight lies far past -3.6e17, where
+        # shift - _NEGLIGIBLE_LOGW rounds to shift itself
+        a = SymMatrix([[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = evaluate_moments(a, DiagonalQuartic([[v]]), cfg)
+            ref = evaluate_moments(a, DiagonalQuartic([[v_ref]]), cfg)
+        assert np.isfinite(rep.omega) and np.all(np.isfinite(rep.green.mat))
+        assert rep.omega / v == pytest.approx(ref.omega / v_ref, rel=1e-6)
+        assert rep.green.mat[0, 0] == pytest.approx(ref.green.mat[0, 0], rel=1e-6)
 
 
 class TestConcavity:
@@ -672,14 +695,17 @@ class TestErrors:
         [
             ({"mode": "exact"}, "mode must be one of"),
             ({"seed": 2**64}, "seed must fit in 64 unsigned bits"),
-            ({"envelope_floor": 0.0}, "envelope_floor must be a positive number"),
-            ({"envelope_floor": float("nan")}, "envelope_floor must be a positive number"),
-            ({"envelope_floor": True}, "envelope_floor must be a positive number"),
         ],
     )
     def test_config_rejected(self, fields, message):
         with pytest.raises(ValidationError, match=message):
             OracleConfig(**fields)
+
+    def test_envelope_floor_is_a_constant(self):
+        assert "envelope_floor" not in {f.name for f in dataclasses.fields(OracleConfig)}
+        assert OracleConfig().envelope_floor == ENVELOPE_FLOOR == 0.5
+        with pytest.raises(TypeError):
+            OracleConfig(envelope_floor=1.0)
 
     def test_node_cap(self):
         assert QUAD_NODE_CAP <= QUAD_CHUNK  # the slab split keeps a tail axis

@@ -183,6 +183,14 @@ class TestSharedPieces:
         assert not verify._report("slope", 2.5, 2.8, {}, at_least=True).passed
         assert not verify._report("slope", nan, 2.8, {}, at_least=True).passed
 
+    def test_slope_needs_two_residuals_above_the_noise_floor(self):
+        eps = np.array([1e-3, 2e-3, 4e-3])
+        floor = verify.SLOPE_NOISE_FLOOR
+        slope = verify._fit_slope(eps, np.array([floor / 2, floor, 4e-9]))
+        assert np.isnan(slope)
+        assert not verify._report("slope", slope, 1.8, {}, at_least=True).passed
+        assert verify._fit_slope(eps, np.array([floor / 2, 1e-9, 4e-9])) == pytest.approx(2.0)
+
     def test_report_dict_key_order(self):
         report = verify._report("bound", 0.5, 1.0, {"b": 1, "a": 2})
         assert list(report.to_dict()) == ["name", "passed", "metric", "threshold", "details"]
