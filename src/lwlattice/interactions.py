@@ -330,8 +330,11 @@ def materialize(u: Interaction) -> Interaction:
     else:
         raise UnsupportedInteraction(f"cannot materialize {type(base).__name__}")
     if t is not None:
+        # W'_abcd = W_ijkl t_ia t_jb t_kc t_ld, one axis at a time: each step
+        # contracts the leading axis and appends the new one, O(n^5) in all;
         # the constructor symmetrizes the transformed tensor and checks it
-        w = np.einsum("ijkl,ia,jb,kc,ld->abcd", w, t, t, t, t)
+        for _ in range(4):
+            w = np.tensordot(w, t, axes=(0, 0))
     return GeneralQuartic(w)
 
 

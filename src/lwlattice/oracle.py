@@ -12,10 +12,13 @@ y with their probabilities p (summing to one over the whole set):
 * self-normalized importance sampling with proposal N(0, B^-1), 64 batches of
   equally weighted draws and batch-means standard errors.
 
-The kernel maps y to x = L^-T y (B = L L') with one matrix product per chunk,
-L^-T being formed once per call, and accumulates log-weighted sums over the
-chunks; fourth moments are the block over the n(n+1)/2 pair products x_i x_j
-(i <= j), the statistics behind the duality solver's Newton Jacobian.
+The kernel forms L^-T (B = L L') once per call and hands it to the point
+source, which yields the mapped points x = L^-T y: a Monte Carlo batch or a
+one-chunk grid with one matrix product, a streamed grid as sums of its head
+and tail coordinates mapped once per call (see _grid_chunks). The kernel
+accumulates log-weighted sums over the chunks; fourth moments are the block
+over the n(n+1)/2 pair products x_i x_j (i <= j), the statistics behind the
+duality solver's Newton Jacobian.
 
 The envelope matrix is B = A when lambda_min(A) >= tau and
 B = A + (tau - lambda_min(A)) I otherwise, with the constant tau =
@@ -29,7 +32,7 @@ log space.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Integral
 from typing import ClassVar
 
@@ -66,8 +69,8 @@ MC_SAMPLE_CAP = 10_000_000
 #: Hard cap on tensor-grid size (nodes_per_dim ** n). The grid is evaluated
 #: in chunks, so memory does not bound it; time does: at 64^4 = 16.7M points
 #: (8.4M evaluated once the first axis is folded) one G-only evaluation takes
-#: 0.65-0.7 s (0.72 s with fourth moments) on a 2-core Xeon, at A = I + J / 10
-#: and U = DiagonalQuartic(I). A Newton solve
+#: 0.30-0.46 s (0.32-0.52 s with fourth moments) on a noisy 2-core Xeon host,
+#: at A = I + J / 10 and U = DiagonalQuartic(I). A Newton solve
 #: makes up to two G-only start probes, stops there when one lies within its
 #: tolerance, and otherwise makes one evaluation with fourth moments for its
 #: start point and for each line-search trial: six to eight in all for a
@@ -219,7 +222,7 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
     lift = _envelope_lift(a, u)
     n = a.n
     if cfg.mode == "monte_carlo":
-        return _moments(a, u, cfg, lift, _sample_chunks(n, cfg))
+        return _moments(a, u, cfg, lift, partial(_sample_chunks, n, cfg))
     if n > QUAD_DIM_CAP:
         raise DimensionCap(f"quadrature limited to n <= {QUAD_DIM_CAP}, got {n}")
     if cfg.nodes_per_dim > QUAD_NODE_CAP:
@@ -232,7 +235,7 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
             f"tensor grid of {cfg.nodes_per_dim}^{n} points exceeds the "
             f"{QUAD_POINT_CAP:.0e} cap; lower nodes_per_dim"
         )
-    return _moments(a, u, cfg, lift, _grid_chunks(n, cfg.nodes_per_dim))
+    return _moments(a, u, cfg, lift, partial(_grid_chunks, n, cfg.nodes_per_dim))
 
 
 def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
@@ -240,22 +243,26 @@ def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
     return evaluate_moments(a, u, replace(cfg, want_fourth_moments=False)).green
 
 
-def _grid_chunks(n: int, nodes: int):
-    """Tensor Gauss-Hermite grid for N(0, I), folded on its first axis, as (y, log p) chunks.
+def _grid_chunks(n: int, nodes: int, linv_t: np.ndarray):
+    """Gauss-Hermite tensor grid y for N(0, I), folded on axis 0, as (L^-T y, log p) chunks.
 
     The nodes and weights are symmetric and every U is even, so a point with
     y_0 < 0 stands for its mirror -y too (see _tensor_grid).
 
-    A folded grid of at most QUAD_CHUNK points is one cached chunk. A larger
-    one streams as slabs: the first ``lead`` axes are the fewest that leave a
-    tail of at most QUAD_CHUNK points (nodes <= QUAD_CHUNK must hold), and a
-    chunk pairs QUAD_CHUNK // tail consecutive points of the folded head grid
-    with the whole cached tail grid. The chunks are filled into one buffer per
-    call, so a yielded chunk is valid only until the next one is requested.
+    A folded grid of at most QUAD_CHUNK points is one chunk: the cached grid
+    mapped with one matrix product. A larger one streams as slabs: the first
+    ``lead`` axes are the fewest that leave a tail of at most QUAD_CHUNK
+    points (nodes <= QUAD_CHUNK must hold), and a chunk pairs
+    QUAD_CHUNK // tail consecutive points of the folded head grid with the
+    whole cached tail grid. A grid point is a head point and a tail point
+    side by side, so x = L^-T[:, :lead] y_head + L^-T[:, lead:] y_tail: both
+    terms are mapped once per call, and each chunk's x is their outer sum,
+    a fresh coordinate-major array.
     """
     size = (nodes + 1) // 2 * nodes ** (n - 1)
     if size <= QUAD_CHUNK:
-        yield _tensor_grid(n, nodes, fold=True)
+        y, logp = _tensor_grid(n, nodes, fold=True)
+        yield (linv_t @ y.T).T, logp
         return
     lead = 1
     while nodes ** (n - lead) > QUAD_CHUNK:
@@ -266,18 +273,19 @@ def _grid_chunks(n: int, nodes: int):
     tail = len(tail_y)
     heads = size // tail
     step = QUAD_CHUNK // tail
+    head_x = linv_t[:, :lead] @ head_y[:heads].T
+    tail_x = linv_t[:, lead:] @ tail_y.T
+    fold = np.where(head_y[:heads, 0] < 0.0, np.log(2.0), 0.0)
     logp1 = _rule(nodes)[1]
-    buf = np.empty((n, step, tail))
-    buf[lead:] = tail_y.T[:, None, :]
     for start in range(0, heads, step):
         stop = min(start + step, heads)
-        y = buf[:, : stop - start]
-        y[:lead] = head_y[start:stop].T[:, :, None]
+        x = (head_x[:, start:stop, None] + tail_x[:, None, :]).reshape(n, -1).T
         logp = head_logp[start:stop]
         for _ in range(n - lead):  # ((l0 + l1) + l2) as in _tensor_grid
             logp = np.add.outer(logp, logp1)
-        logp = logp.reshape(y[0].shape) + np.where(y[0] < 0.0, np.log(2.0), 0.0)
-        yield y.reshape(n, -1).T, logp.ravel()
+        logp = logp.reshape(stop - start, tail)  # a fresh array: the fold goes in last
+        logp += fold[start:stop, None]
+        yield x, logp.ravel()
 
 
 @lru_cache(maxsize=32)
@@ -307,21 +315,23 @@ def _tensor_grid(n: int, nodes: int, fold: bool):
     return y, logp
 
 
-def _sample_chunks(n: int, cfg: OracleConfig):
-    """The MC_BATCHES counter-based batches of N(0, I) draws, each with p = 1/N."""
+def _sample_chunks(n: int, cfg: OracleConfig, linv_t: np.ndarray):
+    """The MC_BATCHES counter-based batches of N(0, I) draws y as x = L^-T y, each with p = 1/N."""
     per_batch = cfg.samples // MC_BATCHES
     logp = -np.log(per_batch * MC_BATCHES)
     for batch in range(MC_BATCHES):
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed, batch]))
-        yield rng.standard_normal((per_batch, n)), logp
+        yield (linv_t @ rng.standard_normal((per_batch, n)).T).T, logp
 
 
 def _moments(
-    a: SymMatrix, u: Interaction, cfg: OracleConfig, lift: float, chunks
+    a: SymMatrix, u: Interaction, cfg: OracleConfig, lift: float, points
 ) -> MomentReport:
-    """Log-weighted sums over (y, log p) chunks; the one kernel of both backends.
+    """Log-weighted sums over the chunks of ``points(L^-T)``; the one kernel of both backends.
 
-    With x = L^-T y and the leftover log factor phi(x) = lift |x|^2 / 2 - U(x),
+    ``points(L^-T)`` yields (x, log p) with x = L^-T y coordinate-major
+    (F-ordered), so that the column reads below stay contiguous. With the
+    leftover log factor phi(x) = lift |x|^2 / 2 - U(x),
     Z = (2 pi)^{n/2} / det(L) * sum_m p_m exp(phi_m). Each chunk keeps its own
     shift and sums only its points within _NEGLIGIBLE_LOGW of it; the chunks
     are reduced in a fixed order under one global shift.
@@ -336,8 +346,7 @@ def _moments(
         ) from None
     linv_t = np.linalg.inv(low).T
     shifts, s0, s2, su, s4 = [], [], [], [], []
-    for y, logp in chunks:
-        x = (linv_t @ y.T).T  # F-ordered: the column reads below stay contiguous
+    for x, logp in points(linv_t):
         # an overflow or NaN is reported once, as NonFinite, and not also as a
         # numpy warning, which a warning filter would turn into another error;
         # the scope is this narrow because ufuncs run slower inside errstate

@@ -241,6 +241,22 @@ class TestCompose:
         pts = random_points(2, 200, seed=5)
         assert np.abs(dense.evaluate(pts) - lazy.evaluate(pts)).max() <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_materialized_tensor_matches_the_five_operand_einsum(self, seed):
+        # a composed general quartic at n = 8, where the einsum reference is
+        # an O(n^8) loop; against an 80-bit einsum the four-step contraction
+        # was within 2.8e-16 of the largest entry and this einsum within
+        # 7.4e-15, so the bound is the reference's own rounding
+        n = 8
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.2, 1.0, (n, n))
+        t1, t2 = (np.eye(n) + 0.2 * rng.standard_normal((n, n)) for _ in range(2))
+        base = materialize(compose(DiagonalQuartic(0.5 * (v + v.T)), LinearMap(t1)))
+        assert isinstance(base, GeneralQuartic)
+        dense = materialize(compose(base, LinearMap(t2)))
+        ref = GeneralQuartic(np.einsum("ijkl,ia,jb,kc,ld->abcd", base.w, t2, t2, t2, t2))
+        assert np.abs(dense.w - ref.w).max() <= 5e-14 * np.abs(ref.w).max()
+
 
 def _dense_shear():
     return materialize(compose(DiagonalQuartic(TestEvenness.V), TestEvenness.SHEAR))

@@ -36,6 +36,8 @@ from lwlattice.oracle import (
     _envelope_lift,
     _grid_chunks,
     _moments,
+    _sample_chunks,
+    _tensor_grid,
     evaluate_moments,
     green_of_a,
 )
@@ -268,8 +270,8 @@ class TestOneChunkGrid:
     def test_built_once_and_read_only(self):
         nodes = 16
         assert nodes**2 <= QUAD_CHUNK
-        (y, logp), = _grid_chunks(2, nodes)
-        (y_again, _), = _grid_chunks(2, nodes)
+        y, logp = _tensor_grid(2, nodes, fold=True)
+        y_again, _ = _tensor_grid(2, nodes, fold=True)
         assert y_again is y
         with pytest.raises(ValueError):
             y[0, 0] = 0.0
@@ -286,13 +288,15 @@ class TestOneChunkGrid:
         assert np.array_equal(r1.pair_moments, r2.pair_moments)
 
 
-def streamed_grid(n, nodes):
-    """Copies of the chunks of _grid_chunks, concatenated, and the chunk sizes."""
-    ys, logps = [], []
-    for y, logp in _grid_chunks(n, nodes):
-        ys.append(y.copy())
-        logps.append(logp.copy())
-    return np.concatenate(ys), np.concatenate(logps), [len(logp) for logp in logps]
+def streamed_grid(n, nodes, linv_t=None):
+    """The chunks of _grid_chunks concatenated, and the chunk sizes.
+
+    Without ``linv_t`` the map is the identity, under which every chunk holds
+    the grid points y themselves, bit for bit.
+    """
+    chunks = list(_grid_chunks(n, nodes, np.eye(n) if linv_t is None else linv_t))
+    xs, logps = zip(*chunks)
+    return np.concatenate(xs), np.concatenate(logps), [len(logp) for logp in logps]
 
 
 @functools.lru_cache(maxsize=8)
@@ -364,14 +368,14 @@ class TestGridChunks:
 
     def test_single_node_grid_is_its_centre(self):
         # the one point y = 0 is its own mirror: it keeps p = 1
-        (y, logp), = _grid_chunks(3, 1)
+        (y, logp), = _grid_chunks(3, 1, np.eye(3))
         assert np.array_equal(y, np.zeros((1, 3)))
         assert np.array_equal(logp, whole_grid(3, 1)[1])
         assert np.exp(logp).sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
 class TestChunkBufferReuse:
-    """One buffer per _grid_chunks call is rewritten chunk after chunk."""
+    """A streamed grid yields its chunks as fresh arrays that match the whole grid."""
 
     A = SymMatrix([[1.0, 0.3, 0.1], [0.3, -0.2, 0.2], [0.1, 0.2, 0.8]])
     U = DiagonalQuartic([[1.0, 0.2, 0.1], [0.2, 0.8, 0.3], [0.1, 0.3, 1.2]])
@@ -385,8 +389,9 @@ class TestChunkBufferReuse:
         """The folded stream against _moments over the whole unfolded grid."""
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
         lift = _envelope_lift(a, u)
-        streamed = _moments(a, u, cfg, lift, _grid_chunks(3, nodes))
-        whole = _moments(a, u, cfg, lift, [whole_grid(3, nodes)])
+        streamed = _moments(a, u, cfg, lift, functools.partial(_grid_chunks, 3, nodes))
+        y, logp = whole_grid(3, nodes)
+        whole = _moments(a, u, cfg, lift, lambda linv_t: [((linv_t @ y.T).T, logp)])
         assert streamed.omega == pytest.approx(whole.omega, rel=1e-14, abs=0.0)
         for got, want in [
             (streamed.green.mat, whole.green.mat),
@@ -429,10 +434,10 @@ class TestChunkBufferReuse:
         half = nodes**3 // 2
         ref_y, ref_logp = whole_grid(3, nodes)
         ref_y, ref_logp = ref_y[:half], ref_logp[:half] + np.log(2.0)
-        ahead = _grid_chunks(3, nodes)
+        ahead = _grid_chunks(3, nodes, np.eye(3))
         next(ahead)
         start = 0
-        for y, logp in _grid_chunks(3, nodes):
+        for y, logp in _grid_chunks(3, nodes, np.eye(3)):
             # the other stream fills its next chunk while this one is alive
             other = next(ahead, None)
             stop = start + len(y)
@@ -442,6 +447,57 @@ class TestChunkBufferReuse:
                 assert np.array_equal(other[0], ref_y[stop : stop + len(other[0])])
             start = stop
         assert start == half
+
+
+class TestMappedPoints:
+    """Point sources yield x = L^-T y: a streamed grid as sums of its mapped
+    head and tail coordinates, a one-chunk grid and a Monte Carlo batch with
+    one matrix product."""
+
+    @staticmethod
+    def linv_t(n):
+        """L^-T of a dense SPD envelope B = L L'."""
+        low = np.linalg.cholesky(random_spd(n, np.random.default_rng(n)))
+        return np.linalg.inv(low).T
+
+    # (2, 192): one lead axis and a 192-point tail; (3, 50) ends in a partial
+    # chunk; (3, 65) is odd; (4, 32) has two lead axes
+    @pytest.mark.parametrize("n, nodes", [(2, 192), (3, 50), (3, 64), (3, 65), (4, 32)])
+    def test_streamed_chunks_match_the_whole_grid_product(self, n, nodes):
+        linv_t = self.linv_t(n)
+        x, logp, sizes = streamed_grid(n, nodes, linv_t)
+        assert len(sizes) > 1
+        # the stream is the start of the row-major grid (see TestGridChunks)
+        ref_x = (linv_t @ whole_grid(n, nodes)[0][: len(x)].T).T
+        # measured: at most 1 ulp of the largest coordinate (2.1e-16 relative)
+        assert np.abs(x - ref_x).max() <= 1e-14 * np.abs(ref_x).max()
+        # the log-probabilities do not depend on the map
+        assert np.array_equal(logp, streamed_grid(n, nodes)[1])
+
+    def test_streamed_chunks_are_coordinate_major(self):
+        chunks = list(_grid_chunks(3, 64, self.linv_t(3)))
+        assert len(chunks) == 8
+        for x, _ in chunks:
+            assert x.shape == (QUAD_CHUNK, 3) and x.flags.f_contiguous
+
+    def test_one_chunk_grid_is_one_product(self):
+        linv_t = self.linv_t(2)
+        (x, logp), = _grid_chunks(2, 16, linv_t)
+        y, grid_logp = _tensor_grid(2, 16, fold=True)
+        assert np.array_equal(x, (linv_t @ y.T).T)
+        assert logp is grid_logp
+
+    def test_monte_carlo_batches_are_one_product(self):
+        n, samples = 3, 6400
+        cfg = OracleConfig(mode="monte_carlo", samples=samples, seed=7)
+        linv_t = self.linv_t(n)
+        batches = list(_sample_chunks(n, cfg, linv_t))
+        assert len(batches) == MC_BATCHES
+        for batch, (x, logp) in enumerate(batches):
+            rng = np.random.Generator(np.random.Philox(key=[cfg.seed, batch]))
+            y = rng.standard_normal((samples // MC_BATCHES, n))
+            assert np.array_equal(x, (linv_t @ y.T).T)
+            assert logp == -np.log(samples)
 
 
 class TestNegligiblePoints:
@@ -511,7 +567,7 @@ class TestNegligiblePoints:
     def test_overflow_in_the_far_tail_is_still_caught(self):
         # U overflows only where |x| > 10.9; the finiteness check sees every point
         inner = DiagonalQuartic(np.eye(2))
-        (y, _), = _grid_chunks(2, 64)
+        (y, _), = _grid_chunks(2, 64, np.eye(2))
         overflows = inner.evaluate(y) > np.finfo(float).max / 1e305
         assert 0 < overflows.sum() < len(y) // 2
         assert np.sqrt((y[overflows] ** 2).sum(axis=1)).min() > 10.9
