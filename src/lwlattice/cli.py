@@ -161,7 +161,11 @@ def _parse_eps_grid(text: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise ValidationError(f"malformed eps grid {text!r}") from None
-    if count < 1 or start <= 0 or stop <= 0:
+    if count < 1:
+        raise ValidationError(f"eps grid count must be at least 1, got {text!r}")
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValidationError(f"eps grid bounds must be finite, got {text!r}")
+    if start <= 0 or stop <= 0:
         raise ValidationError(f"eps grid bounds must be positive, got {text!r}")
     if kind == "log":
         return np.logspace(np.log10(start), np.log10(stop), count)

@@ -89,7 +89,9 @@ QUAD_NODE_CAP = 360
 #: out of the sums, lw-quad's wall_ref was 12.4 at 1 << 14 against 13.9 at
 #: 1 << 15 (medians of five interleaved benchmark runs, seed 3); in three
 #: more pairs 12.0 against 13.0 at 1 << 13, and dyson-exact's 4.3 against
-#: 5.0. An n = 3 chunk's arrays are 384-768 KiB each.
+#: 5.0. An n = 3 chunk's arrays are 384-768 KiB each. A streamed chunk's
+#: log p (128 KiB at most) is kept in the 8-entry _chunk_logp cache, 1 MiB
+#: at most: it serves every call on a streamed grid of up to 8 chunks.
 QUAD_CHUNK = 1 << 14
 #: Points whose log-weight lies more than this below their chunk's largest
 #: are left out of exp and the weighted sums. The largest point of a chunk has
@@ -257,7 +259,8 @@ def _grid_chunks(n: int, nodes: int, linv_t: np.ndarray):
     whole cached tail grid. A grid point is a head point and a tail point
     side by side, so x = L^-T[:, :lead] y_head + L^-T[:, lead:] y_tail: both
     terms are mapped once per call, and each chunk's x is their outer sum,
-    a fresh coordinate-major array.
+    a fresh coordinate-major array. A chunk's log p does not depend on the
+    map and comes from _chunk_logp, shared read-only.
     """
     size = (nodes + 1) // 2 * nodes ** (n - 1)
     if size <= QUAD_CHUNK:
@@ -267,25 +270,42 @@ def _grid_chunks(n: int, nodes: int, linv_t: np.ndarray):
     lead = 1
     while nodes ** (n - lead) > QUAD_CHUNK:
         lead += 1
-    # the folded head grid is the start of the whole one, whose log p have no log 2 yet
-    head_y, head_logp = _tensor_grid(lead, nodes, fold=False)
+    head_y = _tensor_grid(lead, nodes, fold=False)[0]
     tail_y = _tensor_grid(n - lead, nodes, fold=False)[0]
     tail = len(tail_y)
     heads = size // tail
     step = QUAD_CHUNK // tail
     head_x = linv_t[:, :lead] @ head_y[:heads].T
     tail_x = linv_t[:, lead:] @ tail_y.T
-    fold = np.where(head_y[:heads, 0] < 0.0, np.log(2.0), 0.0)
-    logp1 = _rule(nodes)[1]
     for start in range(0, heads, step):
         stop = min(start + step, heads)
         x = (head_x[:, start:stop, None] + tail_x[:, None, :]).reshape(n, -1).T
-        logp = head_logp[start:stop]
-        for _ in range(n - lead):  # ((l0 + l1) + l2) as in _tensor_grid
-            logp = np.add.outer(logp, logp1)
-        logp = logp.reshape(stop - start, tail)  # a fresh array: the fold goes in last
-        logp += fold[start:stop, None]
-        yield x, logp.ravel()
+        yield x, _chunk_logp(n, nodes, lead, start, stop)
+
+
+#: One entry is one streamed chunk's log p, at most QUAD_CHUNK floats
+#: (128 KiB), so the cache holds at most 1 MiB: one whole grid of up to 8
+#: chunks, such as the default n = 3, 64-node grid. A grid of more chunks
+#: (n = 3 at 80 nodes, n = 4 at 32) cycles through it, rebuilding each
+#: chunk as it streams.
+@lru_cache(maxsize=8)
+def _chunk_logp(n: int, nodes: int, lead: int, start: int, stop: int):
+    """Folded log p of head points start:stop times the whole tail; read-only because shared.
+
+    The order of _tensor_grid, ((l0 + l1) + l2), then the fold's log 2 for
+    the head points with y_0 < 0; the folded head grid is the start of the
+    whole one, whose log p have no log 2 yet.
+    """
+    head_y, head_logp = _tensor_grid(lead, nodes, fold=False)
+    logp1 = _rule(nodes)[1]
+    logp = head_logp[start:stop]
+    for _ in range(n - lead):
+        logp = np.add.outer(logp, logp1)
+    logp = logp.reshape(stop - start, -1)  # a fresh array: the fold goes in last
+    logp += np.where(head_y[start:stop, 0] < 0.0, np.log(2.0), 0.0)[:, None]
+    logp = logp.ravel()
+    logp.setflags(write=False)
+    return logp
 
 
 @lru_cache(maxsize=32)

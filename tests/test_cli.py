@@ -567,9 +567,21 @@ class TestSweepCommand:
             ("a:b:log:3", "malformed eps grid"),
             ("0:1e-1:log:3", "bounds must be positive"),
             ("1e-3:1e-1:cubic:3", "kind must be 'log' or 'lin'"),
+            ("1e-3:1e-1:log:0", "count must be at least 1"),
+            ("1e-3:inf:lin:3", "bounds must be finite"),
+            ("1e-3:1e400:log:3", "bounds must be finite"),
+            ("1e-3:nan:log:3", "bounds must be finite"),
+            ("nan:1:lin:2", "bounds must be finite"),
+            ("1e-3:-inf:lin:2", "bounds must be finite"),
         ],
     )
-    def test_rejected_grid_values(self, capsys, model_path, tmp_path, spec, message):
+    def test_rejected_grid_values(
+        self, capsys, model_path, tmp_path, monkeypatch, spec, message
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        monkeypatch.setattr(duality, "evaluate_moments", no_oracle)
         g = tmp_path / "g.json"
         g.write_text(json.dumps([[1.0]]))
         argv = ["sweep", "--model", model_path(QUARTIC_1D), "--G", str(g), "--eps", spec]

@@ -33,6 +33,7 @@ from lwlattice.oracle import (
     QUAD_CHUNK,
     QUAD_NODE_CAP,
     OracleConfig,
+    _chunk_logp,
     _envelope_lift,
     _grid_chunks,
     _moments,
@@ -374,6 +375,38 @@ class TestGridChunks:
         assert np.exp(logp).sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
+class TestChunkLogpCache:
+    """A streamed chunk's log p is built once per (n, nodes, chunk) and shared read-only."""
+
+    @staticmethod
+    def logps(n, nodes):
+        return [logp for _, logp in _grid_chunks(n, nodes, np.eye(n))]
+
+    def test_calls_share_read_only_chunks(self):
+        first, second = self.logps(3, 64), self.logps(3, 64)
+        assert len(first) == 8
+        assert all(a is b for a, b in zip(first, second))
+        for logp in first:
+            with pytest.raises(ValueError):
+                logp[0] = 0.0
+
+    def test_chunks_match_the_reference_after_eviction(self):
+        first = self.logps(3, 64)
+        # 80^3 streams as 20 chunks, more than the cache holds: (3, 64) is evicted
+        assert len(self.logps(3, 80)) > _chunk_logp.cache_info().maxsize
+        again = self.logps(3, 64)
+        assert not any(a is b for a, b in zip(first, again))
+        ref_y, ref_logp = whole_grid(3, 64)
+        half = 64**3 // 2
+        folded = ref_logp[:half] + np.log(2.0)  # every point of an even grid has y_0 < 0
+        assert np.all(ref_y[:half, 0] < 0.0)
+        start = 0
+        for logp in again:
+            assert np.array_equal(logp, folded[start : start + len(logp)])
+            start += len(logp)
+        assert start == half
+
+
 class TestChunkBufferReuse:
     """A streamed grid yields its chunks as fresh arrays that match the whole grid."""
 
@@ -498,6 +531,36 @@ class TestMappedPoints:
             y = rng.standard_normal((samples // MC_BATCHES, n))
             assert np.array_equal(x, (linv_t @ y.T).T)
             assert logp == -np.log(samples)
+
+
+class TestTransferMatrixRings:
+    """Streamed grids against tests/oracles.ring_moments, an independent route.
+
+    Nearest-neighbour rings with A_{i,i+1} = -0.3 and v_ii = 1. n = 3 at 64
+    nodes is the cached streamed grid, n = 4 at 64 nodes a grid beyond the
+    cache; at A_ii = -0.5, A is not SPD and the envelope is repaired. The
+    bounds are about twice the measured difference (in brackets), which is
+    the library's quadrature error: it falls with the node count.
+    """
+
+    @pytest.mark.parametrize(
+        "n, a_site, v_bond, nodes, omega_bound, green_bound",
+        [
+            (3, 1.0, 0.3, 64, 1e-8, 1e-8),  # (4.4e-9, 4.8e-9)
+            (3, -0.5, 0.2, 64, 2e-7, 5e-7),  # (7.7e-8, 2.2e-7)
+            (3, 1.0, 0.3, 128, 1e-13, 1e-12),  # (4.9e-14, 5.1e-13)
+            (3, -0.5, 0.2, 128, 1e-11, 1e-10),  # (2.7e-12, 3.4e-11)
+            (4, 1.0, 0.3, 64, 5e-9, 3e-8),  # (1.7e-9, 1.3e-8)
+            (4, -0.5, 0.2, 64, 1e-7, 5e-7),  # (3.0e-8, 2.0e-7)
+        ],
+    )
+    def test_forward_moments(self, n, a_site, v_bond, nodes, omega_bound, green_bound):
+        a, v = oracles.ring_matrices(n, a_site, -0.3, 1.0, v_bond)
+        omega, green = oracles.ring_moments(a, v)
+        cfg = OracleConfig(nodes_per_dim=nodes)
+        report = evaluate_moments(SymMatrix(a), DiagonalQuartic(v), cfg)
+        assert abs(report.omega - omega) <= omega_bound
+        assert np.abs(report.green.mat - green).max() <= green_bound
 
 
 class TestNegligiblePoints:
