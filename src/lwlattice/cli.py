@@ -276,8 +276,14 @@ def _cmd_sweep(args) -> int:
     green = _load_green(args.green)
     scale, v = as_diagonal_quartic(model.interaction)
     eps_grid = _parse_eps_grid(args.eps)
+    with np.errstate(over="ignore"):
+        couplings = eps_grid * scale
+    if not np.isfinite(couplings).all():
+        raise ValidationError(
+            f"eps grid {args.eps!r} times the model's scale factor {scale!r} overflows"
+        )
     scan = bold_residuals(
-        green, v, args.order, eps_grid * scale, cfg, tol=args.tol, max_iter=args.max_iter
+        green, v, args.order, couplings, cfg, tol=args.tol, max_iter=args.max_iter
     )
     rows = [
         (float(eps), report.phi, phi_res)

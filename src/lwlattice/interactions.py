@@ -175,7 +175,7 @@ def pair_products(x: np.ndarray) -> np.ndarray:
 def _symmetrize_quartic_tensor(w: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(w)
     for perm in itertools.permutations(range(4)):
-        acc += np.transpose(w, perm)
+        acc += w.transpose(perm)
     return acc / 24.0
 
 
@@ -309,32 +309,68 @@ def _unwound(u: Interaction):
     return factor, u, t
 
 
-def materialize(u: Interaction) -> Interaction:
-    """Expand lazy wrappers into Zero / DiagonalQuartic / GeneralQuartic form.
+def quartic_tensor(u: Interaction):
+    """The symmetric tensor W with U(x) = W[x, x, x, x], or None when there is none to build.
 
-    Needed only when explicit tensor coefficients are required (restriction);
-    evaluation never requires it.
+    None for a zero interaction (a ZeroInteraction or a zero factor) and for a
+    base class outside the library. A diagonal quartic's tensor is
+    W_iijj = v_ij / 8, symmetrized; a map T is contracted into every axis.
+    Builds no interaction: the tensor is not checked or screened.
     """
     factor, base, t = _unwound(u)
-    if factor == 0.0 or isinstance(base, ZeroInteraction):
-        return ZeroInteraction(u.n)
+    if factor == 0.0:
+        return None
     if isinstance(base, DiagonalQuartic):
-        v = factor * base.v.mat
-        if t is None:
-            return DiagonalQuartic(v)
-        # W_iijj = v_ij / 8, symmetrized
         eye = np.eye(u.n)
+        v = factor * base.v.mat
         w = _symmetrize_quartic_tensor(np.einsum("ik,ij,kl->ijkl", 0.125 * v, eye, eye))
     elif isinstance(base, GeneralQuartic):
         w = factor * base.w
     else:
-        raise UnsupportedInteraction(f"cannot materialize {type(base).__name__}")
+        return None
     if t is not None:
         # W'_abcd = W_ijkl t_ia t_jb t_kc t_ld, one axis at a time: each step
-        # contracts the leading axis and appends the new one, O(n^5) in all;
-        # the constructor symmetrizes the transformed tensor and checks it
+        # contracts the leading axis and appends the new one, O(n^5) in all
         for _ in range(4):
             w = np.tensordot(w, t, axes=(0, 0))
+    return w
+
+
+def quartic_scale(u: Interaction) -> float:
+    """S such that U's terms at x sum to at most S ||x||_1^4 in magnitude, as evaluated.
+
+    For an interaction that ``quartic_tensor`` builds a tensor for. The base
+    sums terms of at most c ||z||_1^4 at its argument z, where c is
+    max|v| / 8 for a diagonal quartic and max|W| for a general one; each
+    wrapper scales that by its factor, or by sum|T|^4 for a map T, which
+    bounds ||T x||_1 / ||x||_1 as evaluated, one map at a time. The entries
+    of ``quartic_tensor(u)`` are at most S too.
+    """
+    scale = 1.0
+    while isinstance(u, (ScaledInteraction, ComposedInteraction)):
+        scale *= u.factor if isinstance(u, ScaledInteraction) else np.abs(u.map.mat).sum() ** 4
+        u = u.inner
+    if isinstance(u, DiagonalQuartic):
+        return scale * np.abs(u.v.mat).max() / 8.0
+    return scale * np.abs(u.w).max()
+
+
+def materialize(u: Interaction) -> Interaction:
+    """Expand lazy wrappers into Zero / DiagonalQuartic / GeneralQuartic form.
+
+    Needed only when explicit tensor coefficients are required (restriction);
+    evaluation never requires it. A composed interaction becomes the
+    GeneralQuartic of its ``quartic_tensor``, whose constructor symmetrizes
+    the transformed tensor and checks it.
+    """
+    factor, base, t = _unwound(u)
+    if factor == 0.0 or isinstance(base, ZeroInteraction):
+        return ZeroInteraction(u.n)
+    if isinstance(base, DiagonalQuartic) and t is None:
+        return DiagonalQuartic(factor * base.v.mat)
+    w = quartic_tensor(u)
+    if w is None:
+        raise UnsupportedInteraction(f"cannot materialize {type(base).__name__}")
     return GeneralQuartic(w)
 
 

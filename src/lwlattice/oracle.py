@@ -15,7 +15,8 @@ y with their probabilities p (summing to one over the whole set):
 The kernel forms L^-T (B = L L') once per call and hands it to the point
 source, which yields the mapped points x = L^-T y: a Monte Carlo batch or a
 one-chunk grid with one matrix product, a streamed grid as sums of its head
-and tail coordinates mapped once per call (see _grid_chunks). The kernel
+and tail coordinates mapped once per call (see _grid_chunks), pre-screened
+so that it yields only the points where weight can remain. The kernel
 accumulates log-weighted sums over the chunks; fourth moments are the block
 over the n(n+1)/2 pair products x_i x_j (i <= j), the statistics behind the
 duality solver's Newton Jacobian.
@@ -45,7 +46,15 @@ from .errors import (
     NonFinite,
     ValidationError,
 )
-from .interactions import Growth, Interaction, pair_products, validate_growth
+from .interactions import (
+    Growth,
+    Interaction,
+    pair_basis,
+    pair_products,
+    quartic_scale,
+    quartic_tensor,
+    validate_growth,
+)
 from .matrices import SpdMatrix, SymMatrix, plain
 
 QUAD_DIM_CAP = 6
@@ -100,8 +109,14 @@ QUAD_CHUNK = 1 << 14
 #: times the chunk's largest |x|^2 and |x|^4. With m <= QUAD_CHUNK = 2^14 (a
 #: Monte Carlo batch at 1e6 samples is smaller), m e^-80 < 3.1e-31 of the
 #: total mass: below 2^-53 even after the factor |x|^4 while the points stay
-#: within |x| < 4e3. U and the finiteness check still see every point.
+#: within |x| < 4e3. A streamed grid's source drops most such points before
+#: U is evaluated (see _grid_screen); U and the finiteness check see every
+#: point of a one-chunk grid, of a Monte Carlo batch and of a grid that is
+#: streamed whole.
 _NEGLIGIBLE_LOGW = 80.0
+#: Rounding allowance of the streamed-grid screen, in units of the float
+#: epsilon times the summed magnitudes of phi's terms (see _grid_screen).
+_SCREEN_ULPS = 1024.0
 #: Statistical errors cannot resolve below float rounding; they are floored
 #: at a few ulps so that reported errors stay strictly positive.
 _SE_FLOOR_ULPS = 4.0
@@ -237,7 +252,7 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
             f"tensor grid of {cfg.nodes_per_dim}^{n} points exceeds the "
             f"{QUAD_POINT_CAP:.0e} cap; lower nodes_per_dim"
         )
-    return _moments(a, u, cfg, lift, partial(_grid_chunks, n, cfg.nodes_per_dim))
+    return _moments(a, u, cfg, lift, partial(_grid_chunks, n, cfg.nodes_per_dim, u, lift))
 
 
 def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
@@ -245,7 +260,7 @@ def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
     return evaluate_moments(a, u, replace(cfg, want_fourth_moments=False)).green
 
 
-def _grid_chunks(n: int, nodes: int, linv_t: np.ndarray):
+def _grid_chunks(n: int, nodes: int, u: Interaction, lift: float, linv_t: np.ndarray):
     """Gauss-Hermite tensor grid y for N(0, I), folded on axis 0, as (L^-T y, log p) chunks.
 
     The nodes and weights are symmetric and every U is even, so a point with
@@ -257,10 +272,22 @@ def _grid_chunks(n: int, nodes: int, linv_t: np.ndarray):
     points (nodes <= QUAD_CHUNK must hold), and a chunk pairs
     QUAD_CHUNK // tail consecutive points of the folded head grid with the
     whole cached tail grid. A grid point is a head point and a tail point
-    side by side, so x = L^-T[:, :lead] y_head + L^-T[:, lead:] y_tail: both
-    terms are mapped once per call, and each chunk's x is their outer sum,
-    a fresh coordinate-major array. A chunk's log p does not depend on the
-    map and comes from _chunk_logp, shared read-only.
+    side by side, so x = h + t with h = L^-T[:, :lead] y_head and
+    t = L^-T[:, lead:] y_tail: both terms are mapped once per call. A chunk's
+    log p does not depend on the map and comes from _chunk_logp, shared
+    read-only.
+
+    A streamed chunk yields only the points that may keep weight in the
+    kernel, in grid order: those whose log-weight, approximated by
+    _grid_screen for the interaction ``u`` and the envelope's ``lift``, lies
+    within _NEGLIGIBLE_LOGW plus twice the approximation's error bound of the
+    chunk's largest. They include every point the kernel keeps and the
+    chunk's largest, so the kernel takes the same shift and sums the same
+    points as over the whole chunk. Each x is a fresh coordinate-major array
+    of h + t. Without a screen (U zero or of a class outside the library, an
+    error bound above 1), and for a chunk whose largest approximate
+    log-weight is not finite, the whole chunk is yielded, as one broadcast
+    sum.
     """
     size = (nodes + 1) // 2 * nodes ** (n - 1)
     if size <= QUAD_CHUNK:
@@ -277,10 +304,110 @@ def _grid_chunks(n: int, nodes: int, linv_t: np.ndarray):
     step = QUAD_CHUNK // tail
     head_x = linv_t[:, :lead] @ head_y[:heads].T
     tail_x = linv_t[:, lead:] @ tail_y.T
+    screen = _grid_screen(u, lift, nodes, lead, linv_t, head_x, tail_x)
+    if screen is not None:
+        head_logw, tail_logw, margin = screen
+        # one buffer for every chunk's approximate log-weights
+        buf = np.empty((step, tail))
     for start in range(0, heads, step):
         stop = min(start + step, heads)
+        logp = _chunk_logp(n, nodes, lead, start, stop)
+        if screen is not None:
+            logw = np.matmul(head_logw[start:stop], tail_logw, out=buf[: stop - start]).ravel()
+            top = logw.max()
+            if np.isfinite(top):
+                index = np.flatnonzero(logw > top - margin)
+                h, t = np.divmod(index, tail)
+                x = np.empty((len(index), n), order="F")
+                np.add(head_x.take(start + h, axis=1), tail_x.take(t, axis=1), out=x.T)
+                yield x, logp[index]
+                continue
         x = (head_x[:, start:stop, None] + tail_x[:, None, :]).reshape(n, -1).T
-        yield x, _chunk_logp(n, nodes, lead, start, stop)
+        yield x, logp
+
+
+def _grid_screen(u: Interaction, lift: float, nodes: int, lead: int, linv_t, head_x, tail_x):
+    """(Fh, Ft, margin) with log p + phi at grid point (h, t) ~ Fh[h] @ Ft[:, t], or None.
+
+    With the symmetric tensor W of U = W[x, x, x, x] (quartic_tensor),
+    phi(h + t) = lift |h + t|^2 / 2 - sum_k C(4, k) W[h^k, t^(4-k)], and
+    log p is the head point's plus the tail point's (with the fold's log 2).
+    The features of a head point h (the rows of Fh) are
+    log p_h + lift |h|^2 / 2 - W[h^4], -4 W[h^3, .], -6 W[h^2, ., .] over the
+    pairs i <= j (off-diagonal ones twice), h and 1; those of a tail point t
+    (the columns of Ft) are 1, t, the pair products t_i t_j,
+    lift t - 4 W[., t^3] and log p_t + lift |t|^2 / 2 - W[t^4]:
+    2 + 2n + P of them.
+
+    The terms of this expansion, like those of the kernel's own phi, sum in
+    magnitude to at most S r^4 + lift r^2 / 2, where S = quartic_scale(u)
+    covers a map that the kernel applies before U and the expansion has
+    contracted into W, r = max|y| sum|L^-T| bounds the largest ||h||_1 plus
+    the largest ||t||_1, and each sum takes at most a few hundred roundings
+    at n <= 6; log p, summed in another order than _chunk_logp's, and the
+    kernel's shift add at most n max|log p_1| + log 2 and _NEGLIGIBLE_LOGW.
+    So delta = _SCREEN_ULPS eps (S r^4 + lift r^2 + those two) bounds the
+    difference of the two log-weights and their rounding around the chunk's
+    largest: on grids of n = 2 to 6 and up to 360 nodes, diagonal and
+    composed quartics, it was at least about 1e4 times the largest
+    difference. The margin is _NEGLIGIBLE_LOGW + 2 delta. None when U is
+    zero or of a class outside the library, and when delta is not at most 1:
+    U may then overflow on the grid, and the kernel must see every point to
+    report it. Built under errstate, so that such a call warns of nothing
+    here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = quartic_tensor(u)
+        if w is None:
+            return None
+        y1, logp1 = _rule(nodes)
+        n = len(w)
+        reach = np.abs(y1).max() * np.abs(linv_t).sum()
+        logs = n * np.abs(logp1).max() + np.log(2.0) + _NEGLIGIBLE_LOGW
+        delta = _SCREEN_ULPS * np.finfo(float).eps * (
+            quartic_scale(u) * reach**4 + lift * reach**2 + logs
+        )
+        if not delta <= 1.0:
+            return None
+        rows, cols, mult = pair_basis(n)
+        pairs = rows.size
+        # W[., ., x, x] over the pair products x_a x_b (a <= b): an (n n, P) matrix
+        w_pairs = w.reshape(n * n, n * n)[:, rows * n + cols] * mult
+        head_w2, head_w3 = _quartic_contractions(w_pairs, head_x, pair_products(head_x.T).T)
+        heads = head_x.shape[1]
+        head_y, head_logp = _tensor_grid(lead, nodes, fold=False)
+        head_logw = np.empty((heads, 2 + 2 * n + pairs))
+        head_logw[:, 0] = np.einsum("im,im->m", head_x, 0.5 * lift * head_x - head_w3)
+        head_logw[:, 0] += head_logp[:heads]
+        head_logw[:, 0] += np.where(head_y[:heads, 0] < 0.0, np.log(2.0), 0.0)
+        head_logw[:, 1 : n + 1] = -4.0 * head_w3.T
+        head_logw[:, n + 1 : n + 1 + pairs] = (-6.0 * mult[:, None] * head_w2[rows * n + cols]).T
+        head_logw[:, n + 1 + pairs : -1] = head_x.T
+        head_logw[:, -1] = 1.0
+        # the tail's features, up to QUAD_CHUNK points each, are written in place
+        tail_logw = np.empty((2 + 2 * n + pairs, tail_x.shape[1]))
+        tail_logw[0] = 1.0
+        tail_logw[1 : n + 1] = tail_x
+        tail_pairs = tail_logw[n + 1 : n + 1 + pairs]
+        for p, (i, j) in enumerate(zip(rows, cols)):
+            np.multiply(tail_x[i], tail_x[j], out=tail_pairs[p])
+        tail_w3 = tail_logw[n + 1 + pairs : -1]
+        _quartic_contractions(w_pairs, tail_x, tail_pairs, out=tail_w3)
+        np.einsum("im,im->m", tail_x, tail_w3, out=tail_logw[-1])
+        tail_logw[-1] *= -1.0
+        tail_logw[-1] += _tensor_grid(n - lead, nodes, fold=False)[1]
+        tail_w3 *= -4.0
+        if lift:
+            tail_logw[-1] += 0.5 * lift * np.einsum("im,im->m", tail_x, tail_x)
+            tail_w3 += lift * tail_x
+    return head_logw, tail_logw, _NEGLIGIBLE_LOGW + 2.0 * delta
+
+
+def _quartic_contractions(w_pairs: np.ndarray, x: np.ndarray, x_pairs: np.ndarray, out=None):
+    """W[., ., x, x] (rows ij, i and j in 0..n-1) and W[., x, x, x] (rows i) for the
+    columns x of the (n, m) array x, from their (P, m) pair products."""
+    wxx = w_pairs @ x_pairs
+    return wxx, np.einsum("ijm,jm->im", wxx.reshape(len(x), len(x), -1), x, out=out)
 
 
 #: One entry is one streamed chunk's log p, at most QUAD_CHUNK floats

@@ -590,6 +590,29 @@ class TestSweepCommand:
         assert err.startswith("error:") and message in err
 
 
+    def test_coupling_overflow_is_rejected_before_any_oracle_call(
+        self, capsys, model_path, tmp_path, monkeypatch
+    ):
+        # each bound is finite, but eps times the model's factor 1e300 is not
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        monkeypatch.setattr(duality, "evaluate_moments", no_oracle)
+        model = {
+            "n": 1,
+            "A": [[1.0]],
+            "interaction": {"type": "scaled", "factor": 1e300, "inner": QUARTIC_1D["interaction"]},
+        }
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1.0]]))
+        argv = ["sweep", "--model", model_path(model), "--G", str(g), "--eps", "1e10:1e11:log:2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scale factor 1e+300 overflows" in err
+
+
 class TestMalformedInput:
     """Malformed numbers in input files are usage errors, not tracebacks."""
 

@@ -29,6 +29,8 @@ from lwlattice.interactions import (
     compose,
     interaction_from_dict,
     materialize,
+    quartic_scale,
+    quartic_tensor,
     restrict,
     validate_growth,
 )
@@ -345,6 +347,72 @@ class TestWrapperUnwinding:
         calls.clear()
         materialize(compose(general, self.SHEAR))
         assert len(calls) == 1
+
+
+class TestQuarticTensor:
+    """quartic_tensor(u) is the symmetric W with U(x) = W[x, x, x, x]; materialize builds on it."""
+
+    # every case with a nonzero U
+    CASES = {
+        **{f"{type(u).__name__}-{k}": u for k, u in enumerate(TestEvenness.CASES[1:])},
+        **{name: c[0] for name, c in TestWrapperUnwinding.CASES.items() if c[1] is not ZeroInteraction},
+    }
+
+    def test_every_library_class_is_covered(self):
+        assert library_subclasses(Interaction) - {ZeroInteraction} == {
+            type(u) for u in self.CASES.values()
+        }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_contracted_four_times_is_u(self, name):
+        u = self.CASES[name]
+        w = quartic_tensor(u)
+        assert w.shape == (3,) * 4
+        pts = random_points(3, 300, seed=18) * 1.5
+        want = u.evaluate(pts)
+        assert np.abs(direct_quartic(w, pts) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "name", ["scaled-general", "composed-general", "composed-positive-general", "nested"]
+    )
+    def test_materialize_holds_the_tensor(self, name):
+        u = self.CASES[name]
+        w, dense = quartic_tensor(u), materialize(u).w
+        if isinstance(u, ComposedInteraction):
+            # the constructor symmetrizes the transformed tensor, which is
+            # symmetric only up to rounding
+            assert np.abs(w - dense).max() <= 1e-14 * np.abs(dense).max()
+        else:
+            assert np.array_equal(w, dense)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_scale_bounds_the_terms(self, name):
+        # the entries of the tensor, and U at points of ||x||_1 = 1
+        u = self.CASES[name]
+        scale = quartic_scale(u)
+        assert np.abs(quartic_tensor(u)).max() <= scale
+        pts = random_points(3, 300, seed=19)
+        pts /= np.abs(pts).sum(axis=1, keepdims=True)
+        assert np.abs(u.evaluate(pts)).max() <= scale
+
+    def test_none_without_a_tensor(self):
+        class Custom(Interaction):
+            def __init__(self):
+                self._freeze(n=3)
+
+            def _evaluate(self, batch):
+                return np.sum(batch**4, axis=1)
+
+        for u in [
+            ZeroInteraction(3),
+            ScaledInteraction(0.0, DiagonalQuartic(TestEvenness.V)),
+            compose(ZeroInteraction(3), TestEvenness.SHEAR),
+            Custom(),
+            ScaledInteraction(2.0, Custom()),
+        ]:
+            assert quartic_tensor(u) is None
+        with pytest.raises(UnsupportedInteraction, match="cannot materialize Custom"):
+            materialize(ScaledInteraction(2.0, Custom()))
 
 
 class TestRestrict:

@@ -20,10 +20,12 @@ from lwlattice.errors import (
 )
 from lwlattice.interactions import (
     DiagonalQuartic,
+    Interaction,
     ScaledInteraction,
     ZeroInteraction,
     compose,
     materialize,
+    quartic_tensor,
 )
 from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix
 from lwlattice.oracle import (
@@ -295,7 +297,8 @@ def streamed_grid(n, nodes, linv_t=None):
     Without ``linv_t`` the map is the identity, under which every chunk holds
     the grid points y themselves, bit for bit.
     """
-    chunks = list(_grid_chunks(n, nodes, np.eye(n) if linv_t is None else linv_t))
+    linv_t = np.eye(n) if linv_t is None else linv_t
+    chunks = list(_grid_chunks(n, nodes, ZeroInteraction(n), 0.0, linv_t))
     xs, logps = zip(*chunks)
     return np.concatenate(xs), np.concatenate(logps), [len(logp) for logp in logps]
 
@@ -369,7 +372,7 @@ class TestGridChunks:
 
     def test_single_node_grid_is_its_centre(self):
         # the one point y = 0 is its own mirror: it keeps p = 1
-        (y, logp), = _grid_chunks(3, 1, np.eye(3))
+        (y, logp), = _grid_chunks(3, 1, ZeroInteraction(3), 0.0, np.eye(3))
         assert np.array_equal(y, np.zeros((1, 3)))
         assert np.array_equal(logp, whole_grid(3, 1)[1])
         assert np.exp(logp).sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
@@ -380,7 +383,7 @@ class TestChunkLogpCache:
 
     @staticmethod
     def logps(n, nodes):
-        return [logp for _, logp in _grid_chunks(n, nodes, np.eye(n))]
+        return [logp for _, logp in _grid_chunks(n, nodes, ZeroInteraction(n), 0.0, np.eye(n))]
 
     def test_calls_share_read_only_chunks(self):
         first, second = self.logps(3, 64), self.logps(3, 64)
@@ -422,7 +425,8 @@ class TestChunkBufferReuse:
         """The folded stream against _moments over the whole unfolded grid."""
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
         lift = _envelope_lift(a, u)
-        streamed = _moments(a, u, cfg, lift, functools.partial(_grid_chunks, 3, nodes))
+        whole_chunks = functools.partial(_grid_chunks, 3, nodes, ZeroInteraction(3), 0.0)
+        streamed = _moments(a, u, cfg, lift, whole_chunks)
         y, logp = whole_grid(3, nodes)
         whole = _moments(a, u, cfg, lift, lambda linv_t: [((linv_t @ y.T).T, logp)])
         assert streamed.omega == pytest.approx(whole.omega, rel=1e-14, abs=0.0)
@@ -467,10 +471,10 @@ class TestChunkBufferReuse:
         half = nodes**3 // 2
         ref_y, ref_logp = whole_grid(3, nodes)
         ref_y, ref_logp = ref_y[:half], ref_logp[:half] + np.log(2.0)
-        ahead = _grid_chunks(3, nodes, np.eye(3))
+        ahead = _grid_chunks(3, nodes, ZeroInteraction(3), 0.0, np.eye(3))
         next(ahead)
         start = 0
-        for y, logp in _grid_chunks(3, nodes, np.eye(3)):
+        for y, logp in _grid_chunks(3, nodes, ZeroInteraction(3), 0.0, np.eye(3)):
             # the other stream fills its next chunk while this one is alive
             other = next(ahead, None)
             stop = start + len(y)
@@ -508,14 +512,14 @@ class TestMappedPoints:
         assert np.array_equal(logp, streamed_grid(n, nodes)[1])
 
     def test_streamed_chunks_are_coordinate_major(self):
-        chunks = list(_grid_chunks(3, 64, self.linv_t(3)))
+        chunks = list(_grid_chunks(3, 64, ZeroInteraction(3), 0.0, self.linv_t(3)))
         assert len(chunks) == 8
         for x, _ in chunks:
             assert x.shape == (QUAD_CHUNK, 3) and x.flags.f_contiguous
 
     def test_one_chunk_grid_is_one_product(self):
         linv_t = self.linv_t(2)
-        (x, logp), = _grid_chunks(2, 16, linv_t)
+        (x, logp), = _grid_chunks(2, 16, ZeroInteraction(2), 0.0, linv_t)
         y, grid_logp = _tensor_grid(2, 16, fold=True)
         assert np.array_equal(x, (linv_t @ y.T).T)
         assert logp is grid_logp
@@ -531,6 +535,170 @@ class TestMappedPoints:
             y = rng.standard_normal((samples // MC_BATCHES, n))
             assert np.array_equal(x, (linv_t @ y.T).T)
             assert logp == -np.log(samples)
+
+
+def kernel_rows(u, lift, x, logp):
+    """The shift of one chunk and the rows (x, log p) that _moments sums, computed as it does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = -u.evaluate(x)
+        if lift:
+            phi += 0.5 * lift * np.einsum("mi,mi->m", x, x)
+    logw = phi + logp
+    shift = logw.max()
+    logw -= shift
+    keep = logw > -oracle._NEGLIGIBLE_LOGW
+    return shift, x[keep], logp[keep]
+
+
+class TestScreenedGrid:
+    """A streamed grid yields only the points where the kernel can keep weight.
+
+    The screen approximates every point's log-weight by the quartic expanded
+    over head and tail coordinates; what it yields must leave the kernel the
+    same shift and the same summed rows as the whole chunk.
+    """
+
+    # leads 1 ((3, 64), (3, 128), (4, 20)), 2 ((3, 200), (4, 32), (5, 16), (6, 10))
+    # and 3 ((6, 12)); (3, 50) ends in a partial chunk
+    GRIDS = [(3, 50), (3, 64), (3, 80), (3, 128), (3, 200), (4, 20), (4, 32), (4, 48)]
+    GRIDS += [(5, 12), (5, 16), (6, 10), (6, 12)]
+
+    @staticmethod
+    def interactions(n):
+        """A diagonal quartic and a scaled, lazily composed one in dimension n."""
+        rng = np.random.default_rng(n)
+        v = rng.uniform(0.2, 1.0, (n, n))
+        v = (v + v.T) / 2.0 + np.eye(n)
+        shear = LinearMap(np.eye(n) + 0.3 * np.triu(rng.standard_normal((n, n)), 1))
+        return DiagonalQuartic(v), compose(ScaledInteraction(0.5, DiagonalQuartic(v)), shear)
+
+    @staticmethod
+    def lead(n, nodes):
+        return next(k for k in range(1, n) if nodes ** (n - k) <= QUAD_CHUNK)
+
+    def test_grids_cover_every_lead(self):
+        assert {self.lead(n, nodes) for n, nodes in self.GRIDS} == {1, 2, 3}
+
+    @staticmethod
+    def yielded(n, nodes, u, lift, linv_t):
+        """Points the screened stream yields, asserting that every chunk
+        leaves the kernel the rows of the whole chunk."""
+        whole = _grid_chunks(n, nodes, ZeroInteraction(n), 0.0, linv_t)
+        count = 0
+        for (x, logp), (x_all, logp_all) in zip(
+            _grid_chunks(n, nodes, u, lift, linv_t), whole, strict=True
+        ):
+            assert x.flags.f_contiguous and len(x) == len(logp)
+            shift, rows, row_logp = kernel_rows(u, lift, x, logp)
+            shift_all, rows_all, row_logp_all = kernel_rows(u, lift, x_all, logp_all)
+            assert shift == shift_all
+            assert np.array_equal(rows, rows_all) and np.array_equal(row_logp, row_logp_all)
+            count += len(x)
+        return count
+
+    @pytest.mark.parametrize("n, nodes", GRIDS)
+    def test_kernel_sums_the_same_rows(self, n, nodes):
+        linv_t = TestMappedPoints.linv_t(n)
+        # lift 0 and lift > 0, each interaction with one of them
+        lifts = (0.0, 0.7) if self.GRIDS.index((n, nodes)) % 2 else (0.7, 0.0)
+        size = (nodes + 1) // 2 * nodes ** (n - 1)
+        for u, lift in zip(self.interactions(n), lifts):
+            assert self.yielded(n, nodes, u, lift, linv_t) < size
+
+    def test_reports_match_the_whole_stream_bit_for_bit(self):
+        cfg = OracleConfig(nodes_per_dim=64, want_fourth_moments=True)
+        whole_chunks = functools.partial(_grid_chunks, 3, 64, ZeroInteraction(3), 0.0)
+        spd = SymMatrix(np.linalg.inv(random_spd(3, np.random.default_rng(1))))
+        indefinite = SymMatrix([[1.0, 0.3, 0.1], [0.3, -0.2, 0.2], [0.1, 0.2, 0.8]])
+        for a in (spd, indefinite):
+            for u in self.interactions(3):
+                whole = _moments(a, u, cfg, _envelope_lift(a, u), whole_chunks)
+                screened = evaluate_moments(a, u, cfg)
+                assert screened.to_dict() == whole.to_dict()
+                assert np.array_equal(screened.pair_moments, whole.pair_moments)
+
+    @pytest.fixture
+    def yielded_share(self, monkeypatch):
+        """Points yielded over grid points streamed, across every streamed oracle call."""
+        counts = [0, 0]
+        grid_chunks = oracle._grid_chunks
+
+        def counting(n, nodes, u, lift, linv_t):
+            for x, logp in grid_chunks(n, nodes, u, lift, linv_t):
+                counts[0] += len(x)
+                yield x, logp
+            counts[1] += (nodes + 1) // 2 * nodes ** (n - 1)
+
+        monkeypatch.setattr(oracle, "_grid_chunks", counting)
+        return lambda: counts[0] / counts[1]
+
+    def test_the_benchmark_inversions_stream_a_quarter_of_their_grids_at_most(self, yielded_share):
+        # the n = 3, 64-node inversions of the lw-quad benchmark, unjittered:
+        # 11%, 27% and 9% of their grids remain, 17% in all
+        v = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        g_small = [[0.4, 0.08, 0.04], [0.08, 0.48, 0.08], [0.04, 0.08, 0.36]]
+        g_large = [[5.0, 1.9, 1.0], [1.9, 1.8, 0.5], [1.0, 0.5, 0.95]]
+        shear = LinearMap([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+        for g, u in [
+            (g_small, DiagonalQuartic(v)),
+            (g_large, DiagonalQuartic(0.1 * v)),
+            (g_small, materialize(compose(DiagonalQuartic(v), shear))),
+        ]:
+            duality.lw_evaluate(SpdMatrix(g), u, QUAD)
+        assert 0.0 < yielded_share() <= 0.25
+
+    def test_zero_and_custom_interactions_stream_the_whole_grid(self, yielded_share):
+        class Custom(Interaction):
+            def __init__(self):
+                self._freeze(n=3)
+
+            def _evaluate(self, batch):
+                return np.sum(batch**4, axis=1) / 8.0
+
+        a = SymMatrix(np.eye(3) + 0.1)
+        for u in (ZeroInteraction(3), Custom()):
+            evaluate_moments(a, u, QUAD)
+        assert yielded_share() == 1.0
+
+    # the screen's error bound delta is about 0.45 at factor 4e6, so the
+    # margin is tightest there; it is 1.13 at 1e7, just above the switch, and
+    # overflows at 1e300 and 1e303: those grids stream whole
+    @pytest.mark.parametrize("factor, screened", [(4e6, True), (1e7, False), (1e300, False), (1e303, False)])
+    def test_large_couplings_give_the_whole_streams_values(self, yielded_share, factor, screened):
+        a, u = SymMatrix(np.eye(3)), ScaledInteraction(factor, DiagonalQuartic(np.eye(3)))
+        cfg = OracleConfig(nodes_per_dim=64, want_fourth_moments=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate_moments(a, u, cfg)
+        assert (yielded_share() < 1.0) == screened
+        whole_chunks = functools.partial(oracle._grid_chunks, 3, 64, ZeroInteraction(3), 0.0)
+        whole = _moments(a, u, cfg, 0.0, whole_chunks)
+        assert got.to_dict() == whole.to_dict()
+        assert np.array_equal(got.pair_moments, whole.pair_moments)
+
+    def test_ill_conditioned_maps_keep_the_kernels_rows(self):
+        # maps that cancel exactly, so that the tensor is the inner one's; but
+        # the kernel evaluates U through every map, where a coordinate grows
+        # to 2.7e13 times its size and rounds accordingly, moving U by up to
+        # about 5 near the kept points
+        base = DiagonalQuartic(np.eye(3) + 0.2)
+        maps = [np.diag([3e4, 1.0, 1.0]), np.eye(3), np.eye(3)]
+        maps[1][1, 0] = maps[2][2, 1] = 3e4
+        u = base
+        for t in maps:  # applied last, innermost
+            u = compose(u, LinearMap(np.linalg.inv(t)))
+        for t in maps[::-1]:
+            u = compose(u, LinearMap(t))
+        assert np.array_equal(quartic_tensor(u), quartic_tensor(base))
+        self.yielded(3, 64, u, 0.0, TestMappedPoints.linv_t(3))
+
+    def test_overflow_on_a_streamed_grid_is_nonfinite(self):
+        # U overflows on the far tail of the 64^3 grid: the kernel sees every point
+        u = ScaledInteraction(1e305, DiagonalQuartic(np.eye(3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="non-finite integrand value"):
+                evaluate_moments(SymMatrix(np.eye(3)), u, QUAD)
 
 
 class TestTransferMatrixRings:
@@ -630,7 +798,7 @@ class TestNegligiblePoints:
     def test_overflow_in_the_far_tail_is_still_caught(self):
         # U overflows only where |x| > 10.9; the finiteness check sees every point
         inner = DiagonalQuartic(np.eye(2))
-        (y, _), = _grid_chunks(2, 64, np.eye(2))
+        (y, _), = _grid_chunks(2, 64, ZeroInteraction(2), 0.0, np.eye(2))
         overflows = inner.evaluate(y) > np.finfo(float).max / 1e305
         assert 0 < overflows.sum() < len(y) // 2
         assert np.sqrt((y[overflows] ** 2).sum(axis=1)).min() > 10.9
