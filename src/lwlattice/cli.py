@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import duality, solver
-from .diagrams import BoldSeries
+from .diagrams import BoldSeries, coupled_sum
 from .duality import inverse_map, lw_evaluate
 from .errors import LwlatticeError, ValidationError
 from .interactions import as_diagonal_quartic
@@ -216,8 +216,10 @@ def _cmd_sigma(args) -> int:
     model = load_model(args.model)
     green = _load_green(args.green)
     scale, v = as_diagonal_quartic(model.interaction)
-    sig = BoldSeries.build(green, v, args.order).sigma_terms[-1]
-    _emit_json({"order": args.order, "sigma": scale**args.order * sig.mat}, args.out)
+    sig = BoldSeries.build(green, v, args.order).sigma_terms[-1].mat
+    # -0.0 adds nothing, so the coefficient keeps its signed zeros
+    sigma = coupled_sum(scale, [sig], args.order, -0.0)
+    _emit_json({"order": args.order, "sigma": sigma}, args.out)
     return 0
 
 

@@ -13,7 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedOrder
+from .errors import DimensionMismatch, NonFinite, UnsupportedOrder
 from .matrices import SpdMatrix, SymMatrix
 
 MAX_ORDER = 2
@@ -77,10 +77,25 @@ class BoldSeries:
         return cls(order=order, sigma_terms=sigmas, phi_terms=phis)
 
     def truncated_phi(self, eps: float) -> float:
-        return sum(eps**k * p for k, p in enumerate(self.phi_terms, start=1))
+        return coupled_sum(eps, self.phi_terms)
 
     def truncated_sigma(self, eps: float) -> SymMatrix:
-        total = np.zeros_like(self.sigma_terms[0].mat)
-        for k, sig in enumerate(self.sigma_terms, start=1):
-            total = total + eps**k * sig.mat
-        return SymMatrix(total)
+        return SymMatrix(coupled_sum(eps, [sig.mat for sig in self.sigma_terms]))
+
+
+def coupled_sum(eps: float, terms, first: int = 1, total=0.0):
+    """total + sum_k eps^k terms[k - first] over k = first, first + 1, ...,
+    added in that order.
+
+    Raises NonFinite, naming eps and the order, where a power, a product or
+    the sum overflows; no numpy warning escapes.
+    """
+    for k, term in enumerate(terms, start=first):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = total + eps**k * term
+        except OverflowError:  # eps**k of a Python float
+            total = np.inf
+        if not np.all(np.isfinite(total)):
+            raise NonFinite(f"bold coupling {eps:.6g} overflows at order {k}")
+    return total

@@ -325,6 +325,8 @@ def rho_g_logdensity(
     xv = np.asarray(x, dtype=float)
     if xv.shape != (g.n,):
         raise DimensionMismatch(f"x has shape {xv.shape}, expected ({g.n},)")
+    if not np.all(np.isfinite(xv)):
+        raise ValidationError(f"x must be finite, got {xv.tolist()}")
     a, report, _, _ = _solve_inverse(g, u, cfg, tol, max_iter)
     quad = 0.5 * float(xv @ a.mat @ xv)
     # -log Z = Omega

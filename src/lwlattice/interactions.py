@@ -159,14 +159,15 @@ def pair_basis(n: int):
     return rows, cols, mult
 
 
-def pair_products(x: np.ndarray) -> np.ndarray:
+def pair_products(x: np.ndarray, out=None) -> np.ndarray:
     """x_i x_j over the pairs of ``pair_basis(n)``, per point.
 
     Returns an F-ordered (m, P) array, P = n(n+1)/2, filled column by column
-    from the columns of the (m, n) batch x.
+    from the columns of the (m, n) batch x; or fills the (m, P) array ``out``
+    and returns it.
     """
     rows, cols, _ = pair_basis(x.shape[1])
-    out = np.empty((x.shape[0], rows.size), order="F")
+    out = np.empty((x.shape[0], rows.size), order="F") if out is None else out
     for p, (i, j) in enumerate(zip(rows, cols)):
         np.multiply(x[:, i], x[:, j], out=out[:, p])
     return out

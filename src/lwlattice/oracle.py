@@ -12,14 +12,15 @@ y with their probabilities p (summing to one over the whole set):
 * self-normalized importance sampling with proposal N(0, B^-1), 64 batches of
   equally weighted draws and batch-means standard errors.
 
-The kernel forms L^-T (B = L L') once per call and hands it to the point
-source, which yields the mapped points x = L^-T y: a Monte Carlo batch or a
-one-chunk grid with one matrix product, a streamed grid as sums of its head
-and tail coordinates mapped once per call (see _grid_chunks), pre-screened
-so that it yields only the points where weight can remain. The kernel
-accumulates log-weighted sums over the chunks; fourth moments are the block
-over the n(n+1)/2 pair products x_i x_j (i <= j), the statistics behind the
-duality solver's Newton Jacobian.
+Each call builds its envelope once, as one value (_Envelope): the lift, L^-T
+for B = L L' and the envelope's log normalizer. The point source takes it and
+yields the mapped points x = L^-T y: a Monte Carlo batch or a one-chunk grid
+with one matrix product, a streamed grid as sums of its head and tail
+coordinates mapped once per call (see _grid_chunks), pre-screened so that it
+yields only the points where weight can remain. The kernel only sums: it
+accumulates log-weighted sums over the chunks under the envelope it is
+handed; fourth moments are the block over the n(n+1)/2 pair products
+x_i x_j (i <= j), the statistics behind the duality solver's Newton Jacobian.
 
 The envelope matrix is B = A when lambda_min(A) >= tau and
 B = A + (tau - lambda_min(A)) I otherwise, with the constant tau =
@@ -33,7 +34,7 @@ log space.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from numbers import Integral
 from typing import ClassVar
 
@@ -212,6 +213,33 @@ def _envelope_lift(a: SymMatrix, u: Interaction) -> float:
     return 0.0
 
 
+@dataclass(frozen=True)
+class _Envelope:
+    """The Gaussian envelope exp(-x'Bx/2) of one call, B = A + lift I = L L'.
+
+    ``linv_t`` = L^-T maps the N(0, I) points y of a point source to
+    x = L^-T y, and ``log_front`` = log((2 pi)^{n/2} / det L) is the log of
+    the envelope's own integral.
+    """
+
+    lift: float
+    linv_t: np.ndarray
+    log_front: float
+
+    @classmethod
+    def of(cls, a: SymMatrix, lift: float) -> "_Envelope":
+        """A + lift I factored; NonFinite when it is not numerically positive definite."""
+        try:
+            low = np.linalg.cholesky(a.mat + lift * np.eye(a.n))
+        except np.linalg.LinAlgError:
+            # the lift is lost to rounding when |A| dwarfs ENVELOPE_FLOOR
+            raise NonFinite(
+                f"envelope A + {lift:.3e} I is not numerically positive definite"
+            ) from None
+        log_front = 0.5 * a.n * np.log(2.0 * np.pi) - np.sum(np.log(np.diag(low)))
+        return cls(lift, np.linalg.inv(low).T, log_front)
+
+
 def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentReport:
     """Omega = -log Z, G = <x x'> and optionally the pair block of <x_i x_j x_k x_l>.
 
@@ -238,21 +266,23 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
     a = SymMatrix.coerce(a)
     lift = _envelope_lift(a, u)
     n = a.n
+    if cfg.mode == "quadrature":
+        if n > QUAD_DIM_CAP:
+            raise DimensionCap(f"quadrature limited to n <= {QUAD_DIM_CAP}, got {n}")
+        if cfg.nodes_per_dim > QUAD_NODE_CAP:
+            raise DimensionCap(
+                f"quadrature limited to {QUAD_NODE_CAP} nodes per dimension, "
+                f"got {cfg.nodes_per_dim}"
+            )
+        if cfg.nodes_per_dim**n > QUAD_POINT_CAP:
+            raise DimensionCap(
+                f"tensor grid of {cfg.nodes_per_dim}^{n} points exceeds the "
+                f"{QUAD_POINT_CAP:.0e} cap; lower nodes_per_dim"
+            )
+    env = _Envelope.of(a, lift)
     if cfg.mode == "monte_carlo":
-        return _moments(a, u, cfg, lift, partial(_sample_chunks, n, cfg))
-    if n > QUAD_DIM_CAP:
-        raise DimensionCap(f"quadrature limited to n <= {QUAD_DIM_CAP}, got {n}")
-    if cfg.nodes_per_dim > QUAD_NODE_CAP:
-        raise DimensionCap(
-            f"quadrature limited to {QUAD_NODE_CAP} nodes per dimension, "
-            f"got {cfg.nodes_per_dim}"
-        )
-    if cfg.nodes_per_dim**n > QUAD_POINT_CAP:
-        raise DimensionCap(
-            f"tensor grid of {cfg.nodes_per_dim}^{n} points exceeds the "
-            f"{QUAD_POINT_CAP:.0e} cap; lower nodes_per_dim"
-        )
-    return _moments(a, u, cfg, lift, partial(_grid_chunks, n, cfg.nodes_per_dim, u, lift))
+        return _moments(env, u, cfg, _sample_chunks(cfg, env))
+    return _moments(env, u, cfg, _grid_chunks(cfg.nodes_per_dim, u, env))
 
 
 def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
@@ -260,7 +290,7 @@ def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
     return evaluate_moments(a, u, replace(cfg, want_fourth_moments=False)).green
 
 
-def _grid_chunks(n: int, nodes: int, u: Interaction, lift: float, linv_t: np.ndarray):
+def _grid_chunks(nodes: int, u: Interaction, env: _Envelope):
     """Gauss-Hermite tensor grid y for N(0, I), folded on axis 0, as (L^-T y, log p) chunks.
 
     The nodes and weights are symmetric and every U is even, so a point with
@@ -279,7 +309,7 @@ def _grid_chunks(n: int, nodes: int, u: Interaction, lift: float, linv_t: np.nda
 
     A streamed chunk yields only the points that may keep weight in the
     kernel, in grid order: those whose log-weight, approximated by
-    _grid_screen for the interaction ``u`` and the envelope's ``lift``, lies
+    _grid_screen for the interaction ``u`` under the envelope ``env``, lies
     within _NEGLIGIBLE_LOGW plus twice the approximation's error bound of the
     chunk's largest. They include every point the kernel keeps and the
     chunk's largest, so the kernel takes the same shift and sums the same
@@ -289,22 +319,20 @@ def _grid_chunks(n: int, nodes: int, u: Interaction, lift: float, linv_t: np.nda
     log-weight is not finite, the whole chunk is yielded, as one broadcast
     sum.
     """
+    n = len(env.linv_t)
     size = (nodes + 1) // 2 * nodes ** (n - 1)
     if size <= QUAD_CHUNK:
         y, logp = _tensor_grid(n, nodes, fold=True)
-        yield (linv_t @ y.T).T, logp
+        yield (env.linv_t @ y.T).T, logp
         return
-    lead = 1
-    while nodes ** (n - lead) > QUAD_CHUNK:
-        lead += 1
-    head_y = _tensor_grid(lead, nodes, fold=False)[0]
-    tail_y = _tensor_grid(n - lead, nodes, fold=False)[0]
-    tail = len(tail_y)
-    heads = size // tail
+    # nodes <= QUAD_CHUNK: a tail of one axis at least fits
+    lead = next(k for k in range(1, n) if nodes ** (n - k) <= QUAD_CHUNK)
+    # the folded head grid is the start of the whole one (see _chunk_logp)
+    head_x = env.linv_t[:, :lead] @ _tensor_grid(lead, nodes, fold=True)[0].T
+    tail_x = env.linv_t[:, lead:] @ _tensor_grid(n - lead, nodes, fold=False)[0].T
+    heads, tail = head_x.shape[1], tail_x.shape[1]
     step = QUAD_CHUNK // tail
-    head_x = linv_t[:, :lead] @ head_y[:heads].T
-    tail_x = linv_t[:, lead:] @ tail_y.T
-    screen = _grid_screen(u, lift, nodes, lead, linv_t, head_x, tail_x)
+    screen = _grid_screen(u, env, nodes, lead, head_x, tail_x)
     if screen is not None:
         head_logw, tail_logw, margin = screen
         # one buffer for every chunk's approximate log-weights
@@ -326,13 +354,14 @@ def _grid_chunks(n: int, nodes: int, u: Interaction, lift: float, linv_t: np.nda
         yield x, logp
 
 
-def _grid_screen(u: Interaction, lift: float, nodes: int, lead: int, linv_t, head_x, tail_x):
+def _grid_screen(u: Interaction, env: _Envelope, nodes: int, lead: int, head_x, tail_x):
     """(Fh, Ft, margin) with log p + phi at grid point (h, t) ~ Fh[h] @ Ft[:, t], or None.
 
     With the symmetric tensor W of U = W[x, x, x, x] (quartic_tensor),
-    phi(h + t) = lift |h + t|^2 / 2 - sum_k C(4, k) W[h^k, t^(4-k)], and
-    log p is the head point's plus the tail point's (with the fold's log 2).
-    The features of a head point h (the rows of Fh) are
+    phi(h + t) = lift |h + t|^2 / 2 - sum_k C(4, k) W[h^k, t^(4-k)], with
+    the envelope's ``lift``, and log p is the head point's plus the tail
+    point's (with the fold's log 2). _screen_features gives the terms of
+    either side. The features of a head point h (the rows of Fh) are
     log p_h + lift |h|^2 / 2 - W[h^4], -4 W[h^3, .], -6 W[h^2, ., .] over the
     pairs i <= j (off-diagonal ones twice), h and 1; those of a tail point t
     (the columns of Ft) are 1, t, the pair products t_i t_j,
@@ -362,52 +391,49 @@ def _grid_screen(u: Interaction, lift: float, nodes: int, lead: int, linv_t, hea
             return None
         y1, logp1 = _rule(nodes)
         n = len(w)
-        reach = np.abs(y1).max() * np.abs(linv_t).sum()
+        reach = np.abs(y1).max() * np.abs(env.linv_t).sum()
         logs = n * np.abs(logp1).max() + np.log(2.0) + _NEGLIGIBLE_LOGW
         delta = _SCREEN_ULPS * np.finfo(float).eps * (
-            quartic_scale(u) * reach**4 + lift * reach**2 + logs
+            quartic_scale(u) * reach**4 + env.lift * reach**2 + logs
         )
         if not delta <= 1.0:
             return None
         rows, cols, mult = pair_basis(n)
-        pairs = rows.size
         # W[., ., x, x] over the pair products x_a x_b (a <= b): an (n n, P) matrix
         w_pairs = w.reshape(n * n, n * n)[:, rows * n + cols] * mult
-        head_w2, head_w3 = _quartic_contractions(w_pairs, head_x, pair_products(head_x.T).T)
-        heads = head_x.shape[1]
-        head_y, head_logp = _tensor_grid(lead, nodes, fold=False)
-        head_logw = np.empty((heads, 2 + 2 * n + pairs))
-        head_logw[:, 0] = np.einsum("im,im->m", head_x, 0.5 * lift * head_x - head_w3)
-        head_logw[:, 0] += head_logp[:heads]
-        head_logw[:, 0] += np.where(head_y[:heads, 0] < 0.0, np.log(2.0), 0.0)
-        head_logw[:, 1 : n + 1] = -4.0 * head_w3.T
-        head_logw[:, n + 1 : n + 1 + pairs] = (-6.0 * mult[:, None] * head_w2[rows * n + cols]).T
-        head_logw[:, n + 1 + pairs : -1] = head_x.T
-        head_logw[:, -1] = 1.0
-        # the tail's features, up to QUAD_CHUNK points each, are written in place
-        tail_logw = np.empty((2 + 2 * n + pairs, tail_x.shape[1]))
-        tail_logw[0] = 1.0
-        tail_logw[1 : n + 1] = tail_x
-        tail_pairs = tail_logw[n + 1 : n + 1 + pairs]
-        for p, (i, j) in enumerate(zip(rows, cols)):
-            np.multiply(tail_x[i], tail_x[j], out=tail_pairs[p])
-        tail_w3 = tail_logw[n + 1 + pairs : -1]
-        _quartic_contractions(w_pairs, tail_x, tail_pairs, out=tail_w3)
-        np.einsum("im,im->m", tail_x, tail_w3, out=tail_logw[-1])
-        tail_logw[-1] *= -1.0
-        tail_logw[-1] += _tensor_grid(n - lead, nodes, fold=False)[1]
+        head_logp = _tensor_grid(lead, nodes, fold=True)[1]
+        head, head_w3, head_w2 = _screen_features(w_pairs, env.lift, head_x, head_logp)
+        head_w2 = -6.0 * mult * head_w2[rows * n + cols].T
+        head_logw = np.column_stack([head[-1], -4.0 * head_w3.T, head_w2, head_x.T, head[0]])
+        tail_logp = _tensor_grid(n - lead, nodes, fold=False)[1]
+        # W[., ., t, t] is not kept: a tail's is up to n^2 QUAD_CHUNK floats
+        tail_logw, tail_w3 = _screen_features(w_pairs, env.lift, tail_x, tail_logp)[:2]
         tail_w3 *= -4.0
-        if lift:
-            tail_logw[-1] += 0.5 * lift * np.einsum("im,im->m", tail_x, tail_x)
-            tail_w3 += lift * tail_x
+        tail_w3 += env.lift * tail_x
     return head_logw, tail_logw, _NEGLIGIBLE_LOGW + 2.0 * delta
 
 
-def _quartic_contractions(w_pairs: np.ndarray, x: np.ndarray, x_pairs: np.ndarray, out=None):
-    """W[., ., x, x] (rows ij, i and j in 0..n-1) and W[., x, x, x] (rows i) for the
-    columns x of the (n, m) array x, from their (P, m) pair products."""
-    wxx = w_pairs @ x_pairs
-    return wxx, np.einsum("ijm,jm->im", wxx.reshape(len(x), len(x), -1), x, out=out)
+def _screen_features(w_pairs: np.ndarray, lift: float, z: np.ndarray, logp: np.ndarray):
+    """The terms of _grid_screen's expansion at the columns of the (n, m) array z.
+
+    Returns (F, F's rows W[., z, z, z], W[., ., z, z]), the last with rows ij
+    (i and j in 0..n-1), from W[., ., a, b] over the pairs a <= b in
+    ``w_pairs``. The 2 + 2n + P rows of F are 1, z, the pair products z_a z_b
+    (a <= b), W[., z, z, z] and log p + lift |z|^2 / 2 - W[z^4], written into
+    one array: a tail of up to QUAD_CHUNK points then allocates about what
+    its features need. With more temporaries alive, glibc trims its heap
+    after each call, and a plain process faults the pages in again (about
+    300 minor faults per n = 3, 64-node call).
+    """
+    n, m = z.shape
+    feats = np.empty((2 + 2 * n + w_pairs.shape[1], m))
+    feats[0] = 1.0
+    feats[1 : n + 1] = z
+    pair_products(z.T, out=feats[n + 1 : -n - 1].T)
+    w2 = w_pairs @ feats[n + 1 : -n - 1]
+    w3 = np.einsum("ijm,jm->im", w2.reshape(n, n, m), z, out=feats[-n - 1 : -1])
+    feats[-1] = logp + 0.5 * lift * np.einsum("im,im->m", z, z) - np.einsum("im,im->m", z, w3)
+    return feats, w3, w2
 
 
 #: One entry is one streamed chunk's log p, at most QUAD_CHUNK floats
@@ -462,46 +488,36 @@ def _tensor_grid(n: int, nodes: int, fold: bool):
     return y, logp
 
 
-def _sample_chunks(n: int, cfg: OracleConfig, linv_t: np.ndarray):
+def _sample_chunks(cfg: OracleConfig, env: _Envelope):
     """The MC_BATCHES counter-based batches of N(0, I) draws y as x = L^-T y, each with p = 1/N."""
     per_batch = cfg.samples // MC_BATCHES
     logp = -np.log(per_batch * MC_BATCHES)
     for batch in range(MC_BATCHES):
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed, batch]))
-        yield (linv_t @ rng.standard_normal((per_batch, n)).T).T, logp
+        yield (env.linv_t @ rng.standard_normal((per_batch, len(env.linv_t))).T).T, logp
 
 
-def _moments(
-    a: SymMatrix, u: Interaction, cfg: OracleConfig, lift: float, points
-) -> MomentReport:
-    """Log-weighted sums over the chunks of ``points(L^-T)``; the one kernel of both backends.
+def _moments(env: _Envelope, u: Interaction, cfg: OracleConfig, chunks) -> MomentReport:
+    """Log-weighted sums over ``chunks`` under ``env``; the one kernel of both backends.
 
-    ``points(L^-T)`` yields (x, log p) with x = L^-T y coordinate-major
+    ``chunks`` yields (x, log p) with x = L^-T y coordinate-major
     (F-ordered), so that the column reads below stay contiguous. With the
     leftover log factor phi(x) = lift |x|^2 / 2 - U(x),
-    Z = (2 pi)^{n/2} / det(L) * sum_m p_m exp(phi_m). Each chunk keeps its own
+    Z = exp(env.log_front) * sum_m p_m exp(phi_m). Each chunk keeps its own
     shift and sums only its points within _NEGLIGIBLE_LOGW of it; the chunks
-    are reduced in a fixed order under one global shift.
+    are reduced in a fixed order under one global shift. The envelope is
+    built and factored by its caller: this kernel only sums.
     """
-    n = a.n
-    try:
-        low = np.linalg.cholesky(a.mat + lift * np.eye(n))
-    except np.linalg.LinAlgError:
-        # the lift is lost to rounding when |A| dwarfs ENVELOPE_FLOOR
-        raise NonFinite(
-            f"envelope A + {lift:.3e} I is not numerically positive definite"
-        ) from None
-    linv_t = np.linalg.inv(low).T
     shifts, s0, s2, su, s4 = [], [], [], [], []
-    for x, logp in points(linv_t):
+    for x, logp in chunks:
         # an overflow or NaN is reported once, as NonFinite, and not also as a
         # numpy warning, which a warning filter would turn into another error;
         # the scope is this narrow because ufuncs run slower inside errstate
         with np.errstate(over="ignore", invalid="ignore"):
             uvals = u.evaluate(x)
             phi = -uvals
-            if lift:
-                phi += 0.5 * lift * np.einsum("mi,mi->m", x, x)
+            if env.lift:
+                phi += 0.5 * env.lift * np.einsum("mi,mi->m", x, x)
         if not np.all(np.isfinite(phi)):
             raise NonFinite(f"non-finite integrand value in {cfg.mode} mode")
         logw = phi + logp
@@ -525,11 +541,10 @@ def _moments(
     shifts, s0, s2, su = np.array(shifts), np.array(s0), np.array(s2), np.array(su)
 
     # fixed-order reduction with one global shift: deterministic and stable
-    log_front = 0.5 * n * np.log(2.0 * np.pi) - np.sum(np.log(np.diag(low)))
     shift = shifts.max()
     scale = np.exp(shifts - shift)
     tot0 = float(scale @ s0)
-    log_z = log_front + shift + np.log(tot0)
+    log_z = env.log_front + shift + np.log(tot0)
     if not np.isfinite(log_z):
         raise NonFinite("partition function overflowed or vanished")
     green = SpdMatrix(np.einsum("b,bij->ij", scale, s2) / tot0)
@@ -543,7 +558,7 @@ def _moments(
     if cfg.mode == "monte_carlo":
         # batch-means errors from per-batch self-normalized estimates; each
         # batch carries probability 1 / MC_BATCHES
-        log_z_b = log_front + shifts + np.log(s0 * MC_BATCHES)
+        log_z_b = env.log_front + shifts + np.log(s0 * MC_BATCHES)
         root = np.sqrt(MC_BATCHES)
         errors = StdErrors(
             omega=_floor_se(log_z_b.std(ddof=1) / root, float(-log_z)),

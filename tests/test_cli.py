@@ -301,6 +301,52 @@ class TestSigmaCommand:
         assert code == 1
 
 
+class TestBoldOverflow:
+    """A bold coupling whose second power overflows is a numerical failure
+    (exit 3) with one error line, not a traceback."""
+
+    HUGE = {
+        "n": 1,
+        "A": [[1.0]],
+        "interaction": {"type": "scaled", "factor": 1e200, "inner": QUARTIC_1D["interaction"]},
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sigma", "--order", "2"],
+            ["dyson", "--sigma-model", "bold12"],
+            ["minimize", "--sigma-model", "bold12"],
+        ],
+    )
+    def test_exit_three_under_warnings_as_errors(self, model_path, tmp_path, argv):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1.0]]))
+        if argv[0] == "sigma":
+            argv = [*argv, "--G", str(g)]
+        src = os.path.dirname(os.path.dirname(lwlattice.__file__))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lwlattice.cli", *argv]
+            + ["--model", model_path(self.HUGE)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3
+        assert done.stderr == "error: bold coupling 1e+200 overflows at order 2\n"
+        assert done.stdout == ""
+
+    def test_first_order_stays_finite(self, capsys, model_path, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1.0]]))
+        argv = ["sigma", "--model", model_path(self.HUGE), "--G", str(g), "--order", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run_json(capsys, argv)
+        assert code == 0 and payload["sigma"] == [[-1.5e200]]
+
+
 class TestSolverCommands:
     def test_dyson_bold1(self, capsys, model_path):
         code, payload = run_json(

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lwlattice.diagrams import BoldSeries, sigma1, sigma2
-from lwlattice.errors import DimensionMismatch, UnsupportedOrder
+from lwlattice.errors import DimensionMismatch, NonFinite, UnsupportedOrder
 from lwlattice.matrices import SpdMatrix, SymMatrix
 
 
@@ -75,6 +78,26 @@ class TestTruncation:
     def test_second_order(self):
         out = BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2).truncated_sigma(0.1)
         assert out.mat[0, 0] == pytest.approx(-0.135)
+
+    # 1e200 squared overflows as a Python float (OverflowError) and as a numpy
+    # one (inf); 1e154 squared is finite, its products with the second-order
+    # terms at G = 2 (12 and 6) are not
+    @pytest.mark.parametrize(
+        "g, eps, shown",
+        [(1.0, 1e200, "1e+200"), (1.0, np.float64(1e200), "1e+200"), (2.0, 1e154, "1e+154")],
+    )
+    def test_overflowing_coupling_is_nonfinite(self, g, eps, shown):
+        series = BoldSeries.build(SpdMatrix([[g]]), SymMatrix([[1.0]]), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for truncated in (series.truncated_sigma, series.truncated_phi):
+                message = re.escape(f"bold coupling {shown} overflows at order 2")
+                with pytest.raises(NonFinite, match=message):
+                    truncated(eps)
+            # the first order alone stays finite
+            first = BoldSeries.build(SpdMatrix([[g]]), SymMatrix([[1.0]]), 1)
+            assert first.truncated_sigma(eps).mat[0, 0] == -1.5 * g * eps
+            assert first.truncated_phi(eps) == -0.75 * g * g * eps
 
 
 class TestAlgebraicProperties:

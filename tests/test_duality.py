@@ -522,6 +522,15 @@ class TestRhoG:
             rho_g_logdensity(SpdMatrix(np.eye(2)), DiagonalQuartic(V2), x, QUAD)
         assert calls == []
 
+    @pytest.mark.parametrize("x", [[np.nan], [np.inf], [-np.inf]])
+    def test_non_finite_point_rejected_before_solve(self, monkeypatch, x):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        monkeypatch.setattr(duality, "evaluate_moments", no_oracle)
+        with pytest.raises(ValidationError, match="x must be finite"):
+            rho_g_logdensity(SpdMatrix([[0.5]]), DiagonalQuartic([[1.0]]), x, QUAD)
+
     def test_normalization(self):
         # exp(log rho) integrates to one on a dense grid
         u = DiagonalQuartic([[1.0]])

@@ -25,6 +25,7 @@ from lwlattice.interactions import (
     ZeroInteraction,
     _direction_grid,
     pair_basis,
+    pair_products,
     as_diagonal_quartic,
     compose,
     interaction_from_dict,
@@ -674,6 +675,18 @@ def test_pair_basis_built_once_and_read_only():
         assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
         assert np.array_equal(mult, np.where(want_rows == want_cols, 1.0, 2.0))
         assert not any(arr.flags.writeable for arr in (rows, cols, mult))
+
+
+def test_pair_products_fill_a_given_array():
+    x = np.random.default_rng(3).standard_normal((7, 3))
+    rows, cols, _ = pair_basis(3)
+    want = x[:, rows] * x[:, cols]
+    assert np.array_equal(pair_products(x), want) and pair_products(x).flags.f_contiguous
+    # the rows of a C-ordered (P, m) block, as a streamed grid's screen passes them
+    block = np.empty((rows.size, len(x)))
+    out = block.T
+    assert pair_products(x, out=out) is out
+    assert np.array_equal(block, want.T)
 
 
 class TestDiagonalExtraction:

@@ -36,6 +36,7 @@ from lwlattice.oracle import (
     QUAD_NODE_CAP,
     OracleConfig,
     _chunk_logp,
+    _Envelope,
     _envelope_lift,
     _grid_chunks,
     _moments,
@@ -291,6 +292,11 @@ class TestOneChunkGrid:
         assert np.array_equal(r1.pair_moments, r2.pair_moments)
 
 
+def envelope(linv_t, lift=0.0):
+    """An envelope with L^-T = ``linv_t`` for the point sources, which read no log_front."""
+    return _Envelope(lift, linv_t, 0.0)
+
+
 def streamed_grid(n, nodes, linv_t=None):
     """The chunks of _grid_chunks concatenated, and the chunk sizes.
 
@@ -298,7 +304,7 @@ def streamed_grid(n, nodes, linv_t=None):
     the grid points y themselves, bit for bit.
     """
     linv_t = np.eye(n) if linv_t is None else linv_t
-    chunks = list(_grid_chunks(n, nodes, ZeroInteraction(n), 0.0, linv_t))
+    chunks = list(_grid_chunks(nodes, ZeroInteraction(n), envelope(linv_t)))
     xs, logps = zip(*chunks)
     return np.concatenate(xs), np.concatenate(logps), [len(logp) for logp in logps]
 
@@ -372,7 +378,7 @@ class TestGridChunks:
 
     def test_single_node_grid_is_its_centre(self):
         # the one point y = 0 is its own mirror: it keeps p = 1
-        (y, logp), = _grid_chunks(3, 1, ZeroInteraction(3), 0.0, np.eye(3))
+        (y, logp), = _grid_chunks(1, ZeroInteraction(3), envelope(np.eye(3)))
         assert np.array_equal(y, np.zeros((1, 3)))
         assert np.array_equal(logp, whole_grid(3, 1)[1])
         assert np.exp(logp).sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
@@ -383,7 +389,7 @@ class TestChunkLogpCache:
 
     @staticmethod
     def logps(n, nodes):
-        return [logp for _, logp in _grid_chunks(n, nodes, ZeroInteraction(n), 0.0, np.eye(n))]
+        return [logp for _, logp in _grid_chunks(nodes, ZeroInteraction(n), envelope(np.eye(n)))]
 
     def test_calls_share_read_only_chunks(self):
         first, second = self.logps(3, 64), self.logps(3, 64)
@@ -424,11 +430,10 @@ class TestChunkBufferReuse:
     def assert_stream_matches_whole_grid(a, u, nodes):
         """The folded stream against _moments over the whole unfolded grid."""
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
-        lift = _envelope_lift(a, u)
-        whole_chunks = functools.partial(_grid_chunks, 3, nodes, ZeroInteraction(3), 0.0)
-        streamed = _moments(a, u, cfg, lift, whole_chunks)
+        env = _Envelope.of(a, _envelope_lift(a, u))
+        streamed = _moments(env, u, cfg, _grid_chunks(nodes, ZeroInteraction(3), env))
         y, logp = whole_grid(3, nodes)
-        whole = _moments(a, u, cfg, lift, lambda linv_t: [((linv_t @ y.T).T, logp)])
+        whole = _moments(env, u, cfg, [((env.linv_t @ y.T).T, logp)])
         assert streamed.omega == pytest.approx(whole.omega, rel=1e-14, abs=0.0)
         for got, want in [
             (streamed.green.mat, whole.green.mat),
@@ -471,10 +476,10 @@ class TestChunkBufferReuse:
         half = nodes**3 // 2
         ref_y, ref_logp = whole_grid(3, nodes)
         ref_y, ref_logp = ref_y[:half], ref_logp[:half] + np.log(2.0)
-        ahead = _grid_chunks(3, nodes, ZeroInteraction(3), 0.0, np.eye(3))
+        ahead = _grid_chunks(nodes, ZeroInteraction(3), envelope(np.eye(3)))
         next(ahead)
         start = 0
-        for y, logp in _grid_chunks(3, nodes, ZeroInteraction(3), 0.0, np.eye(3)):
+        for y, logp in _grid_chunks(nodes, ZeroInteraction(3), envelope(np.eye(3))):
             # the other stream fills its next chunk while this one is alive
             other = next(ahead, None)
             stop = start + len(y)
@@ -512,14 +517,14 @@ class TestMappedPoints:
         assert np.array_equal(logp, streamed_grid(n, nodes)[1])
 
     def test_streamed_chunks_are_coordinate_major(self):
-        chunks = list(_grid_chunks(3, 64, ZeroInteraction(3), 0.0, self.linv_t(3)))
+        chunks = list(_grid_chunks(64, ZeroInteraction(3), envelope(self.linv_t(3))))
         assert len(chunks) == 8
         for x, _ in chunks:
             assert x.shape == (QUAD_CHUNK, 3) and x.flags.f_contiguous
 
     def test_one_chunk_grid_is_one_product(self):
         linv_t = self.linv_t(2)
-        (x, logp), = _grid_chunks(2, 16, ZeroInteraction(2), 0.0, linv_t)
+        (x, logp), = _grid_chunks(16, ZeroInteraction(2), envelope(linv_t))
         y, grid_logp = _tensor_grid(2, 16, fold=True)
         assert np.array_equal(x, (linv_t @ y.T).T)
         assert logp is grid_logp
@@ -528,7 +533,7 @@ class TestMappedPoints:
         n, samples = 3, 6400
         cfg = OracleConfig(mode="monte_carlo", samples=samples, seed=7)
         linv_t = self.linv_t(n)
-        batches = list(_sample_chunks(n, cfg, linv_t))
+        batches = list(_sample_chunks(cfg, envelope(linv_t)))
         assert len(batches) == MC_BATCHES
         for batch, (x, logp) in enumerate(batches):
             rng = np.random.Generator(np.random.Philox(key=[cfg.seed, batch]))
@@ -583,10 +588,10 @@ class TestScreenedGrid:
     def yielded(n, nodes, u, lift, linv_t):
         """Points the screened stream yields, asserting that every chunk
         leaves the kernel the rows of the whole chunk."""
-        whole = _grid_chunks(n, nodes, ZeroInteraction(n), 0.0, linv_t)
+        whole = _grid_chunks(nodes, ZeroInteraction(n), envelope(linv_t))
         count = 0
         for (x, logp), (x_all, logp_all) in zip(
-            _grid_chunks(n, nodes, u, lift, linv_t), whole, strict=True
+            _grid_chunks(nodes, u, envelope(linv_t, lift)), whole, strict=True
         ):
             assert x.flags.f_contiguous and len(x) == len(logp)
             shift, rows, row_logp = kernel_rows(u, lift, x, logp)
@@ -607,12 +612,12 @@ class TestScreenedGrid:
 
     def test_reports_match_the_whole_stream_bit_for_bit(self):
         cfg = OracleConfig(nodes_per_dim=64, want_fourth_moments=True)
-        whole_chunks = functools.partial(_grid_chunks, 3, 64, ZeroInteraction(3), 0.0)
         spd = SymMatrix(np.linalg.inv(random_spd(3, np.random.default_rng(1))))
         indefinite = SymMatrix([[1.0, 0.3, 0.1], [0.3, -0.2, 0.2], [0.1, 0.2, 0.8]])
         for a in (spd, indefinite):
             for u in self.interactions(3):
-                whole = _moments(a, u, cfg, _envelope_lift(a, u), whole_chunks)
+                env = _Envelope.of(a, _envelope_lift(a, u))
+                whole = _moments(env, u, cfg, _grid_chunks(64, ZeroInteraction(3), env))
                 screened = evaluate_moments(a, u, cfg)
                 assert screened.to_dict() == whole.to_dict()
                 assert np.array_equal(screened.pair_moments, whole.pair_moments)
@@ -623,11 +628,11 @@ class TestScreenedGrid:
         counts = [0, 0]
         grid_chunks = oracle._grid_chunks
 
-        def counting(n, nodes, u, lift, linv_t):
-            for x, logp in grid_chunks(n, nodes, u, lift, linv_t):
+        def counting(nodes, u, env):
+            for x, logp in grid_chunks(nodes, u, env):
                 counts[0] += len(x)
                 yield x, logp
-            counts[1] += (nodes + 1) // 2 * nodes ** (n - 1)
+            counts[1] += (nodes + 1) // 2 * nodes ** (len(env.linv_t) - 1)
 
         monkeypatch.setattr(oracle, "_grid_chunks", counting)
         return lambda: counts[0] / counts[1]
@@ -671,10 +676,49 @@ class TestScreenedGrid:
             warnings.simplefilter("error")
             got = evaluate_moments(a, u, cfg)
         assert (yielded_share() < 1.0) == screened
-        whole_chunks = functools.partial(oracle._grid_chunks, 3, 64, ZeroInteraction(3), 0.0)
-        whole = _moments(a, u, cfg, 0.0, whole_chunks)
+        env = _Envelope.of(a, 0.0)
+        whole = _moments(env, u, cfg, oracle._grid_chunks(64, ZeroInteraction(3), env))
         assert got.to_dict() == whole.to_dict()
         assert np.array_equal(got.pair_moments, whole.pair_moments)
+
+    @staticmethod
+    def quartics(n):
+        """Diagonal, general, scaled and lazily composed quartics in dimension n."""
+        diagonal, composed = TestScreenedGrid.interactions(n)
+        shear = LinearMap(np.eye(n) + 0.2 * np.tril(np.ones((n, n)), -1))
+        general = materialize(compose(diagonal, shear))
+        return [diagonal, general, ScaledInteraction(3.0, diagonal), composed]
+
+    # leads 1, 2 and 3; measured: the expansion lies within 3e-11 of the
+    # kernel's log-weight, and delta is 2e-5 to 4e-4
+    @pytest.mark.parametrize("n, nodes", [(3, 64), (4, 32), (6, 12)])
+    def test_expansion_is_the_kernels_log_weight(self, n, nodes):
+        linv_t = TestMappedPoints.linv_t(n)
+        lead = self.lead(n, nodes)
+        tail_y = _tensor_grid(n - lead, nodes, fold=False)[0]
+        heads = (nodes + 1) // 2 * nodes ** (n - 1) // len(tail_y)
+        head_x = linv_t[:, :lead] @ _tensor_grid(lead, nodes, fold=False)[0][:heads].T
+        tail_x = linv_t[:, lead:] @ tail_y.T
+        for u in self.quartics(n):
+            screens = {
+                lift: oracle._grid_screen(u, envelope(linv_t, lift), nodes, lead, head_x, tail_x)
+                for lift in (0.0, 0.7)
+            }
+            start = 0
+            for x, logp in _grid_chunks(nodes, ZeroInteraction(n), envelope(linv_t)):
+                stop = start + len(x) // len(tail_y)
+                uvals = u.evaluate(x)
+                for lift, (head_logw, tail_logw, margin) in screens.items():
+                    # the log-weight as the kernel computes it
+                    phi = -uvals
+                    if lift:
+                        phi = phi + 0.5 * lift * np.einsum("mi,mi->m", x, x)
+                    approx = (head_logw[start:stop] @ tail_logw).ravel()
+                    delta = (margin - oracle._NEGLIGIBLE_LOGW) / 2.0
+                    assert 0.0 < delta <= 1.0
+                    assert np.abs(approx - (phi + logp)).max() <= delta
+                start = stop
+            assert start == heads
 
     def test_ill_conditioned_maps_keep_the_kernels_rows(self):
         # maps that cancel exactly, so that the tensor is the inner one's; but
@@ -764,7 +808,9 @@ class TestNegligiblePoints:
     def rows_of_pair_block(monkeypatch):
         rows = []
         pair_products = oracle.pair_products
-        monkeypatch.setattr(oracle, "pair_products", lambda x: rows.append(len(x)) or pair_products(x))
+        monkeypatch.setattr(
+            oracle, "pair_products", lambda x, out=None: rows.append(len(x)) or pair_products(x, out)
+        )
         return rows
 
     def test_pair_block_sees_a_fraction_of_the_grid(self, monkeypatch):
@@ -798,7 +844,7 @@ class TestNegligiblePoints:
     def test_overflow_in_the_far_tail_is_still_caught(self):
         # U overflows only where |x| > 10.9; the finiteness check sees every point
         inner = DiagonalQuartic(np.eye(2))
-        (y, _), = _grid_chunks(2, 64, ZeroInteraction(2), 0.0, np.eye(2))
+        (y, _), = _grid_chunks(64, ZeroInteraction(2), envelope(np.eye(2)))
         overflows = inner.evaluate(y) > np.finfo(float).max / 1e305
         assert 0 < overflows.sum() < len(y) // 2
         assert np.sqrt((y[overflows] ** 2).sum(axis=1)).min() > 10.9
