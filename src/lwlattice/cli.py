@@ -19,7 +19,7 @@ from .diagrams import BoldSeries, coupled_sum
 from .duality import inverse_map, lw_evaluate
 from .errors import LwlatticeError, ValidationError
 from .interactions import as_diagonal_quartic
-from .matrices import SpdMatrix
+from .matrices import SpdMatrix, plain
 from .modelio import ORACLE_FIELDS, dumps, load_matrix, load_model, write_csv
 from .oracle import OracleConfig, evaluate_moments
 from .solver import SigmaModel, dyson_solve, free_energy, minimize_free_energy
@@ -34,97 +34,92 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_oracle_flags(parser):
-    """One flag per modelio.ORACLE_FIELDS entry; each flag's dest is its field."""
-    parser.add_argument("--mode", choices=["quadrature", "mc"], help="oracle backend")
-    parser.add_argument(
-        "--quad-nodes", type=int, dest="nodes_per_dim", help="Gauss-Hermite nodes per dimension"
-    )
-    parser.add_argument("--mc-samples", type=int, dest="samples", help="Monte Carlo sample count")
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed")
+def _option(*flags, **kwargs):
+    """One command-specific option: add_argument's arguments."""
+    return flags, kwargs
 
 
-def _add_solver_flags(parser, max_iter: int, tol: float | None = None):
-    parser.add_argument("--tol", type=float, default=tol, help="convergence tolerance")
-    parser.add_argument("--max-iter", type=int, default=max_iter, help="iteration budget")
+def _command(sub, name, helptext, run, *options, model=True, green=False, oracle=True, solver=None):
+    """Declare one subcommand: its handler, the inputs ``_load`` reads for it, its flags.
+
+    Usage lists --model, --G (dest ``green``), the command's own ``options``,
+    --out, the four oracle flags (one per modelio.ORACLE_FIELDS entry, each
+    dest its field) and --tol/--max-iter with the defaults ``solver`` =
+    (max_iter, tol), in that order.
+    """
+    parser = sub.add_parser(name, help=helptext)
+    parser.set_defaults(run=run, inputs=(model, oracle, green))
+    if model:
+        parser.add_argument("--model", required=True)
+    if green:
+        parser.add_argument("--G", required=True, dest="green")
+    for flags, kwargs in options:
+        parser.add_argument(*flags, **kwargs)
+    parser.add_argument("--out")
+    if oracle:
+        parser.add_argument("--mode", choices=["quadrature", "mc"], help="oracle backend")
+        parser.add_argument(
+            "--quad-nodes", type=int, dest="nodes_per_dim", help="Gauss-Hermite nodes per dimension"
+        )
+        parser.add_argument(
+            "--mc-samples", type=int, dest="samples", help="Monte Carlo sample count"
+        )
+        parser.add_argument("--seed", type=int, help="Monte Carlo seed")
+    if solver:
+        max_iter, tol = solver
+        parser.add_argument("--tol", type=float, default=tol, help="convergence tolerance")
+        parser.add_argument("--max-iter", type=int, default=max_iter, help="iteration budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lwlattice", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    inversion = (duality.DEFAULT_MAX_ITER, None)
+    solve = (solver.DEFAULT_MAX_ITER, solver.DEFAULT_TOL)
+    sigma_model = _option("--sigma-model", choices=[m.value for m in SigmaModel], default="exact")
+    trace_csv = _option("--trace-csv")
 
-    p_oracle = sub.add_parser("oracle", help="partition function, free energy, moments")
-    p_oracle.add_argument("--model", required=True)
-    p_oracle.add_argument("--out")
-    p_oracle.set_defaults(run=_cmd_oracle)
-    _add_oracle_flags(p_oracle)
-
-    p_invert = sub.add_parser("invert", help="A[G]: invert the moment map at a target G")
-    p_invert.add_argument("--model", required=True)
-    p_invert.add_argument("--G", required=True, dest="green")
-    p_invert.add_argument("--out")
-    p_invert.set_defaults(run=_cmd_invert)
-    _add_oracle_flags(p_invert)
-    _add_solver_flags(p_invert, duality.DEFAULT_MAX_ITER)
-
-    p_lw = sub.add_parser("lw", help="universal functional, LW functional, self-energy at G")
-    p_lw.add_argument("--model", required=True)
-    p_lw.add_argument("--G", required=True, dest="green")
-    p_lw.add_argument("--out")
-    p_lw.set_defaults(run=_cmd_lw)
-    _add_oracle_flags(p_lw)
-    _add_solver_flags(p_lw, duality.DEFAULT_MAX_ITER)
-
-    p_sigma = sub.add_parser("sigma", help="bold self-energy coefficient of one order")
-    p_sigma.add_argument("--model", required=True)
-    p_sigma.add_argument("--G", required=True, dest="green")
-    p_sigma.add_argument("--order", type=int, required=True)
-    p_sigma.add_argument("--out")
-    p_sigma.set_defaults(run=_cmd_sigma)
-
-    for name, helptext in (
-        ("dyson", "Anderson-mixed fixed-point solution of the Dyson equation"),
-        ("minimize", "direct free-energy minimization over the SPD cone"),
-    ):
-        p_solve = sub.add_parser(name, help=helptext)
-        p_solve.add_argument("--model", required=True)
-        p_solve.add_argument(
-            "--sigma-model",
-            choices=[m.value for m in SigmaModel],
-            default="exact",
-            dest="sigma_model",
-        )
-        if name == "dyson":
-            p_solve.add_argument(
-                "--damping",
-                type=float,
-                default=solver.DEFAULT_DAMPING,
-                help="Anderson mixing parameter in (0, 1]: the weight of "
-                "(A - Sigma[G])^-1 in the damped step",
-            )
-        p_solve.add_argument("--trace-csv", dest="trace_csv")
-        p_solve.add_argument("--out")
-        p_solve.set_defaults(run=_cmd_solver)
-        _add_oracle_flags(p_solve)
-        _add_solver_flags(p_solve, solver.DEFAULT_MAX_ITER, solver.DEFAULT_TOL)
-
-    p_verify = sub.add_parser("verify", help="run theorem-check suites")
-    p_verify.add_argument("--suite", default="all", choices=list(suite_names()))
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(run=_cmd_verify)
-    _add_oracle_flags(p_verify)
-
-    p_sweep = sub.add_parser("sweep", help="interaction-strength sweep to CSV")
-    p_sweep.add_argument("--model", required=True)
-    p_sweep.add_argument("--G", required=True, dest="green")
-    p_sweep.add_argument("--quantity", choices=["phi", "sigma"], default="phi")
-    p_sweep.add_argument("--eps", required=True, help="grid as start:stop:log:count")
-    p_sweep.add_argument("--order", type=int, default=2)
-    p_sweep.add_argument("--out")
-    p_sweep.set_defaults(run=_cmd_sweep)
-    _add_oracle_flags(p_sweep)
-    _add_solver_flags(p_sweep, 80)
-
+    _command(sub, "oracle", "partition function, free energy, moments", _cmd_oracle)
+    _command(
+        sub, "invert", "A[G]: invert the moment map at a target G", _cmd_invert,
+        green=True, solver=inversion,
+    )
+    _command(
+        sub, "lw", "universal functional, LW functional, self-energy at G", _cmd_lw,
+        green=True, solver=inversion,
+    )
+    _command(
+        sub, "sigma", "bold self-energy coefficient of one order", _cmd_sigma,
+        _option("--order", type=int, required=True), green=True, oracle=False,
+    )
+    _command(
+        sub, "dyson", "Anderson-mixed fixed-point solution of the Dyson equation", _cmd_solver,
+        sigma_model,
+        _option(
+            "--damping",
+            type=float,
+            default=solver.DEFAULT_DAMPING,
+            help="Anderson mixing parameter in (0, 1]: the weight of "
+            "(A - Sigma[G])^-1 in the damped step",
+        ),
+        trace_csv,
+        solver=solve,
+    )
+    _command(
+        sub, "minimize", "direct free-energy minimization over the SPD cone", _cmd_solver,
+        sigma_model, trace_csv, solver=solve,
+    )
+    _command(
+        sub, "verify", "run theorem-check suites", _cmd_verify,
+        _option("--suite", default="all", choices=list(suite_names())), model=False,
+    )
+    _command(
+        sub, "sweep", "interaction-strength sweep to CSV", _cmd_sweep,
+        _option("--quantity", choices=["phi", "sigma"], default="phi"),
+        _option("--eps", required=True, help="grid as start:stop:log:count"),
+        _option("--order", type=int, default=2),
+        green=True, solver=(80, None),
+    )
     return parser
 
 
@@ -139,6 +134,17 @@ def _resolve_cfg(base: OracleConfig, args) -> OracleConfig:
     return replace(base, **overrides)
 
 
+def _load(args):
+    """(model, cfg, green): the inputs the command declared, None where it
+    declared none, read in this order: the model file, its oracle config under
+    the flags (OracleConfig() without a model), then the G file."""
+    model_file, oracle_flags, green_file = args.inputs
+    model = load_model(args.model) if model_file else None
+    cfg = _resolve_cfg(model.oracle if model else OracleConfig(), args) if oracle_flags else None
+    green = SpdMatrix(load_matrix(args.green)) if green_file else None
+    return model, cfg, green
+
+
 def _emit_json(obj, out_path):
     text = dumps(obj) + "\n"
     if out_path:
@@ -146,10 +152,6 @@ def _emit_json(obj, out_path):
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_green(path) -> SpdMatrix:
-    return SpdMatrix(load_matrix(path))
 
 
 def _parse_eps_grid(text: str) -> np.ndarray:
@@ -174,47 +176,24 @@ def _parse_eps_grid(text: str) -> np.ndarray:
     raise ValidationError(f"eps grid kind must be 'log' or 'lin', got {kind!r}")
 
 
-def _cmd_oracle(args) -> int:
-    model = load_model(args.model)
-    cfg = _resolve_cfg(model.oracle, args)
-    report = evaluate_moments(model.a, model.interaction, cfg)
-    _emit_json(report.to_dict(), args.out)
+def _cmd_oracle(args, model, cfg, green) -> int:
+    _emit_json(evaluate_moments(model.a, model.interaction, cfg), args.out)
     return 0
 
 
-def _cmd_invert(args) -> int:
-    model = load_model(args.model)
-    cfg = _resolve_cfg(model.oracle, args)
-    green = _load_green(args.green)
-    a = inverse_map(
-        green,
-        model.interaction,
-        cfg,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+def _cmd_invert(args, model, cfg, green) -> int:
+    a = inverse_map(green, model.interaction, cfg, tol=args.tol, max_iter=args.max_iter)
     _emit_json({"a_of_g": a}, args.out)
     return 0
 
 
-def _cmd_lw(args) -> int:
-    model = load_model(args.model)
-    cfg = _resolve_cfg(model.oracle, args)
-    green = _load_green(args.green)
-    report = lw_evaluate(
-        green,
-        model.interaction,
-        cfg,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-    _emit_json(report.to_dict(), args.out)
+def _cmd_lw(args, model, cfg, green) -> int:
+    report = lw_evaluate(green, model.interaction, cfg, tol=args.tol, max_iter=args.max_iter)
+    _emit_json(report, args.out)
     return 0
 
 
-def _cmd_sigma(args) -> int:
-    model = load_model(args.model)
-    green = _load_green(args.green)
+def _cmd_sigma(args, model, cfg, green) -> int:
     scale, v = as_diagonal_quartic(model.interaction)
     sig = BoldSeries.build(green, v, args.order).sigma_terms[-1].mat
     # -0.0 adds nothing, so the coefficient keeps its signed zeros
@@ -223,9 +202,7 @@ def _cmd_sigma(args) -> int:
     return 0
 
 
-def _cmd_solver(args) -> int:
-    model = load_model(args.model)
-    cfg = _resolve_cfg(model.oracle, args)
+def _cmd_solver(args, model, cfg, green) -> int:
     modelkind = SigmaModel(args.sigma_model)
     if args.command == "minimize":
         trace = minimize_free_energy(
@@ -241,14 +218,13 @@ def _cmd_solver(args) -> int:
             max_iter=args.max_iter,
             cfg=cfg,
         )
-    payload = trace.to_dict()
     # a converged run's last record was taken at final_green
-    payload["free_energy"] = (
+    final = (
         trace.iterates[-1].free_energy
         if trace.converged
         else free_energy(model.a, trace.final_green, model.interaction, modelkind, cfg)
     )
-    _emit_json(payload, args.out)
+    _emit_json({**plain(trace), "free_energy": final}, args.out)
     if args.trace_csv:
         write_csv(
             args.trace_csv,
@@ -258,8 +234,7 @@ def _cmd_solver(args) -> int:
     return 0 if trace.converged else 2
 
 
-def _cmd_verify(args) -> int:
-    cfg = _resolve_cfg(OracleConfig(), args)
+def _cmd_verify(args, model, cfg, green) -> int:
     reports = run_suite(args.suite, cfg)
     widths = max((len(r.name) for r in reports), default=4)
     for report in reports:
@@ -268,14 +243,11 @@ def _cmd_verify(args) -> int:
             f"{report.name:<{widths}}  {status}  metric={report.metric:.3e}  "
             f"threshold={report.threshold:.3e}\n"
         )
-    _emit_json([r.to_dict() for r in reports], args.out)
+    _emit_json(reports, args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_sweep(args) -> int:
-    model = load_model(args.model)
-    cfg = _resolve_cfg(model.oracle, args)
-    green = _load_green(args.green)
+def _cmd_sweep(args, model, cfg, green) -> int:
     scale, v = as_diagonal_quartic(model.interaction)
     eps_grid = _parse_eps_grid(args.eps)
     with np.errstate(over="ignore"):
@@ -303,7 +275,7 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        return args.run(args, *_load(args))
     except LwlatticeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code

@@ -3,7 +3,8 @@
 First order combines the tadpole and exchange contractions; second order the
 ring and second-order-exchange ones. Orders k >= 3 have no closed form here
 and are rejected. Coefficients by order and their truncated sums come from
-``BoldSeries.build``, the one entry point that checks the order.
+``BoldSeries.build``, the one entry point that checks the order. A
+coefficient that overflows raises NonFinite naming its order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, UnsupportedOrder
-from .matrices import SpdMatrix, SymMatrix
+from .matrices import ENTRY_LIMIT, SpdMatrix, SymMatrix
 
 MAX_ORDER = 2
 
@@ -27,6 +28,14 @@ def _prepare(g, v):
     return g, v
 
 
+def _coefficient(order: int, mat: np.ndarray) -> SymMatrix:
+    """The order's coefficient as a matrix value; NonFinite naming the order
+    where an entry overflowed or left the range a matrix value holds."""
+    if not np.abs(mat).max() <= ENTRY_LIMIT:
+        raise NonFinite(f"bold self-energy overflows at order {order}")
+    return SymMatrix(mat)
+
+
 def sigma1(g: SpdMatrix, v: SymMatrix) -> SymMatrix:
     """First-order bold self-energy.
 
@@ -34,7 +43,8 @@ def sigma1(g: SpdMatrix, v: SymMatrix) -> SymMatrix:
     """
     g, v = _prepare(g, v)
     gm, vm = g.mat, v.mat
-    return SymMatrix(-0.5 * np.diag(vm @ np.diag(gm)) - vm * gm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _coefficient(1, -0.5 * np.diag(vm @ np.diag(gm)) - vm * gm)
 
 
 def sigma2(g: SpdMatrix, v: SymMatrix) -> SymMatrix:
@@ -45,9 +55,10 @@ def sigma2(g: SpdMatrix, v: SymMatrix) -> SymMatrix:
     """
     g, v = _prepare(g, v)
     gm, vm = g.mat, v.mat
-    ring = 0.5 * gm * (vm @ (gm * gm) @ vm)
-    exchange = np.einsum("ik,kj,kl,li,jl->ij", vm, gm, gm, gm, vm, optimize=True)
-    return SymMatrix(ring + exchange)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ring = 0.5 * gm * (vm @ (gm * gm) @ vm)
+        exchange = np.einsum("ik,kj,kl,li,jl->ij", vm, gm, gm, gm, vm, optimize=True)
+        return _coefficient(2, ring + exchange)
 
 
 _SIGMA_BY_ORDER = {1: sigma1, 2: sigma2}
@@ -70,10 +81,12 @@ class BoldSeries:
             raise UnsupportedOrder(f"bold order must be an integer in 1..{MAX_ORDER}, got {order!r}")
         g = SpdMatrix.coerce(g)
         sigmas = tuple(_SIGMA_BY_ORDER[k](g, v) for k in range(1, order + 1))
-        phis = tuple(
-            float(np.trace(g.mat @ sig.mat)) / (2.0 * k)
-            for k, sig in enumerate(sigmas, start=1)
-        )
+        # an overflowing Phi^(k) is inf here; coupled_sum reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            phis = tuple(
+                float(np.trace(g.mat @ sig.mat)) / (2.0 * k)
+                for k, sig in enumerate(sigmas, start=1)
+            )
         return cls(order=order, sigma_terms=sigmas, phi_terms=phis)
 
     def truncated_phi(self, eps: float) -> float:

@@ -24,6 +24,9 @@ SYM_TOLERANCE = 1e-9
 #: Reciprocal condition number below which a map counts as singular (unlike
 #: |det T|, it does not change when T is scaled).
 INV_TOLERANCE = 1e-12
+#: Largest |entry| of a matrix value: half the float range, so that the sum
+#: of two entries (symmetrization) stays finite.
+ENTRY_LIMIT = 0.5 * np.finfo(float).max
 
 
 def float_array(entries, what: str) -> np.ndarray:
@@ -44,11 +47,9 @@ def _square_array(entries, what: str):
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{what} must have positive dimension")
-    # half the float range, so that the sum of two entries (symmetrization) stays finite
-    limit = 0.5 * np.finfo(float).max
     largest = np.abs(arr).max()
-    if not largest <= limit:
-        raise ValidationError(f"{what} has non-finite entries or entries above {limit:.2e}")
+    if not largest <= ENTRY_LIMIT:
+        raise ValidationError(f"{what} has non-finite entries or entries above {ENTRY_LIMIT:.2e}")
     return arr, float(largest)
 
 

@@ -9,7 +9,7 @@ Phi_model is zero (no self-energy), a truncated bold series, or the exact
 duality route. dyson_solve reaches it as an Anderson-mixed fixed point
 (Walker and Ni, SIAM J. Numer. Anal. 49, 2011); minimize_free_energy descends
 on f directly. Non-convergence is a reportable outcome (trace flag), not an
-exception; only leaving the SPD cone aborts a run.
+exception; only leaving the SPD cone or an overflowing residual aborts a run.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     IterateLeftCone,
     LwlatticeError,
+    NonFinite,
     NotPositiveDefinite,
     UnsupportedInteraction,
     ValidationError,
@@ -78,6 +79,12 @@ class SolveTrace:
 
     def to_dict(self) -> dict:
         return plain(self)
+
+
+def _norm(mat: np.ndarray) -> float:
+    """Frobenius norm; inf, with no numpy warning, where its square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(mat))
 
 
 def _free_energy_value(a_mat: np.ndarray, g: SpdMatrix, phi: float) -> float:
@@ -238,7 +245,9 @@ def dyson_solve(
             green = damped_retry()
             continue
         target = np.linalg.inv(m)
-        residual = float(np.linalg.norm(green.inverse() - m))
+        residual = _norm(green.inverse() - m)
+        if not np.isfinite(residual):
+            raise NonFinite(f"Dyson residual overflows at iteration {len(records) + 1}")
         records.append(
             IterateRecord(len(records) + 1, residual, _free_energy_value(a.mat, green, phi))
         )
@@ -290,7 +299,9 @@ def minimize_free_energy(
 
     for iteration in range(1, max_iter + 1):
         gradient_g = a.mat - green.inverse() - sigma.mat
-        residual = float(np.linalg.norm(gradient_g))
+        residual = _norm(gradient_g)
+        if not np.isfinite(residual):
+            raise NonFinite(f"free-energy gradient overflows at iteration {iteration}")
         records.append(IterateRecord(iteration, residual, fe))
         if residual <= tol:
             converged = True
@@ -330,9 +341,7 @@ def minimize_free_energy(
                 accepted = True
             elif trial_fe <= fe + DESCENT_SLACK:
                 # free-energy changes below resolution: require residual progress
-                trial_residual = float(
-                    np.linalg.norm(a.mat - trial_green.inverse() - trial_sigma.mat)
-                )
+                trial_residual = _norm(a.mat - trial_green.inverse() - trial_sigma.mat)
                 accepted = trial_residual < residual
             if accepted:
                 low, green = trial_low, trial_green

@@ -37,6 +37,100 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+class TestFlagSurface:
+    """Every subcommand's options, in the order usage lists them:
+    (option string, dest, default, choices, type, required)."""
+
+    MODEL = [("--model", "model", None, None, None, True)]
+    GREEN = [("--G", "green", None, None, None, True)]
+    OUT = [("--out", "out", None, None, None, False)]
+    ORACLE = [
+        ("--mode", "mode", None, ["quadrature", "mc"], None, False),
+        ("--quad-nodes", "nodes_per_dim", None, None, int, False),
+        ("--mc-samples", "samples", None, None, int, False),
+        ("--seed", "seed", None, None, int, False),
+    ]
+    SIGMA_MODEL = [
+        ("--sigma-model", "sigma_model", "exact", ["none", "bold1", "bold12", "exact"], None, False)
+    ]
+    TRACE_CSV = [("--trace-csv", "trace_csv", None, None, None, False)]
+
+    @staticmethod
+    def solver(tol, max_iter):
+        return [
+            ("--tol", "tol", tol, None, float, False),
+            ("--max-iter", "max_iter", max_iter, None, int, False),
+        ]
+
+    def surface(self):
+        return {
+            "oracle": self.MODEL + self.OUT + self.ORACLE,
+            "invert": self.MODEL + self.GREEN + self.OUT + self.ORACLE + self.solver(None, 60),
+            "lw": self.MODEL + self.GREEN + self.OUT + self.ORACLE + self.solver(None, 60),
+            "sigma": self.MODEL
+            + self.GREEN
+            + [("--order", "order", None, None, int, True)]
+            + self.OUT,
+            "dyson": self.MODEL
+            + self.SIGMA_MODEL
+            + [("--damping", "damping", 0.5, None, float, False)]
+            + self.TRACE_CSV
+            + self.OUT
+            + self.ORACLE
+            + self.solver(1e-8, 200),
+            "minimize": self.MODEL
+            + self.SIGMA_MODEL
+            + self.TRACE_CSV
+            + self.OUT
+            + self.ORACLE
+            + self.solver(1e-8, 200),
+            "verify": [
+                (
+                    "--suite",
+                    "suite",
+                    "all",
+                    ["all", "gaussian", "gradients", "bijection", "theorem3",
+                     "transformation", "boundary", "lemma1"],
+                    None,
+                    False,
+                )
+            ]
+            + self.OUT
+            + self.ORACLE,
+            "sweep": self.MODEL
+            + self.GREEN
+            + [
+                ("--quantity", "quantity", "phi", ["phi", "sigma"], None, False),
+                ("--eps", "eps", None, None, None, True),
+                ("--order", "order", 2, None, int, False),
+            ]
+            + self.OUT
+            + self.ORACLE
+            + self.solver(None, 80),
+        }
+
+    def test_every_subcommand_option(self):
+        (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        got = {
+            name: [
+                (*action.option_strings, action.dest, action.default, action.choices,
+                 action.type, action.required)
+                for action in parser._actions
+                if action.dest != "help"
+            ]
+            for name, parser in sub.choices.items()
+        }
+        assert got == self.surface()
+
+    def test_option_types_are_exact(self):
+        # == above equates 60 with 60.0; the defaults' own types are pinned here
+        (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        for name, rows in self.surface().items():
+            actions = [a for a in sub.choices[name]._actions if a.dest != "help"]
+            for action, row in zip(actions, rows):
+                assert type(action.default) is type(row[2]), (name, row[0])
+
+
 class TestOracleCommand:
     def test_gaussian_model(self, capsys, model_path):
         code, payload = run_json(capsys, ["oracle", "--model", model_path(GAUSS_1D)])
@@ -302,40 +396,60 @@ class TestSigmaCommand:
 
 
 class TestBoldOverflow:
-    """A bold coupling whose second power overflows is a numerical failure
-    (exit 3) with one error line, not a traceback."""
+    """A bold coupling, a bold coefficient or a solver residual that overflows
+    is a numerical failure (exit 3) with one error line and no output, not a
+    traceback, whether numpy warnings are errors or shown."""
 
     HUGE = {
         "n": 1,
         "A": [[1.0]],
         "interaction": {"type": "scaled", "factor": 1e200, "inner": QUARTIC_1D["interaction"]},
     }
+    UNSCALED = {"n": 1, "A": [[1.0]], "interaction": {"type": "diagonal_quartic", "v": [[1e200]]}}
+    COUPLING = "bold coupling 1e+200 overflows at order 2"
+    COEFFICIENT = "bold self-energy overflows at order 2"
+    CASES = [
+        (["sigma", "--order", "2"], HUGE, COUPLING),
+        (["dyson", "--sigma-model", "bold12"], HUGE, COUPLING),
+        (["minimize", "--sigma-model", "bold12"], HUGE, COUPLING),
+        (["dyson", "--sigma-model", "bold1"], HUGE, "Dyson residual overflows at iteration 1"),
+        (
+            ["minimize", "--sigma-model", "bold1"], HUGE, "free-energy gradient overflows at iteration 1"
+        ),
+        (["sigma", "--order", "2"], UNSCALED, COEFFICIENT),
+        (["dyson", "--sigma-model", "bold12"], UNSCALED, COEFFICIENT),
+        (["minimize", "--sigma-model", "bold12"], UNSCALED, COEFFICIENT),
+    ]
+    PARAMS = [
+        pytest.param(argv, model, message, id=f"argv{k}")
+        for k, (argv, model, message) in enumerate(CASES)
+    ]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sigma", "--order", "2"],
-            ["dyson", "--sigma-model", "bold12"],
-            ["minimize", "--sigma-model", "bold12"],
-        ],
-    )
-    def test_exit_three_under_warnings_as_errors(self, model_path, tmp_path, argv):
+    def run(self, model_path, tmp_path, argv, model, warning_flags):
         g = tmp_path / "g.json"
         g.write_text(json.dumps([[1.0]]))
         if argv[0] == "sigma":
             argv = [*argv, "--G", str(g)]
         src = os.path.dirname(os.path.dirname(lwlattice.__file__))
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "lwlattice.cli", *argv]
-            + ["--model", model_path(self.HUGE)],
-            env={**os.environ, "PYTHONPATH": src},
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        return subprocess.run(
+            [sys.executable, *warning_flags, "-m", "lwlattice.cli", *argv]
+            + ["--model", model_path(model)],
+            env={**env, "PYTHONPATH": src},
             capture_output=True,
             text=True,
             timeout=60,
         )
-        assert done.returncode == 3
-        assert done.stderr == "error: bold coupling 1e+200 overflows at order 2\n"
-        assert done.stdout == ""
+
+    @pytest.mark.parametrize("argv, model, message", PARAMS)
+    def test_exit_three_under_warnings_as_errors(self, model_path, tmp_path, argv, model, message):
+        done = self.run(model_path, tmp_path, argv, model, ["-W", "error"])
+        assert (done.returncode, done.stderr, done.stdout) == (3, f"error: {message}\n", "")
+
+    @pytest.mark.parametrize("argv, model, message", PARAMS)
+    def test_exit_three_with_warnings_shown(self, model_path, tmp_path, argv, model, message):
+        done = self.run(model_path, tmp_path, argv, model, ["-W", "default"])
+        assert (done.returncode, done.stderr, done.stdout) == (3, f"error: {message}\n", "")
 
     def test_first_order_stays_finite(self, capsys, model_path, tmp_path):
         g = tmp_path / "g.json"
@@ -758,6 +872,12 @@ class TestFileSystemErrors:
         code = dispatch(argv)
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_model_and_green_files_name_the_model(self, capsys, tmp_path):
+        model, green = str(tmp_path / "m.json"), str(tmp_path / "g.json")
+        code = dispatch(["lw", "--G", green, "--model", model])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: model file not found: {model}\n"
 
     @pytest.mark.parametrize("flag", ["--out", "--trace-csv"])
     def test_output_in_missing_directory(self, capsys, model_path, tmp_path, flag):

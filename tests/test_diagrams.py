@@ -99,6 +99,32 @@ class TestTruncation:
             assert first.truncated_sigma(eps).mat[0, 0] == -1.5 * g * eps
             assert first.truncated_phi(eps) == -0.75 * g * g * eps
 
+    @pytest.mark.parametrize(
+        "g, v, order",
+        [
+            (1.0, 1e200, 2),  # the ring term's v^2 overflows
+            (1.0, -8e307, 1),  # finite, but past the range of a matrix value
+            (3.0, 3e307, 1),  # -1.5 G v overflows
+        ],
+    )
+    def test_overflowing_coefficient_is_nonfinite(self, g, v, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=f"bold self-energy overflows at order {order}$"):
+                BoldSeries.build(SpdMatrix([[g]]), SymMatrix([[v]]), 2)
+            if order == 2:  # the first order alone stays finite
+                first = BoldSeries.build(SpdMatrix([[g]]), SymMatrix([[v]]), 1)
+                assert first.sigma_terms[0].mat[0, 0] == -1.5 * v
+
+    def test_overflowing_phi_is_reported_by_the_sum(self):
+        # Sigma^(1) = -8.55e307 is in range; Phi^(1) = G Sigma^(1) / 2 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = BoldSeries.build(SpdMatrix([[3.0]]), SymMatrix([[1.9e307]]), 1)
+            assert series.phi_terms == (-np.inf,)
+            with pytest.raises(NonFinite, match="bold coupling 1 overflows at order 1$"):
+                series.truncated_phi(1.0)
+
 
 class TestAlgebraicProperties:
     @pytest.mark.parametrize("seed", range(5))
