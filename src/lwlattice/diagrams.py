@@ -61,9 +61,6 @@ def sigma2(g: SpdMatrix, v: SymMatrix) -> SymMatrix:
         return _coefficient(2, ring + exchange)
 
 
-_SIGMA_BY_ORDER = {1: sigma1, 2: sigma2}
-
-
 @dataclass(frozen=True)
 class BoldSeries:
     """Coefficients Sigma^(k) and Phi^(k) = (1/2k) Tr[G Sigma^(k)] up to the
@@ -80,7 +77,7 @@ class BoldSeries:
         if not integer or not 1 <= order <= MAX_ORDER:
             raise UnsupportedOrder(f"bold order must be an integer in 1..{MAX_ORDER}, got {order!r}")
         g = SpdMatrix.coerce(g)
-        sigmas = tuple(_SIGMA_BY_ORDER[k](g, v) for k in range(1, order + 1))
+        sigmas = tuple(sigma(g, v) for sigma in (sigma1, sigma2)[:order])
         # an overflowing Phi^(k) is inf here; coupled_sum reports it
         with np.errstate(over="ignore", invalid="ignore"):
             phis = tuple(

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     LwlatticeError,
     NoConvergence,
+    NonFinite,
     ValidationError,
 )
 from .interactions import Interaction, as_diagonal_quartic, pair_basis
@@ -302,10 +303,8 @@ def exact_self_energy(
     max_iter: int = DEFAULT_MAX_ITER,
     a_init: SymMatrix | None = None,
 ) -> SymMatrix:
-    """Sigma[G] = A[G] - G^-1."""
-    g = SpdMatrix.coerce(g)
-    a, _, _, _ = _solve_inverse(g, u, cfg, tol, max_iter, a_init)
-    return SymMatrix(a.mat - g.inverse())
+    """Sigma[G] = A[G] - G^-1, the ``sigma_exact`` of ``lw_evaluate``."""
+    return lw_evaluate(g, u, cfg, tol, max_iter, a_init).sigma_exact
 
 
 def rho_g_logdensity(
@@ -319,7 +318,8 @@ def rho_g_logdensity(
     """log rho_G(x) of the maximizing density at G.
 
     rho_G(x) = exp(-1/2 x'A[G]x - U(x)) / Z[A[G]]; its exponential integrates
-    to one by construction.
+    to one by construction. Raises NonFinite, naming x, where the value
+    overflows (x far out in the tails).
     """
     g = SpdMatrix.coerce(g)
     xv = np.asarray(x, dtype=float)
@@ -328,6 +328,9 @@ def rho_g_logdensity(
     if not np.all(np.isfinite(xv)):
         raise ValidationError(f"x must be finite, got {xv.tolist()}")
     a, report, _, _ = _solve_inverse(g, u, cfg, tol, max_iter)
-    quad = 0.5 * float(xv @ a.mat @ xv)
-    # -log Z = Omega
-    return -quad - float(u.evaluate(xv)) + report.omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        # -log Z = Omega
+        value = -0.5 * float(xv @ a.mat @ xv) - float(u.evaluate(xv)) + report.omega
+    if not np.isfinite(value):
+        raise NonFinite(f"log rho_G overflows at x = {xv.tolist()}")
+    return value

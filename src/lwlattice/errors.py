@@ -68,16 +68,10 @@ class IterateLeftCone(NoConvergence):
 class NotPositiveDefinite(LwlatticeError):
     """Cholesky pivot at or below tolerance: matrix is not SPD."""
 
-    exit_code = 3
-
 
 class DivergentIntegral(LwlatticeError):
     """Partition function diverges: A not SPD and growth of U unverified."""
 
-    exit_code = 3
-
 
 class NonFinite(LwlatticeError):
     """Non-finite value in a numerical kernel (envelope misconfiguration)."""
-
-    exit_code = 3

@@ -297,17 +297,19 @@ def compose(u: Interaction, t: LinearMap) -> Interaction:
 
 
 def _unwound(u: Interaction):
-    """(factor, base, t) with U(x) = factor * base(t x), t None without a map:
-    the wrappers peeled off from the outside in, down to a Zero-, Diagonal- or
-    GeneralQuartic (or an interaction of a class outside the library)."""
-    factor, t = 1.0, None
+    """(factor, base, t, stretch) with U(x) = factor * base(t x), t None without
+    a map: the wrappers peeled off from the outside in, down to a Zero-,
+    Diagonal- or GeneralQuartic (or an interaction of a class outside the
+    library). stretch is the product of sum|T|^4 over the maps T."""
+    factor, t, stretch = 1.0, None, 1.0
     while isinstance(u, (ScaledInteraction, ComposedInteraction)):
         if isinstance(u, ScaledInteraction):
             factor *= u.factor
         else:
             t = u.map.mat if t is None else u.map.mat @ t
+            stretch *= np.abs(u.map.mat).sum() ** 4
         u = u.inner
-    return factor, u, t
+    return factor, u, t, stretch
 
 
 def quartic_tensor(u: Interaction):
@@ -318,7 +320,7 @@ def quartic_tensor(u: Interaction):
     W_iijj = v_ij / 8, symmetrized; a map T is contracted into every axis.
     Builds no interaction: the tensor is not checked or screened.
     """
-    factor, base, t = _unwound(u)
+    factor, base, t, _ = _unwound(u)
     if factor == 0.0:
         return None
     if isinstance(base, DiagonalQuartic):
@@ -347,13 +349,9 @@ def quartic_scale(u: Interaction) -> float:
     bounds ||T x||_1 / ||x||_1 as evaluated, one map at a time. The entries
     of ``quartic_tensor(u)`` are at most S too.
     """
-    scale = 1.0
-    while isinstance(u, (ScaledInteraction, ComposedInteraction)):
-        scale *= u.factor if isinstance(u, ScaledInteraction) else np.abs(u.map.mat).sum() ** 4
-        u = u.inner
-    if isinstance(u, DiagonalQuartic):
-        return scale * np.abs(u.v.mat).max() / 8.0
-    return scale * np.abs(u.w).max()
+    factor, base, _, stretch = _unwound(u)
+    coefficients = base.v.mat / 8.0 if isinstance(base, DiagonalQuartic) else base.w
+    return factor * stretch * np.abs(coefficients).max()
 
 
 def materialize(u: Interaction) -> Interaction:
@@ -364,7 +362,7 @@ def materialize(u: Interaction) -> Interaction:
     GeneralQuartic of its ``quartic_tensor``, whose constructor symmetrizes
     the transformed tensor and checks it.
     """
-    factor, base, t = _unwound(u)
+    factor, base, t, _ = _unwound(u)
     if factor == 0.0 or isinstance(base, ZeroInteraction):
         return ZeroInteraction(u.n)
     if isinstance(base, DiagonalQuartic) and t is None:
@@ -398,7 +396,7 @@ def as_diagonal_quartic(u: Interaction):
     Raises UnsupportedInteraction otherwise, for a composed diagonal quartic
     too; the closed-form diagram expressions are only valid for this family.
     """
-    factor, base, t = _unwound(u)
+    factor, base, t, _ = _unwound(u)
     if isinstance(base, DiagonalQuartic) and t is None:
         return factor, base.v
     name = type(base).__name__ if t is None else ComposedInteraction.__name__

@@ -146,16 +146,33 @@ def free_energy(
     """Variational free energy of the trial G under the chosen model."""
     a = SymMatrix.coerce(a)
     g = SpdMatrix.coerce(g)
-    if a.n != g.n:
-        raise DimensionMismatch(f"A has dimension {a.n}, G has {g.n}")
+    _check_dimensions(a, U=u, G=g)
     phi = _model_terms(u, model, cfg)(g)[1]
     return _free_energy_value(a.mat, g, phi)
 
 
-def _check_solvable(a: SymMatrix, model: SigmaModel):
-    """Without a self-energy the free energy is bounded below only for SPD A."""
+def _check_dimensions(a: SymMatrix, **operands):
+    """Raise DimensionMismatch unless each named operand (None skipped) has A's dimension."""
+    for name, operand in operands.items():
+        if operand is not None and operand.n != a.n:
+            raise DimensionMismatch(f"A has dimension {a.n}, {name} has {operand.n}")
+
+
+def _setup(a, u, model, cfg, tol, max_iter, g_init=None):
+    """(tol, A, model terms, first G) of a solve, every input checked before any iterate.
+
+    The controls go first, then the dimensions of U and g_init against A,
+    then the model. Without a self-energy the free energy is bounded below
+    only for SPD A. The first G is g_init, or else ``_initial_green(A)``.
+    """
+    tol = solver_controls(tol, max_iter, DEFAULT_TOL)
+    a = SymMatrix.coerce(a)
+    green = None if g_init is None else SpdMatrix.coerce(g_init)
+    _check_dimensions(a, U=u, G=green)
+    model_terms = _model_terms(u, model, cfg, solver_tol=tol)
     if model is SigmaModel.NONE and min_eigenvalue(a) <= 0.0:
         raise ValidationError("the non-interacting Green's function requires A to be SPD")
+    return tol, a, model_terms, _initial_green(a) if green is None else green
 
 
 def _initial_green(a: SymMatrix) -> SpdMatrix:
@@ -207,14 +224,10 @@ def dyson_solve(
     halved); at the floor of 1/64 the run aborts with IterateLeftCone. The
     default start is A^-1 (repaired when A is not SPD); g_init overrides it.
     """
-    tol = solver_controls(tol, max_iter, DEFAULT_TOL)
-    a = SymMatrix.coerce(a)
+    tol, a, model_terms, green = _setup(a, u, model, cfg, tol, max_iter, g_init)
     if isinstance(damping, bool) or not isinstance(damping, Real) or not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be a number in (0, 1], got {damping!r}")
-    model_terms = _model_terms(u, model, cfg, solver_tol=tol)
-    _check_solvable(a, model)
 
-    green = SpdMatrix.coerce(g_init) if g_init is not None else _initial_green(a)
     alpha = damping
     history = deque(maxlen=ANDERSON_DEPTH + 1)  # (G, T(G) - G) of accepted iterates
     last = None  # the newest accepted pair, kept across history resets
@@ -264,6 +277,27 @@ def dyson_solve(
     return SolveTrace(iterates=tuple(records), converged=converged, final_green=green)
 
 
+def _trial(a_mat: np.ndarray, model_terms, low: np.ndarray):
+    """(L, G, Sigma, Phi, f) at the trial factor L, or None for a rejected step.
+
+    A step is rejected when L leaves the cone, G passes GREEN_NORM_GUARD, the
+    model raises or f is not finite: truncated models can be unbounded below,
+    and diverging or overflowing trial points fail like any other step.
+    """
+    if np.any(np.diag(low) <= 0.0):
+        return None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            green = SpdMatrix(low @ low.T)
+            if np.linalg.norm(green.mat) > GREEN_NORM_GUARD:
+                return None
+            sigma, phi = model_terms(green)
+            fe = _free_energy_value(a_mat, green, phi)
+    except LwlatticeError:
+        return None
+    return (low, green, sigma, phi, fe) if np.isfinite(fe) else None
+
+
 def minimize_free_energy(
     a: SymMatrix,
     u: Interaction,
@@ -282,18 +316,13 @@ def minimize_free_energy(
     fall below float resolution, steps are accepted on Dyson-residual
     decrease instead, which is what convergence is measured by.
     """
-    tol = solver_controls(tol, max_iter, DEFAULT_TOL)
-    a = SymMatrix.coerce(a)
-    model_terms = _model_terms(u, model, cfg, solver_tol=tol)
-    _check_solvable(a, model)
-    green = _initial_green(a)
+    tol, a, model_terms, green = _setup(a, u, model, cfg, tol, max_iter)
     low = cholesky_factor(green.mat)
 
     sigma, phi = model_terms(green)
     fe = _free_energy_value(a.mat, green, phi)
     step_size = 0.1
-    prev_low = None
-    prev_grad = None
+    prev_low = prev_grad = None
     records = []
     converged = False
 
@@ -315,40 +344,20 @@ def minimize_free_energy(
                 step_size = min(float(np.sum(dl * dl)) / curvature, 1e3)
         prev_low, prev_grad = low, gradient_low
 
-        accepted = False
         trial_step = step_size
         for _ in range(60):
-            trial_low = low - trial_step * gradient_low
-            if np.any(np.diag(trial_low) <= 0.0):
-                trial_step *= 0.5
-                continue
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    trial_green = SpdMatrix(trial_low @ trial_low.T)
-                    if np.linalg.norm(trial_green.mat) > GREEN_NORM_GUARD:
-                        raise ValidationError("trial iterate diverged")
-                    trial_sigma, trial_phi = model_terms(trial_green)
-                    trial_fe = _free_energy_value(a.mat, trial_green, trial_phi)
-            except LwlatticeError:
-                # truncated models can be unbounded below; diverging or
-                # overflowing trial points are rejected like any failed step
-                trial_step *= 0.5
-                continue
-            if not np.isfinite(trial_fe):
-                trial_step *= 0.5
-                continue
-            if trial_fe < fe - DESCENT_SLACK:
-                accepted = True
-            elif trial_fe <= fe + DESCENT_SLACK:
+            trial = _trial(a.mat, model_terms, low - trial_step * gradient_low)
+            if trial is not None:
+                _, trial_green, trial_sigma, _, trial_fe = trial
                 # free-energy changes below resolution: require residual progress
-                trial_residual = _norm(a.mat - trial_green.inverse() - trial_sigma.mat)
-                accepted = trial_residual < residual
-            if accepted:
-                low, green = trial_low, trial_green
-                sigma, phi, fe = trial_sigma, trial_phi, trial_fe
-                break
+                if trial_fe < fe - DESCENT_SLACK or (
+                    trial_fe <= fe + DESCENT_SLACK
+                    and _norm(a.mat - trial_green.inverse() - trial_sigma.mat) < residual
+                ):
+                    low, green, sigma, phi, fe = trial
+                    break
             trial_step *= 0.5
-        if not accepted:
+        else:
             break  # stalled line search: report the best point reached
 
     return SolveTrace(iterates=tuple(records), converged=converged, final_green=green)

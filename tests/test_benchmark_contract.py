@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from lwlattice import cli, duality, oracle, solver, verify
+from lwlattice.diagrams import BoldSeries
 from lwlattice.interactions import DiagonalQuartic
-from lwlattice.matrices import SymMatrix
+from lwlattice.matrices import SpdMatrix, SymMatrix
 from lwlattice.oracle import OracleConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,6 +56,18 @@ def test_one_traced_call_is_counted(tracing):
     assert metrics["oracle.calls"] == 1 and metrics["oracle.points"] == 64
     assert metrics["interactions.growth_calls"] == 1
     assert metrics["interactions.calls"] >= 1
+
+
+def test_bold_series_coefficients_are_traced(tracing):
+    # the series looks sigma1 and sigma2 up when it runs, so the wrappers that
+    # replace the module attributes record them inside the series' own span
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        BoldSeries.build(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2)
+    names = [span.name for span in tracer.spans]
+    build = names.index("diagrams.BoldSeries.build")
+    inner = [span.name for span in tracer.spans if span.parent == build]
+    assert inner == ["diagrams.sigma1", "diagrams.sigma2"]
 
 
 def test_every_workload_builds():

@@ -22,6 +22,7 @@ from lwlattice.errors import (
     DivergentIntegral,
     LwlatticeError,
     NoConvergence,
+    NonFinite,
     ValidationError,
 )
 from lwlattice.interactions import (
@@ -37,6 +38,7 @@ from lwlattice.oracle import MomentReport, OracleConfig, evaluate_moments, green
 
 QUAD = OracleConfig()
 QUAD_TIGHT = OracleConfig(nodes_per_dim=192)
+QUAD_32 = OracleConfig(nodes_per_dim=32)
 V2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
 
@@ -530,6 +532,17 @@ class TestRhoG:
         monkeypatch.setattr(duality, "evaluate_moments", no_oracle)
         with pytest.raises(ValidationError, match="x must be finite"):
             rho_g_logdensity(SpdMatrix([[0.5]]), DiagonalQuartic([[1.0]]), x, QUAD)
+
+    @pytest.mark.parametrize("x", [1e100, 1e155], ids=["U-overflows", "quadratic-overflows"])
+    def test_far_point_raises_non_finite(self, x):
+        # U(x) = x^4 / 8 overflows at 1e100; x'Ax overflows at 1e155
+        with pytest.raises(NonFinite, match="x = "):
+            rho_g_logdensity(SpdMatrix([[0.5]]), DiagonalQuartic([[1.0]]), [x], QUAD_32)
+
+    def test_distant_finite_point_keeps_its_value(self):
+        # -U(x) = -1e200 / 8 dominates; x'Ax and Omega are below its resolution
+        val = rho_g_logdensity(SpdMatrix([[0.5]]), DiagonalQuartic([[1.0]]), [1e50], QUAD_32)
+        assert val == pytest.approx(-1.25e199, rel=1e-14)
 
     def test_normalization(self):
         # exp(log rho) integrates to one on a dense grid

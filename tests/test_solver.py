@@ -285,6 +285,44 @@ class TestSolverControls:
             )
 
 
+class TestDimensionChecks:
+    """U and g_init are checked against A before the model is built."""
+
+    @pytest.mark.parametrize("model", list(SigmaModel))
+    def test_dyson_rejects_g_init_of_another_dimension(self, model):
+        with pytest.raises(DimensionMismatch, match="A has dimension 2, G has 3"):
+            dyson_solve(SymMatrix(A2), DiagonalQuartic(V2), model, g_init=SpdMatrix(np.eye(3)))
+
+    @pytest.mark.parametrize("model", list(SigmaModel))
+    @pytest.mark.parametrize("solve", [dyson_solve, minimize_free_energy])
+    def test_solvers_reject_u_of_another_dimension(self, solve, model):
+        # without a self-energy nothing else reads U, so only this check can catch it
+        with pytest.raises(DimensionMismatch, match="A has dimension 2, U has 3"):
+            solve(SymMatrix(A2), DiagonalQuartic(V3), model)
+
+    @pytest.mark.parametrize("model", list(SigmaModel))
+    def test_free_energy_rejects_u_of_another_dimension(self, model):
+        with pytest.raises(DimensionMismatch, match="A has dimension 2, U has 3"):
+            free_energy(SymMatrix(A2), SpdMatrix(A2), DiagonalQuartic(V3), model)
+
+    @pytest.mark.parametrize(
+        "solve, u, kwargs",
+        [
+            (dyson_solve, V3, {}),
+            (minimize_free_energy, V3, {}),
+            (dyson_solve, V2, {"g_init": SpdMatrix(np.eye(3))}),
+        ],
+        ids=["dyson-U", "minimize-U", "dyson-g_init"],
+    )
+    def test_checked_before_the_model_is_built(self, monkeypatch, solve, u, kwargs):
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(solver, "_model_terms", no_model)
+        with pytest.raises(DimensionMismatch):
+            solve(SymMatrix(A2), DiagonalQuartic(u), SigmaModel.EXACT_ORACLE, **kwargs)
+
+
 class TestMinimize:
     def test_gaussian(self):
         trace = minimize_free_energy(
