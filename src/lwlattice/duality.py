@@ -27,7 +27,7 @@ from .errors import (
 )
 from .interactions import Interaction, as_diagonal_quartic, pair_basis
 from .matrices import SpdMatrix, SymMatrix, logdet_spd, min_eigenvalue, plain
-from .oracle import MomentReport, OracleConfig, evaluate_moments
+from .oracle import MomentReport, OracleConfig, PointSet, evaluate_moments, keeps_points
 
 #: Minimum eigenvalue of a target Green's function accepted by the solver;
 #: F diverges logarithmically at the cone boundary and Newton conditioning
@@ -88,7 +88,7 @@ def _start(
     tol: float | None,
     a_init: SymMatrix | None,
 ):
-    """The point a solve starts from: (A, its report, tol, residual).
+    """The point a solve starts from: (A, its report, tol, residual, points).
 
     full_cfg is the solve's configuration with pair moments asked for.
 
@@ -104,6 +104,12 @@ def _start(
     is evaluated once more, with pair moments, for the first Newton step. A
     candidate whose evaluation raises is passed over; one with no rival left
     gets that full evaluation directly.
+
+    When keeps_points(u, full_cfg), every candidate, a lone one too, is
+    evaluated G-only and keeps its points, and the closest one's pair block
+    comes from its own points (PointSet.moments) in place of that further
+    evaluation; ``points`` is then its PointSet, and None otherwise. A
+    losing candidate's points are dropped as soon as it loses.
     """
     if a_init is not None:
         candidates = [a_init.mat]
@@ -116,26 +122,80 @@ def _start(
         else:
             sigma = BoldSeries.build(g_target, v, 1).truncated_sigma(factor)
             candidates = [g_inv + sigma.mat, g_inv]
+    keep = keeps_points(u, full_cfg)
+
+    def evaluate(a, cfg):
+        if keep:
+            return PointSet.evaluate(SymMatrix(a), u, cfg)
+        return evaluate_moments(SymMatrix(a), u, cfg), None
+
     # G-only, and built only when a candidate has a rival to be compared with
-    probe = replace(full_cfg, want_fourth_moments=False) if len(candidates) > 1 else None
-    rivals = []
+    # or keeps its points, which then give its pair block
+    probe = replace(full_cfg, want_fourth_moments=False) if keep or len(candidates) > 1 else None
+    best = None  # (residual, index, points) of the closest candidate so far
     for k, a in enumerate(candidates):
-        if k == len(candidates) - 1 and not rivals:
+        alone = best is None and k == len(candidates) - 1
+        if alone and not keep:
             break
         try:
-            report = evaluate_moments(SymMatrix(a), u, probe)
+            report, points = evaluate(a, probe)
         except LwlatticeError:
+            if alone:
+                raise
             continue
         residual = float(np.linalg.norm(report.green.mat - g_target.mat))
         a_tol = default_tolerance(full_cfg, report) if tol is None else tol
         if residual <= a_tol:
-            return a, report, a_tol, residual
-        rivals.append((residual, k))
-    a = candidates[min(rivals)[1]] if rivals else candidates[-1]
-    report = evaluate_moments(SymMatrix(a), u, full_cfg)
+            return a, report, a_tol, residual, None
+        if best is None or residual < best[0]:
+            best = (residual, k, points)
+    _, k, points = best or (None, len(candidates) - 1, None)
+    a = candidates[k]
+    report = evaluate(a, full_cfg)[0] if points is None else points.moments(SymMatrix(a), full_cfg)
     if tol is None:
         tol = default_tolerance(full_cfg, report)
-    return a, report, tol, float(np.linalg.norm(report.green.mat - g_target.mat))
+    return a, report, tol, float(np.linalg.norm(report.green.mat - g_target.mat)), points
+
+
+def _newton(evaluate, g_target, a, report, residual, tol, steps, quadrature):
+    """Up to ``steps`` damped Newton steps from (a, report), on the moments ``evaluate`` gives.
+
+    ``evaluate`` maps a SymMatrix to its report with pair moments. Stops
+    early once the residual is within tol or a line search stalls; returns
+    (A, its report, residual, steps taken, stalled).
+    """
+    for taken in range(steps):
+        if residual <= tol:
+            return a, report, residual, taken, False
+        step = _newton_step(report, g_target)
+        # halving stops once a trial can no longer move G measurably: in Monte
+        # Carlo when the share of the residual it targets drops below one
+        # standard error (tol / 3), in quadrature when the step drops below
+        # roundoff in A
+        if quadrature:
+            reach, floor = float(np.linalg.norm(step)), 1e-12 * float(np.linalg.norm(a))
+        else:
+            reach, floor = residual, tol / 3.0
+        scale = 1.0
+        for _ in range(MAX_STEP_HALVINGS):
+            trial = a + scale * step
+            # one evaluation per trial, with pair moments: an accepted trial
+            # is the next Newton point and its report gives the next Jacobian
+            try:
+                trial_report = evaluate(SymMatrix(trial))
+                trial_res = float(np.linalg.norm(trial_report.green.mat - g_target))
+            except LwlatticeError:
+                trial_res = np.inf
+            if trial_res < residual:
+                break
+            scale *= 0.5
+            if scale * reach < floor:
+                break
+        if not trial_res < residual:
+            return a, report, residual, taken, True
+        # trials must lower the residual, so the last point is the best one
+        a, report, residual = trial, trial_report, trial_res
+    return a, report, residual, steps, False
 
 
 def solver_controls(tol, max_iter, default=None):
@@ -185,44 +245,28 @@ def _solve_inverse(
     gt = g_target.mat
 
     # the report has pair moments whenever the residual is above tol
-    a, report, tol, residual = _start(g_target, u, full_cfg, tol, a_init)
-    for iteration in range(1, max_iter + 1):
-        if residual <= tol:
-            return SymMatrix(a), report, iteration - 1, residual
-        step = _newton_step(report, gt)
-        # halving stops once a trial can no longer move G measurably: in Monte
-        # Carlo when the share of the residual it targets drops below one
-        # standard error (tol / 3), in quadrature when the step drops below
-        # roundoff in A
-        if cfg.mode == "quadrature":
-            reach, floor = float(np.linalg.norm(step)), 1e-12 * float(np.linalg.norm(a))
-        else:
-            reach, floor = residual, tol / 3.0
-        scale = 1.0
-        for _ in range(MAX_STEP_HALVINGS):
-            trial = a + scale * step
-            # one evaluation per trial, with pair moments: an accepted trial
-            # is the next Newton point and its report gives the next Jacobian
-            try:
-                trial_report = evaluate_moments(SymMatrix(trial), u, full_cfg)
-                trial_res = float(np.linalg.norm(trial_report.green.mat - gt))
-            except LwlatticeError:
-                trial_res = np.inf
-            if trial_res < residual:
-                break
-            scale *= 0.5
-            if scale * reach < floor:
-                break
-        if not trial_res < residual:
-            raise NoConvergence(
-                f"line search stalled at residual {residual:.3e} (tol {tol:.1e})",
-                residual=residual,
-            )
-        # trials must lower the residual, so the last point is the best one
-        a, report, residual = trial, trial_report, trial_res
-
+    a, report, tol, residual, points = _start(g_target, u, full_cfg, tol, a_init)
+    done = 0
+    if points is not None:
+        # one round of steps on the start's points, which are dropped before
+        # the one fresh evaluation at the point it reaches
+        a, _, _, done, _ = _newton(
+            lambda t: points.moments(t, full_cfg), gt, a, report, residual, tol, max_iter, True
+        )
+        points = None
+        report = evaluate_moments(SymMatrix(a), u, full_cfg)
+        residual = float(np.linalg.norm(report.green.mat - gt))
+    a, report, residual, taken, stalled = _newton(
+        lambda t: evaluate_moments(t, u, full_cfg),
+        gt, a, report, residual, tol, max_iter - done, cfg.mode == "quadrature",
+    )
     if residual <= tol:
-        return SymMatrix(a), report, max_iter, residual
+        return SymMatrix(a), report, done + taken, residual
+    if stalled:
+        raise NoConvergence(
+            f"line search stalled at residual {residual:.3e} (tol {tol:.1e})",
+            residual=residual,
+        )
     raise NoConvergence(
         f"no convergence in {max_iter} iterations; best residual {residual:.3e} "
         f"(tol {tol:.1e})",
@@ -245,9 +289,15 @@ def inverse_map(
     answer, or failing that the closer of the two (see _start). From there a
     Newton iteration on A takes damped steps (residual-decreasing line search,
     up to 30 halvings, fewer once a halved step can no longer move G
-    measurably). Raises NoConvergence with the best residual seen, or
-    BoundaryTooClose when G_target sits within BOUNDARY_GUARD of the cone
-    boundary.
+    measurably). When oracle.keeps_points(u, cfg) (quadrature on a streamed
+    grid of at most POINT_SET_DIM_CAP = 3 dimensions, a nonzero library
+    quartic), the steps are first taken on the start's stored points
+    (PointSet), until the residual there is within tol or the line search
+    stalls; then one fresh evaluation at the reached A is the answer when
+    within tol, and the starting point of fresh steps otherwise. Iterations
+    count the steps on stored points too. Raises NoConvergence with the best
+    residual seen, or BoundaryTooClose when G_target sits within
+    BOUNDARY_GUARD of the cone boundary.
     """
     a, _, _, _ = _solve_inverse(g_target, u, cfg, tol, max_iter, a_init)
     return a

@@ -11,7 +11,7 @@ import itertools
 import sys
 from enum import Enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -95,6 +95,40 @@ class Interaction(_Frozen):
 
     def to_dict(self) -> dict:
         raise NotImplementedError
+
+    @cached_property
+    def _quartic_forms(self):
+        """(W, W over pair products) of ``quartic_tensor``, or None: built on first use, once per value.
+
+        The second, which the oracle's grid screen reads, is W[., ., a, b]
+        over the pairs a <= b of ``pair_basis``, off-diagonal pairs counted
+        twice: an (n n, P) matrix. Built only when asked for, so a value at
+        Monte Carlo sizes never does the n^4 work; kept in the instance dict,
+        outside ``to_dict``, so that equality, copies and pickles do not see
+        it. Both arrays are read-only.
+        """
+        factor, base, t, _ = _unwound(self)
+        if factor == 0.0:
+            return None
+        n = self.n
+        if isinstance(base, DiagonalQuartic):
+            eye = np.eye(n)
+            v = factor * base.v.mat
+            w = _symmetrize_quartic_tensor(np.einsum("ik,ij,kl->ijkl", 0.125 * v, eye, eye))
+        elif isinstance(base, GeneralQuartic):
+            w = factor * base.w
+        else:
+            return None
+        if t is not None:
+            # W'_abcd = W_ijkl t_ia t_jb t_kc t_ld, one axis at a time: each step
+            # contracts the leading axis and appends the new one, O(n^5) in all
+            for _ in range(4):
+                w = np.tensordot(w, t, axes=(0, 0))
+        rows, cols, mult = pair_basis(n)
+        w_pairs = w.reshape(n * n, n * n)[:, rows * n + cols] * mult
+        for arr in (w, w_pairs):
+            arr.setflags(write=False)
+        return w, w_pairs
 
 
 class ZeroInteraction(Interaction):
@@ -318,25 +352,11 @@ def quartic_tensor(u: Interaction):
     None for a zero interaction (a ZeroInteraction or a zero factor) and for a
     base class outside the library. A diagonal quartic's tensor is
     W_iijj = v_ij / 8, symmetrized; a map T is contracted into every axis.
-    Builds no interaction: the tensor is not checked or screened.
+    Builds no interaction: the tensor is not checked or screened. Built once
+    per value and shared read-only.
     """
-    factor, base, t, _ = _unwound(u)
-    if factor == 0.0:
-        return None
-    if isinstance(base, DiagonalQuartic):
-        eye = np.eye(u.n)
-        v = factor * base.v.mat
-        w = _symmetrize_quartic_tensor(np.einsum("ik,ij,kl->ijkl", 0.125 * v, eye, eye))
-    elif isinstance(base, GeneralQuartic):
-        w = factor * base.w
-    else:
-        return None
-    if t is not None:
-        # W'_abcd = W_ijkl t_ia t_jb t_kc t_ld, one axis at a time: each step
-        # contracts the leading axis and appends the new one, O(n^5) in all
-        for _ in range(4):
-            w = np.tensordot(w, t, axes=(0, 0))
-    return w
+    forms = u._quartic_forms
+    return None if forms is None else forms[0]
 
 
 def quartic_scale(u: Interaction) -> float:

@@ -28,7 +28,10 @@ ENVELOPE_FLOOR: A may be indefinite as long as the interaction grows
 super-quadratically, so the envelope must be repaired before it can serve as
 a node/proposal generator. Since A - B = -lift I, the leftover
 factor exp(lift |x|^2 / 2 - U(x)) multiplies the integrand and is handled in
-log space.
+log space. A PointSet keeps the points one grid evaluation summed and sums
+them again at another A, with the leftover factor exp(x'(B - A)x / 2 - U(x)):
+a Newton solve on a streamed grid of few dimensions steps on its start's
+points.
 """
 
 from __future__ import annotations
@@ -84,7 +87,9 @@ MC_SAMPLE_CAP = 10_000_000
 #: makes up to two G-only start probes, stops there when one lies within its
 #: tolerance, and otherwise makes one evaluation with fourth moments for its
 #: start point and for each line-search trial: six to eight in all for a
-#: solve of three to five steps without rejections.
+#: solve of three to five steps without rejections (where keeps_points
+#: holds, the steps reweight the start's points and one or two fresh
+#: evaluations follow).
 QUAD_POINT_CAP = 20_000_000
 #: Hard cap on Gauss-Hermite nodes per dimension, checked before the rule is
 #: built (hermgauss forms a dense nodes x nodes matrix). With numpy 2.4.6
@@ -103,6 +108,20 @@ QUAD_NODE_CAP = 360
 #: log p (128 KiB at most) is kept in the 8-entry _chunk_logp cache, 1 MiB
 #: at most: it serves every call on a streamed grid of up to 8 chunks.
 QUAD_CHUNK = 1 << 14
+#: A Newton solve in quadrature keeps its start's points (PointSet, see
+#: keeps_points) only on a streamed grid of at most this many dimensions.
+#: Timed by lw_evaluate on n-dimensional analogues of the lw-quad benchmark's
+#: three inputs (medians of three to five calls, 2-core Xeon host), steps on
+#: stored points took 12-62% less time than fresh steps at n = 3 on grids of
+#: 2 to 247 chunks (40 to 200 nodes), and 10-25% less at n = 2 on 250 nodes;
+#: every n = 3 round ended within tol at its first fresh evaluation, and max
+#: RSS rose by at most 1 MiB on 8 chunks, 3 MiB on 64 and 10 MiB on 247. The
+#: grids that larger n affords are coarser, and there a round ends outside
+#: tol more often: n = 4 at 14 nodes took up to 13% longer, n = 5 at 10 and
+#: 12 nodes up to 36%, n = 6 at 7 and 8 nodes up to 23%. Finer n = 4 grids
+#: (16 to 48 nodes) gained up to 61%, but from 12 chunks on max RSS rose by
+#: 5 to 36 MiB, and n = 5 at 16 and 20 nodes by 30 and 84 MiB.
+POINT_SET_DIM_CAP = 3
 #: Points whose log-weight lies more than this below their chunk's largest
 #: are left out of exp and the weighted sums. The largest point of a chunk has
 #: weight 1 and every point weight at most 1, so a chunk of m points drops at
@@ -115,6 +134,18 @@ QUAD_CHUNK = 1 << 14
 #: point of a one-chunk grid, of a Monte Carlo batch and of a grid that is
 #: streamed whole.
 _NEGLIGIBLE_LOGW = 80.0
+#: A PointSet keeps the points whose log-weight lies within this of the
+#: largest of the set. The others, fewer than QUAD_POINT_CAP points of
+#: weight below e^-40 = 4.2e-18 of the largest, carry less than 8.5e-11 of
+#: the mass: far inside what a solve's steps on the set need, since its
+#: answer comes from a fresh evaluation, and on the lw-quad benchmark's
+#: inputs the set's moments matched fresh ones to 2e-15. There a set holds
+#: 38-46% of the points the kernel keeps by its per-chunk rule (7-16
+#: thousand), which cuts every step on it and the heap a solve holds while
+#: it compares two starts. While the grid streams, each chunk's points are
+#: already cut to this below the largest log-weight so far, so the heap
+#: never holds the kernel's whole per-chunk set.
+_KEPT_LOGW = 40.0
 #: Rounding allowance of the streamed-grid screen, in units of the float
 #: epsilon times the summed magnitudes of phi's terms (see _grid_screen).
 _SCREEN_ULPS = 1024.0
@@ -219,12 +250,15 @@ class _Envelope:
 
     ``linv_t`` = L^-T maps the N(0, I) points y of a point source to
     x = L^-T y, and ``log_front`` = log((2 pi)^{n/2} / det L) is the log of
-    the envelope's own integral.
+    the envelope's own integral. ``rest`` is the matrix B - A when the
+    points are summed at an A other than the one B was built for (a
+    PointSet's); None when B - A = lift I.
     """
 
     lift: float
     linv_t: np.ndarray
     log_front: float
+    rest: np.ndarray | None = None
 
     @classmethod
     def of(cls, a: SymMatrix, lift: float) -> "_Envelope":
@@ -264,6 +298,15 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
         numerically positive definite.
     """
     a = SymMatrix.coerce(a)
+    env = _checked_envelope(a, u, cfg)
+    if cfg.mode == "monte_carlo":
+        return _moments(env, u, cfg, _sample_chunks(cfg, env))
+    return _moments(env, u, cfg, _grid_chunks(cfg.nodes_per_dim, u, env))
+
+
+def _checked_envelope(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> _Envelope:
+    """The envelope of an evaluation, after its checks in their order: mismatch,
+    divergence, the quadrature caps, then NonFinite from the factor."""
     lift = _envelope_lift(a, u)
     n = a.n
     if cfg.mode == "quadrature":
@@ -279,10 +322,7 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
                 f"tensor grid of {cfg.nodes_per_dim}^{n} points exceeds the "
                 f"{QUAD_POINT_CAP:.0e} cap; lower nodes_per_dim"
             )
-    env = _Envelope.of(a, lift)
-    if cfg.mode == "monte_carlo":
-        return _moments(env, u, cfg, _sample_chunks(cfg, env))
-    return _moments(env, u, cfg, _grid_chunks(cfg.nodes_per_dim, u, env))
+    return _Envelope.of(a, lift)
 
 
 def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
@@ -320,18 +360,16 @@ def _grid_chunks(nodes: int, u: Interaction, env: _Envelope):
     sum.
     """
     n = len(env.linv_t)
-    size = (nodes + 1) // 2 * nodes ** (n - 1)
-    if size <= QUAD_CHUNK:
+    layout = _stream_layout(n, nodes)
+    if layout is None:
         y, logp = _tensor_grid(n, nodes, fold=True)
         yield (env.linv_t @ y.T).T, logp
         return
-    # nodes <= QUAD_CHUNK: a tail of one axis at least fits
-    lead = next(k for k in range(1, n) if nodes ** (n - k) <= QUAD_CHUNK)
+    lead, step = layout
     # the folded head grid is the start of the whole one (see _chunk_logp)
     head_x = env.linv_t[:, :lead] @ _tensor_grid(lead, nodes, fold=True)[0].T
     tail_x = env.linv_t[:, lead:] @ _tensor_grid(n - lead, nodes, fold=False)[0].T
     heads, tail = head_x.shape[1], tail_x.shape[1]
-    step = QUAD_CHUNK // tail
     screen = _grid_screen(u, env, nodes, lead, head_x, tail_x)
     if screen is not None:
         head_logw, tail_logw, margin = screen
@@ -352,6 +390,15 @@ def _grid_chunks(nodes: int, u: Interaction, env: _Envelope):
                 continue
         x = (head_x[:, start:stop, None] + tail_x[:, None, :]).reshape(n, -1).T
         yield x, logp
+
+
+def _stream_layout(n: int, nodes: int):
+    """(lead, step) of the streamed grid of n axes (see _grid_chunks), or None for one chunk."""
+    if (nodes + 1) // 2 * nodes ** (n - 1) <= QUAD_CHUNK:
+        return None
+    # nodes <= QUAD_CHUNK: a tail of one axis at least fits
+    lead = next(k for k in range(1, n) if nodes ** (n - k) <= QUAD_CHUNK)
+    return lead, QUAD_CHUNK // nodes ** (n - lead)
 
 
 def _grid_screen(u: Interaction, env: _Envelope, nodes: int, lead: int, head_x, tail_x):
@@ -386,9 +433,10 @@ def _grid_screen(u: Interaction, env: _Envelope, nodes: int, lead: int, head_x, 
     here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        w = quartic_tensor(u)
-        if w is None:
+        forms = u._quartic_forms
+        if forms is None:
             return None
+        w, w_pairs = forms
         y1, logp1 = _rule(nodes)
         n = len(w)
         reach = np.abs(y1).max() * np.abs(env.linv_t).sum()
@@ -399,8 +447,6 @@ def _grid_screen(u: Interaction, env: _Envelope, nodes: int, lead: int, head_x, 
         if not delta <= 1.0:
             return None
         rows, cols, mult = pair_basis(n)
-        # W[., ., x, x] over the pair products x_a x_b (a <= b): an (n n, P) matrix
-        w_pairs = w.reshape(n * n, n * n)[:, rows * n + cols] * mult
         head_logp = _tensor_grid(lead, nodes, fold=True)[1]
         head, head_w3, head_w2 = _screen_features(w_pairs, env.lift, head_x, head_logp)
         head_w2 = -6.0 * mult * head_w2[rows * n + cols].T
@@ -497,26 +543,34 @@ def _sample_chunks(cfg: OracleConfig, env: _Envelope):
         yield (env.linv_t @ rng.standard_normal((per_batch, len(env.linv_t))).T).T, logp
 
 
-def _moments(env: _Envelope, u: Interaction, cfg: OracleConfig, chunks) -> MomentReport:
+def _moments(
+    env: _Envelope, u: Interaction, cfg: OracleConfig, chunks, on_kept=None
+) -> MomentReport:
     """Log-weighted sums over ``chunks`` under ``env``; the one kernel of both backends.
 
     ``chunks`` yields (x, log p) with x = L^-T y coordinate-major
-    (F-ordered), so that the column reads below stay contiguous. With the
-    leftover log factor phi(x) = lift |x|^2 / 2 - U(x),
+    (F-ordered), so that the column reads below stay contiguous, or, from a
+    PointSet, (x, log p, U(x)), whose U is not evaluated again. With the
+    leftover log factor phi(x) = x'(B - A)x / 2 - U(x), which is
+    lift |x|^2 / 2 - U(x) unless ``env.rest`` gives B - A,
     Z = exp(env.log_front) * sum_m p_m exp(phi_m). Each chunk keeps its own
     shift and sums only its points within _NEGLIGIBLE_LOGW of it; the chunks
     are reduced in a fixed order under one global shift. The envelope is
-    built and factored by its caller: this kernel only sums.
+    built and factored by its caller: this kernel only sums. A callable
+    ``on_kept`` is handed each chunk's kept points as (x, log p, U(x), their
+    log-weights less the chunk's shift, that shift).
     """
     shifts, s0, s2, su, s4 = [], [], [], [], []
-    for x, logp in chunks:
+    for x, logp, *stored in chunks:
         # an overflow or NaN is reported once, as NonFinite, and not also as a
         # numpy warning, which a warning filter would turn into another error;
         # the scope is this narrow because ufuncs run slower inside errstate
         with np.errstate(over="ignore", invalid="ignore"):
-            uvals = u.evaluate(x)
+            uvals = stored[0] if stored else u.evaluate(x)
             phi = -uvals
-            if env.lift:
+            if env.rest is not None:
+                phi += 0.5 * np.einsum("mi,mi->m", x @ env.rest, x)
+            elif env.lift:
                 phi += 0.5 * env.lift * np.einsum("mi,mi->m", x, x)
         if not np.all(np.isfinite(phi)):
             raise NonFinite(f"non-finite integrand value in {cfg.mode} mode")
@@ -529,6 +583,9 @@ def _moments(env: _Envelope, u: Interaction, cfg: OracleConfig, chunks) -> Momen
         if not keep.all():  # a Monte Carlo batch usually keeps every draw: no copy
             # compressing the rows of x.T keeps x F-ordered
             x, uvals, logw = x.T.compress(keep, axis=1).T, uvals[keep], logw[keep]
+            logp = logp if on_kept is None else logp[keep]
+        if on_kept is not None:
+            on_kept(x, logp, uvals, logw, shifts[-1])
         w = np.exp(logw)
         s0.append(w.sum())
         s2.append((w[:, None] * x).T @ x)
@@ -571,6 +628,84 @@ def _moments(env: _Envelope, u: Interaction, cfg: OracleConfig, chunks) -> Momen
         pair_moments=pair_moments,
         std_errors=errors,
     )
+
+
+def keeps_points(u: Interaction, cfg: OracleConfig) -> bool:
+    """Whether a Newton solve under (u, cfg) takes its steps on its start's points (PointSet).
+
+    Only in quadrature, on a streamed grid of at most POINT_SET_DIM_CAP
+    dimensions (measured there), and for a U that the grid screen expands:
+    a nonzero library quartic. The stored points cost more than the calls
+    they save on one-chunk grids, which are cheap to evaluate afresh: with
+    them, dyson-exact's wall_ref went 3.31 -> 4.26 and verify-all's 38.4 ->
+    41.4.
+    """
+    n, nodes = u.n, cfg.nodes_per_dim
+    if cfg.mode != "quadrature" or n > POINT_SET_DIM_CAP or nodes > QUAD_NODE_CAP:
+        return False
+    return _stream_layout(n, nodes) is not None and quartic_tensor(u) is not None
+
+
+@dataclass(frozen=True)
+class PointSet:
+    """The points that one quadrature evaluation kept, reweighted to moments at another A.
+
+    An evaluation at A sums over the points x = L^-T y of its envelope
+    B = A + lift I = L L'. The set holds the points whose log-weight lies
+    within _KEPT_LOGW of the largest (see _moments), with their log p and
+    U(x), the matrix ``outer`` = B and the envelope ``env``.
+    At another A' the same points give the moments of (A', U) with the
+    leftover factor x'(B - A')x / 2 - U(x): the kernel sums them as it
+    summed the fresh ones, with no map and no evaluation of U. The rule is
+    the one built for B, not for A''s own envelope, so the moments differ
+    from a fresh evaluation at A' by the difference of the two rules'
+    quadrature errors, which grows as A' leaves A. Built for a grid only.
+    """
+
+    u: Interaction
+    outer: np.ndarray
+    env: _Envelope
+    chunks: tuple
+
+    @classmethod
+    def evaluate(cls, a: SymMatrix, u: Interaction, cfg: OracleConfig):
+        """(evaluate_moments(a, u, cfg), the PointSet of the points it kept), in quadrature."""
+        a = SymMatrix.coerce(a)
+        env = _checked_envelope(a, u, cfg)
+        parts, top = [], -np.inf
+
+        def keep(x, logp, uvals, logw, shift):
+            # within _KEPT_LOGW of the largest log-weight so far
+            nonlocal top
+            top = max(top, shift)
+            kept = logw > top - _KEPT_LOGW - shift
+            parts.append((x.T.compress(kept, axis=1), logp[kept], uvals[kept], logw[kept] + shift))
+
+        report = _moments(env, u, cfg, _grid_chunks(cfg.nodes_per_dim, u, env), keep)
+        # of those, the points within _KEPT_LOGW of the largest of all,
+        # regrouped into as few chunks of at most QUAD_CHUNK points as they
+        # fill: a step on the set then runs the kernel's per-chunk work a few
+        # times, not once for every chunk of the grid
+        xt, logp, uvals, logw = (np.concatenate(part, axis=-1) for part in zip(*parts))
+        del parts
+        kept = logw > top - _KEPT_LOGW
+        xt, logp, uvals = xt.compress(kept, axis=1), logp[kept], uvals[kept]
+        chunks = tuple(
+            (xt[:, i : i + QUAD_CHUNK].T, logp[i : i + QUAD_CHUNK], uvals[i : i + QUAD_CHUNK])
+            for i in range(0, len(logp), QUAD_CHUNK)
+        )
+        return report, cls(u, a.mat + env.lift * np.eye(a.n), env, chunks)
+
+    def moments(self, a: SymMatrix, cfg: OracleConfig) -> MomentReport:
+        """The moments at ``a`` from the stored points.
+
+        Raises what a fresh evaluation raises before its grid (dimension
+        mismatch, DivergentIntegral for an A that is not positive definite
+        under a U of unverified growth) and NonFinite for non-finite weights.
+        """
+        a = SymMatrix.coerce(a)
+        _envelope_lift(a, self.u)
+        return _moments(replace(self.env, rest=self.outer - a.mat), self.u, cfg, self.chunks)
 
 
 def _floor_se(se, value):

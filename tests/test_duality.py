@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lwlattice import duality
+from lwlattice import duality, oracle
 from lwlattice.diagrams import sigma1
 from lwlattice.duality import (
     MAX_STEP_HALVINGS,
@@ -30,10 +30,12 @@ from lwlattice.interactions import (
     Growth,
     ScaledInteraction,
     ZeroInteraction,
+    compose,
+    materialize,
     pair_basis,
     validate_growth,
 )
-from lwlattice.matrices import SpdMatrix, SymMatrix
+from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix
 from lwlattice.oracle import MomentReport, OracleConfig, evaluate_moments, green_of_a
 
 QUAD = OracleConfig()
@@ -352,6 +354,183 @@ class TestStalledLineSearch:
                 last_search += 1
         assert 1 <= last_search < MAX_STEP_HALVINGS
         assert excinfo.value.residual == current
+
+
+def spied_grids(monkeypatch):
+    """Log every fresh evaluation a solve makes, as (kind, pair moments asked for):
+    kind "kept" for one that keeps its points (PointSet.evaluate), "fresh" for
+    one through duality's evaluate_moments. Steps on stored points are not logged."""
+    calls = []
+    fresh, kept = duality.evaluate_moments, oracle.PointSet.evaluate.__func__
+
+    def spy_fresh(a, u, cfg):
+        calls.append(("fresh", cfg.want_fourth_moments))
+        return fresh(a, u, cfg)
+
+    def spy_kept(cls, a, u, cfg):
+        calls.append(("kept", cfg.want_fourth_moments))
+        return kept(cls, a, u, cfg)
+
+    monkeypatch.setattr(duality, "evaluate_moments", spy_fresh)
+    monkeypatch.setattr(oracle.PointSet, "evaluate", classmethod(spy_kept))
+    return calls
+
+
+class TestStoredPointSolves:
+    """On a streamed grid of at most 3 dimensions a solve steps on its start's points."""
+
+    # the seed-1 inputs of the lw-quad benchmark (n = 3, 64 nodes), and the
+    # A[G] that the solve found before it stepped on stored points
+    V_SPD = [[1.0023643249400513, 0.3269733943038954, 0.19943724413080152],
+             [0.3269733943038954, 0.9623662904020971, 0.2949757675602521],
+             [0.19943724413080152, 0.2949757675602521, 1.009918737534612]]
+    V_IND = [[0.094069104813523, 0.02862816629528367, 0.021424043732587682],
+             [0.02862816629528367, 0.09970381948863272, 0.03211658142172432],
+             [0.021424043732587682, 0.03211658142172432, 0.10082453711094869]]
+    V_GEN = [[1.001899176304302, 0.28976432760754467, 0.2108025429851396],
+             [0.28976432760754467, 1.0639253438238554, 0.29624709495070173],
+             [0.2108025429851396, 0.29624709495070173, 1.060472832226906]]
+    SHEAR = [[1.0, 0.5028589263260022, -0.004066411711459626],
+             [0.0, 1.0, 0.3352632838480657],
+             [0.0, 0.0, 1.0]]
+    CASES = {
+        "diag-spd": (
+            [[0.36220472905944545, 0.08066595860139118, 0.03996656481079972],
+             [0.08066595860139118, 0.5076891555291267, 0.07549789221231049],
+             [0.03996656481079972, 0.07549789221231049, 0.3530241350241933]],
+            lambda cls: DiagonalQuartic(cls.V_SPD),
+            [[2.271259175749, -0.440071641825, -0.241190664877],
+             [-0.440071641825, 1.357467133567, -0.415183418696],
+             [-0.241190664877, -0.415183418696, 2.349156206725]],
+        ),
+        "diag-indefinite": (
+            [[4.888445602022685, 1.8692884564606853, 1.0373304263779215],
+             [1.8692884564606853, 1.730855810244739, 0.5059123264147635],
+             [1.0373304263779215, 0.5059123264147635, 0.9896432819551356]],
+            lambda cls: DiagonalQuartic(cls.V_IND),
+            [[-0.072269654601, -0.362189685024, -0.230950309579],
+             [-0.362189685024, 0.703028838977, -0.150996629906],
+             [-0.230950309579, -0.150996629906, 1.105273633235]],
+        ),
+        "general-sheared": (
+            [[0.37530591408457603, 0.07954268890832945, 0.04051710145160316],
+             [0.07954268890832945, 0.5161475612559917, 0.07583201238369565],
+             [0.04051710145160316, 0.07583201238369565, 0.37049190448139624]],
+            lambda cls: materialize(compose(DiagonalQuartic(cls.V_GEN), LinearMap(cls.SHEAR))),
+            [[1.925511482135, -0.861699890995, -0.241155551671],
+             [-0.861699890995, 0.879333351995, -0.724968576932],
+             [-0.241155551671, -0.724968576932, 2.002000029345]],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_benchmark_solves_make_few_fresh_evaluations(self, monkeypatch, name):
+        g, make_u, a_pinned = self.CASES[name]
+        u = make_u(type(self))
+        calls = spied_grids(monkeypatch)
+        rep = lw_evaluate(SpdMatrix(g), u, QUAD)
+        # 6, 9 and 7 evaluations each before
+        assert calls[0][0] == "kept"
+        assert sum(1 for _, pairs in calls if not pairs) <= 2
+        assert sum(1 for _, pairs in calls if pairs) <= 2
+        # the solve returns a fresh report: the last evaluation, at its A
+        assert calls[-1] == ("fresh", True)
+        fresh = evaluate_moments(rep.a_of_g, u, QUAD)
+        assert rep.residual <= 1e-8
+        assert np.linalg.norm(fresh.green.mat - np.asarray(g)) <= 1e-8
+        assert np.abs(rep.a_of_g.mat - np.asarray(a_pinned)).max() <= 1e-8
+
+    @pytest.mark.parametrize(
+        "name, g, u, cfg, pattern, a_pinned",
+        [
+            # 32^3 folds to one chunk of QUAD_CHUNK points
+            (
+                "one-chunk",
+                [[0.4, 0.08, 0.04], [0.08, 0.48, 0.08], [0.04, 0.08, 0.36]],
+                DiagonalQuartic([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]]),
+                QUAD_32,
+                [False, False, True, True, True, True],
+                [[1.95736003474, -0.415583705711, -0.205339376948],
+                 [-0.415583705711, 1.489984987391, -0.46594092984],
+                 [-0.205339376948, -0.46594092984, 2.299491967868]],
+            ),
+            # 32^4 streams as 32 chunks, but n = 4 lies above POINT_SET_DIM_CAP
+            (
+                "n4-32-nodes",
+                0.5 * np.eye(4) + 0.05 * (np.eye(4, k=1) + np.eye(4, k=-1)),
+                DiagonalQuartic(np.eye(4) + 0.2),
+                QUAD_32,
+                [False, False, True, True, True, True],
+                [[1.112121236975, -0.209703296024, 0.020642717039, -0.002060558847],
+                 [-0.209703296024, 1.132917973582, -0.211755242233, 0.020642614506],
+                 [0.020642717039, -0.211755242233, 1.132917060979, -0.2097017921],
+                 [-0.002060558847, 0.020642614506, -0.2097017921, 1.112107603447]],
+            ),
+            (
+                "zero",
+                [[0.4, 0.08, 0.04], [0.08, 0.48, 0.08], [0.04, 0.08, 0.36]],
+                ZeroInteraction(3),
+                QUAD,
+                [True],
+                [[2.6, -0.4, -0.2], [-0.4, 2.225, -0.45], [-0.2, -0.45, 2.9]],
+            ),
+            (
+                "monte-carlo",
+                [[0.4, 0.08, 0.04], [0.08, 0.48, 0.08], [0.04, 0.08, 0.36]],
+                DiagonalQuartic([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]]),
+                OracleConfig(mode="monte_carlo", samples=64_000, seed=4),
+                [False, False, True, True],
+                [[1.937327715475, -0.419043104757, -0.20197529627],
+                 [-0.419043104757, 1.484729183119, -0.467620922256],
+                 [-0.20197529627, -0.467620922256, 2.296269036037]],
+            ),
+        ],
+    )
+    def test_other_solves_keep_their_calls(self, monkeypatch, name, g, u, cfg, pattern, a_pinned):
+        # the oracle calls and A from before stored points, and the same A
+        # bit for bit with the stored-point path switched off
+        calls = spied_grids(monkeypatch)
+        a = inverse_map(SpdMatrix(g), u, cfg)
+        assert calls == [("fresh", pairs) for pairs in pattern]
+        assert np.abs(a.mat - np.asarray(a_pinned)).max() <= 1e-11
+        monkeypatch.setattr(duality, "keeps_points", lambda u, cfg: False)
+        assert np.array_equal(inverse_map(SpdMatrix(g), u, cfg).mat, a.mat)
+
+    @pytest.mark.parametrize(
+        "g, u, nodes",
+        [
+            # 80^3 streams as 20 chunks, more than the log p cache holds
+            (
+                [[0.4, 0.08, 0.04], [0.08, 0.48, 0.08], [0.04, 0.08, 0.36]],
+                DiagonalQuartic([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]]),
+                80,
+            ),
+            # 200^2 streams as 2 chunks
+            ([[0.4, 0.08], [0.08, 0.48]], DiagonalQuartic([[1.0, 0.3], [0.3, 1.0]]), 200),
+        ],
+    )
+    def test_every_streamed_grid_of_few_dimensions_keeps_points(self, monkeypatch, g, u, nodes):
+        cfg = OracleConfig(nodes_per_dim=nodes)
+        calls = spied_grids(monkeypatch)
+        rep = lw_evaluate(SpdMatrix(g), u, cfg)
+        assert calls == [("kept", False), ("kept", False), ("fresh", True)]
+        assert rep.residual <= 1e-8
+        monkeypatch.setattr(duality, "keeps_points", lambda u, cfg: False)
+        fresh_steps = lw_evaluate(SpdMatrix(g), u, cfg)
+        assert np.abs(rep.a_of_g.mat - fresh_steps.a_of_g.mat).max() <= 1e-8
+
+    def test_iterations_count_steps_on_stored_points(self, monkeypatch):
+        # diag-spd takes three steps, all on its start's points; a budget of
+        # two leaves the fresh evaluation outside tol
+        g, make_u, _ = self.CASES["diag-spd"]
+        u = make_u(type(self))
+        rep = lw_evaluate(SpdMatrix(g), u, QUAD)
+        assert rep.solver_iterations == 3
+        assert lw_evaluate(SpdMatrix(g), u, QUAD, max_iter=3) == rep
+        calls = spied_grids(monkeypatch)
+        with pytest.raises(NoConvergence, match="no convergence in 2 iterations"):
+            lw_evaluate(SpdMatrix(g), u, QUAD, max_iter=2)
+        assert calls == [("kept", False), ("kept", False), ("fresh", True)]
 
 
 class TestJacobian:

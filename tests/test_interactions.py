@@ -396,6 +396,27 @@ class TestQuarticTensor:
         pts /= np.abs(pts).sum(axis=1, keepdims=True)
         assert np.abs(u.evaluate(pts)).max() <= scale
 
+    def test_built_once_per_value_and_shared_read_only(self, monkeypatch):
+        # a diagonal quartic's tensor takes 24 transposed additions; two
+        # streamed oracle calls on one value build it once
+        calls = []
+        symmetrize = interactions._symmetrize_quartic_tensor
+        monkeypatch.setattr(
+            interactions, "_symmetrize_quartic_tensor", lambda w: calls.append(1) or symmetrize(w)
+        )
+        u = DiagonalQuartic(TestEvenness.V)
+        for _ in range(2):
+            evaluate_moments(SymMatrix(np.eye(3)), u, OracleConfig())
+        assert len(calls) == 1
+        w = quartic_tensor(u)
+        assert w is quartic_tensor(u)
+        with pytest.raises(ValueError):
+            w[0, 0, 0, 0] = 1.0
+        # equality, copies and pickles do not see the built tensor
+        again = pickle.loads(pickle.dumps(u))
+        assert again == u and "_quartic_forms" not in vars(again)
+        assert np.array_equal(quartic_tensor(again), w)
+
     def test_none_without_a_tensor(self):
         class Custom(Interaction):
             def __init__(self):

@@ -27,7 +27,7 @@ from lwlattice.interactions import (
     materialize,
     quartic_tensor,
 )
-from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix
+from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix, plain
 from lwlattice.oracle import (
     ENVELOPE_FLOOR,
     MC_BATCHES,
@@ -35,6 +35,7 @@ from lwlattice.oracle import (
     QUAD_CHUNK,
     QUAD_NODE_CAP,
     OracleConfig,
+    PointSet,
     _chunk_logp,
     _Envelope,
     _envelope_lift,
@@ -44,6 +45,7 @@ from lwlattice.oracle import (
     _tensor_grid,
     evaluate_moments,
     green_of_a,
+    keeps_points,
 )
 
 QUAD = OracleConfig()
@@ -820,16 +822,41 @@ class TestNegligiblePoints:
         large = SpdMatrix([[5.0, 1.9, 1.0], [1.9, 1.8, 0.5], [1.0, 0.5, 0.95]])
         shear = LinearMap([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
         rows = self.rows_of_pair_block(monkeypatch)
+        stored = []  # the rows of steps on stored points, moved out of rows
+        moments = oracle.PointSet.moments
+
+        def on_stored_points(points, a, cfg):
+            start = len(rows)
+            try:
+                return moments(points, a, cfg)
+            finally:
+                stored.extend(rows[start:])
+                del rows[start:]
+
+        monkeypatch.setattr(oracle.PointSet, "moments", on_stored_points)
         cfg = OracleConfig(nodes_per_dim=64)
-        for g, u in [
-            (small, DiagonalQuartic(v)),
-            (large, DiagonalQuartic(0.1 * v)),  # A[G] indefinite
-            (small, materialize(compose(DiagonalQuartic(v), shear))),
-        ]:
-            duality.lw_evaluate(g, u, cfg)
+
+        def solve():
+            for g, u in [
+                (small, DiagonalQuartic(v)),
+                (large, DiagonalQuartic(0.1 * v)),  # A[G] indefinite
+                (small, materialize(compose(DiagonalQuartic(v), shear))),
+            ]:
+                duality.lw_evaluate(g, u, cfg)
+
+        solve()
         # every chunk of the folded 64^3 grid holds QUAD_CHUNK points; 17% reach it
         assert 64**3 // 2 % QUAD_CHUNK == 0
-        assert sum(rows) < 0.25 * len(rows) * QUAD_CHUNK
+        assert rows and sum(rows) < 0.25 * len(rows) * QUAD_CHUNK
+        # a stored chunk holds only points that reach the pair block, so its
+        # rows are not a share of the grid; the steps on stored points must
+        # sum fewer rows in all than the same solves with fresh steps only
+        assert stored
+        total = sum(rows) + sum(stored)
+        rows.clear()
+        monkeypatch.setattr(duality, "keeps_points", lambda u, cfg: False)
+        solve()
+        assert total < sum(rows)
 
     def test_monte_carlo_keeps_every_draw(self, monkeypatch):
         # the start of the invert-mc benchmark's inverse_map, unjittered
@@ -1074,3 +1101,113 @@ class TestErrors:
             for s in (100, MC_BATCHES)
         ]
         assert reports[0].to_dict() == reports[1].to_dict()
+
+
+class TestPointSet:
+    """Moments on a PointSet's stored points against fresh evaluations, two routes.
+
+    The inputs are those of the lw-quad benchmark, unjittered, at n = 3 and
+    64 nodes (a streamed grid of 8 chunks): a diagonal quartic at an SPD A,
+    whose envelope is A itself, a weak one at an indefinite A, whose
+    envelope is lifted, and a sheared general quartic.
+    """
+
+    V3 = np.array([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    A_SPD = np.linalg.inv([[0.4, 0.08, 0.04], [0.08, 0.48, 0.08], [0.04, 0.08, 0.36]])
+    A_INDEFINITE = np.array([[-0.07, -0.36, -0.23], [-0.36, 0.7, -0.15], [-0.23, -0.15, 1.1]])
+    SHEAR = LinearMap([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]])
+    FULL = OracleConfig(want_fourth_moments=True)
+
+    @classmethod
+    def cases(cls):
+        return {
+            "diagonal-spd": (cls.A_SPD, DiagonalQuartic(cls.V3)),
+            "diagonal-lifted": (cls.A_INDEFINITE, DiagonalQuartic(0.1 * cls.V3)),
+            "general": (cls.A_SPD, materialize(compose(DiagonalQuartic(cls.V3), cls.SHEAR))),
+        }
+
+    @staticmethod
+    def assert_reports_agree(got, want, rel):
+        for name in ("omega", "green", "mean_interaction", "pair_moments"):
+            x, y = np.asarray(plain(getattr(got, name))), np.asarray(plain(getattr(want, name)))
+            assert np.abs(x - y).max() <= rel * np.abs(y).max(), name
+
+    @pytest.mark.parametrize("name", ["diagonal-spd", "diagonal-lifted", "general"])
+    def test_at_its_own_a_the_set_is_the_fresh_evaluation(self, name):
+        a, u = self.cases()[name]
+        a = SymMatrix(a)
+        assert keeps_points(u, QUAD)
+        report, points = PointSet.evaluate(a, u, QUAD)
+        # the evaluation that keeps the points is a fresh one, bit for bit
+        assert report.to_dict() == evaluate_moments(a, u, QUAD).to_dict()
+        assert (points.env.lift > 0.0) == (name == "diagonal-lifted")
+        self.assert_reports_agree(points.moments(a, self.FULL), evaluate_moments(a, u, self.FULL), 1e-13)
+
+    @pytest.mark.parametrize("name", ["diagonal-spd", "diagonal-lifted", "general"])
+    def test_at_a_moved_a_the_set_matches_a_fresh_evaluation(self, name):
+        # a move of 1e-2 changes G by 1e-3 to 1e-2 relative; the stored rule
+        # matched the fresh one to about 1e-15 on these inputs
+        a, u = self.cases()[name]
+        e = np.random.default_rng(8).uniform(-1.0, 1.0, (3, 3))
+        moved = SymMatrix(a + 0.5e-2 * (e + e.T))
+        _, points = PointSet.evaluate(SymMatrix(a), u, QUAD)
+        fresh = evaluate_moments(moved, u, self.FULL)
+        assert np.abs(fresh.green.mat - evaluate_moments(SymMatrix(a), u, QUAD).green.mat).max() > 1e-4
+        self.assert_reports_agree(points.moments(moved, self.FULL), fresh, 1e-8)
+
+    def test_divergent_a_under_unverified_growth(self):
+        # v is positive definite, but v_12 < 0 keeps the growth unverified
+        u = DiagonalQuartic([[1.0, -0.6, 0.0], [-0.6, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        _, points = PointSet.evaluate(SymMatrix(self.A_SPD), u, QUAD)
+        indefinite = SymMatrix(self.A_SPD - 3.0 * np.eye(3))
+        with pytest.raises(DivergentIntegral):
+            evaluate_moments(indefinite, u, QUAD)
+        with pytest.raises(DivergentIntegral):
+            points.moments(indefinite, self.FULL)
+
+    def test_non_finite_weights(self):
+        # B - A' of 1e307 overflows x'(B - A')x / 2 on the stored points
+        u = DiagonalQuartic(self.V3)
+        _, points = PointSet.evaluate(SymMatrix(self.A_SPD), u, QUAD)
+        with pytest.raises(NonFinite, match="non-finite integrand value"):
+            points.moments(SymMatrix(self.A_SPD - 1e307 * np.eye(3)), self.FULL)
+
+
+class TestKeepsPoints:
+    """Which solves take their steps on stored points: streamed grids of at most POINT_SET_DIM_CAP dimensions."""
+
+    @pytest.mark.parametrize(
+        "n, nodes, keeps",
+        # 64^3 streams as 8 chunks, 200^3 as 247, 250^2 as 2 and 16^4 as 2;
+        # 32^3 and 64^2 are one chunk each
+        [
+            (3, 64, True),
+            (3, 200, True),
+            (2, 250, True),
+            (4, 16, False),
+            (6, 8, False),
+            (3, 32, False),
+            (2, 64, False),
+        ],
+    )
+    def test_grid_sizes(self, n, nodes, keeps):
+        u = DiagonalQuartic(np.eye(n) + 0.2)
+        assert keeps_points(u, OracleConfig(nodes_per_dim=nodes)) is keeps
+        assert not keeps_points(u, OracleConfig(mode="monte_carlo", nodes_per_dim=nodes))
+
+    def test_zero_and_custom_interactions(self):
+        class Custom(Interaction):
+            def __init__(self):
+                self._freeze(n=3)
+
+            def _evaluate(self, batch):
+                return np.sum(batch**4, axis=1)
+
+        for u in (ZeroInteraction(3), ScaledInteraction(0.0, DiagonalQuartic(np.eye(3))), Custom()):
+            assert not keeps_points(u, QUAD)
+
+    def test_monte_carlo_sizes_build_no_tensor(self):
+        u = DiagonalQuartic(np.eye(8) + 0.1)
+        for cfg in (QUAD, OracleConfig(mode="monte_carlo")):
+            assert not keeps_points(u, cfg)
+        assert "_quartic_forms" not in vars(u)
