@@ -2,13 +2,15 @@
 order, transformation rule, boundary continuity, truncation consistency.
 
 Every check is deterministic given its config and returns a CheckReport;
-``run_suite`` executes named groups over a fixed case matrix. Pass bounds
-live in THRESHOLDS, a tight set for quadrature and a looser one for Monte
-Carlo; the config's mode picks the set.
+``run_suite`` executes named groups over a fixed case matrix, solving each
+distinct ``lw_evaluate`` once per run. Pass bounds live in THRESHOLDS, a
+tight set for quadrature and a looser one for Monte Carlo; the config's mode
+picks the set.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,6 +66,9 @@ DERIVATIVE_SCALE_FLOOR = 1e-3
 FD_STEP = 1e-4
 #: The coupled n=2 quartic coupling v shared by the suites.
 _V2 = SymMatrix([[1.0, 0.5], [0.5, 1.0]])
+#: The lw_evaluate reports of the run_suite call in progress, by their
+#: inputs; None outside a run, so that a check called on its own solves afresh.
+_RUN_SOLVES = ContextVar("lwlattice_verify_run_solves", default=None)
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,19 @@ def _bound(cfg: OracleConfig, key: str) -> float:
     return bounds[key]
 
 
+def _solve(g, u, cfg, **options):
+    """``lw_evaluate(g, u, cfg, **options)``, solved once per distinct input
+    within one run_suite call: the solve is deterministic, so a repeat returns
+    the first report. An interaction is keyed by its type and ``to_dict``."""
+    solves = _RUN_SOLVES.get()
+    if solves is None:
+        return lw_evaluate(g, u, cfg, **options)
+    key = (g, type(u), repr(u.to_dict()), cfg, tuple(sorted(options.items())))
+    if key not in solves:
+        solves[key] = lw_evaluate(g, u, cfg, **options)
+    return solves[key]
+
+
 def _report(name, metric, threshold, details, at_least=False) -> CheckReport:
     """The one pass rule: metric <= threshold, or metric >= threshold for the
     slope checks (``at_least``); a NaN metric fails either way."""
@@ -104,17 +122,27 @@ def _directional_check(name, value, x, gradient, seed, threshold) -> CheckReport
 
     Step FD_STEP along 6 random symmetric unit directions D drawn from
     ``seed``; metric = max error over the directions, relative to the largest
-    analytic derivative floored at DERIVATIVE_SCALE_FLOOR.
+    analytic derivative floored at DERIVATIVE_SCALE_FLOOR. ``value`` runs once
+    per distinct point: for a 1 x 1 ``x`` every direction is +1 or -1, so the
+    six draws give one difference and cost two evaluations.
     """
     rng = np.random.default_rng(seed)
+    values = {}
+
+    def at(point):
+        key = point.tobytes()
+        if key not in values:
+            values[key] = value(point)
+        return values[key]
+
     analytic, fd = [], []
     for _ in range(6):
         r = rng.standard_normal(x.shape)
         direction = 0.5 * (r + r.T)
         direction = direction / np.linalg.norm(direction)
         analytic.append(float(np.sum(gradient * direction)))
-        plus = value(x + FD_STEP * direction)
-        minus = value(x - FD_STEP * direction)
+        plus = at(x + FD_STEP * direction)
+        minus = at(x - FD_STEP * direction)
         fd.append((plus - minus) / (2.0 * FD_STEP))
     scale = max(np.abs(analytic).max(), DERIVATIVE_SCALE_FLOOR)
     metric = float(np.abs(np.subtract(fd, analytic)).max() / scale)
@@ -165,7 +193,8 @@ def bold_residuals(g, v, order, couplings, cfg, tol, max_iter) -> list:
     At each coupling eps, in the given order, a ``lw_evaluate`` warm-started
     from the previous A[G] gives the exact Sigma and Phi at G; returns
     (report, |Sigma - Sigma_N|_F, |Phi - Phi_N|) per coupling, against the
-    order-N bold partial sums.
+    order-N bold partial sums. Within one run_suite call the chain of solves
+    runs once for every order that shares its inputs.
     """
     g = SpdMatrix.coerce(g)
     v = SymMatrix.coerce(v)
@@ -173,7 +202,7 @@ def bold_residuals(g, v, order, couplings, cfg, tol, max_iter) -> list:
     rows, warm = [], None
     for eps in couplings:
         u_eps = ScaledInteraction(eps, DiagonalQuartic(v))
-        report = lw_evaluate(g, u_eps, cfg, tol=tol, max_iter=max_iter, a_init=warm)
+        report = _solve(g, u_eps, cfg, tol=tol, max_iter=max_iter, a_init=warm)
         warm = report.a_of_g
         sigma_res = np.linalg.norm(report.sigma_exact.mat - series.truncated_sigma(eps).mat)
         phi_res = abs(report.phi - series.truncated_phi(eps))
@@ -219,8 +248,8 @@ def check_transformation_rule(
         # anisotropic maps stretch G and drive A[G] deep into the
         # repaired-envelope regime, where 64 nodes leave ~1e-5 bias
         cfg = replace(cfg, nodes_per_dim=max(cfg.nodes_per_dim, 96))
-    lhs = float(lw_evaluate(congruence(t, g), u, cfg, tol=tol).phi)
-    rhs = float(lw_evaluate(g, compose(u, t), cfg, tol=tol).phi)
+    lhs = float(_solve(congruence(t, g), u, cfg, tol=tol).phi)
+    rhs = float(_solve(g, compose(u, t), cfg, tol=tol).phi)
     details = {"phi_transformed_g": lhs, "phi_composed_u": rhs}
     return _report("transformation_rule", abs(lhs - rhs), threshold, details)
 
@@ -258,9 +287,9 @@ def check_boundary_continuity(
         full = np.zeros((n, n))
         full[:p, :p] = g_p.mat
         full[range(p, n), range(p, n)] = delta
-        phis[k] = lw_evaluate(SpdMatrix(full), u, cfg).phi
+        phis[k] = _solve(SpdMatrix(full), u, cfg).phi
     limit = _polynomial_extrapolation(deltas, phis)
-    target = float(lw_evaluate(g_p, restrict(u, p), cfg).phi)
+    target = float(_solve(g_p, restrict(u, p), cfg).phi)
     details = {
         "deltas": deltas.tolist(),
         "phi_values": phis.tolist(),
@@ -274,11 +303,11 @@ def check_selfenergy_gradient(g: SpdMatrix, u: Interaction, cfg: OracleConfig) -
     """Directional derivatives of Phi against Tr[Sigma dG]."""
     threshold = _bound(cfg, "selfenergy_gradient")
     g = SpdMatrix.coerce(g)
-    center = lw_evaluate(g, u, cfg, tol=1e-10)
+    center = _solve(g, u, cfg, tol=1e-10)
     # the finite-difference points lie within FD_STEP of g: A[g] starts their solves
     return _directional_check(
         "selfenergy_gradient",
-        lambda mat: lw_evaluate(SpdMatrix(mat), u, cfg, tol=1e-10, a_init=center.a_of_g).phi,
+        lambda mat: _solve(SpdMatrix(mat), u, cfg, tol=1e-10, a_init=center.a_of_g).phi,
         g.mat,
         center.sigma_exact.mat,
         202,
@@ -416,7 +445,12 @@ def suite_names():
 
 
 def run_suite(suite: str = "all", cfg: OracleConfig | None = None) -> list:
-    """Run a named check suite; every report is deterministic given cfg."""
+    """Run a named check suite; every report is deterministic given cfg.
+
+    A run computes each identical ``lw_evaluate`` solve once: checks that
+    share a solve (the two scalar Theorem 3 orders share their whole chain)
+    read its first report. Nothing is kept after the run returns.
+    """
     if cfg is None:
         cfg = OracleConfig()
     if suite == "all":
@@ -431,7 +465,11 @@ def run_suite(suite: str = "all", cfg: OracleConfig | None = None) -> list:
         raise ValidationError(
             f"unknown suite {suite!r}; choose from {suite_names()}"
         )
-    reports = []
-    for name in names:
-        reports.extend(_SUITES[name](cfg))
+    token = _RUN_SOLVES.set({})
+    try:
+        reports = []
+        for name in names:
+            reports.extend(_SUITES[name](cfg))
+    finally:
+        _RUN_SOLVES.reset(token)
     return reports

@@ -78,3 +78,19 @@ def test_every_workload_builds():
         assert all(callable(item.run) and callable(item.gate) for item in workload.items)
     # read by the lw-quad gate, which building does not run
     assert OracleConfig().envelope_floor > 0.0
+
+
+def test_every_suite_report_is_one_traced_check(tracing):
+    # the benchmark counts verify.checks from the spans on the public check_*
+    # functions, so a report must not come from a private helper
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        reports = verify.run_suite("all", OracleConfig())
+    (run,) = [i for i, span in enumerate(tracer.spans) if span.name == "verify.run_suite"]
+    checks = [span for span in tracer.spans if span.name.startswith("verify.check_")]
+    assert len(checks) == len(reports) == 23
+    for span, report in zip(checks, reports):
+        assert report.name.startswith(span.name[len("verify.check_"):])
+        assert span.parent == run and span.info == {"passed": report.passed}
+    metrics = tracing.layer_metrics(tracer.spans, 1.0)
+    assert metrics["verify.checks"] == metrics["verify.checks_passed"] == len(reports)

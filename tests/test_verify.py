@@ -24,6 +24,20 @@ QUAD = OracleConfig()
 V2 = np.array([[1.0, 0.5], [0.5, 1.0]])
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The arguments of every lw_evaluate call that verify makes."""
+    calls = []
+    solve = verify.lw_evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "lw_evaluate", counted)
+    return calls
+
+
 class TestThresholdTable:
     def test_two_profiles_shipped(self):
         assert set(THRESHOLDS) == {"quadrature", "mc"}
@@ -158,6 +172,11 @@ class TestSelfEnergyGradient:
         assert first is None and len(steps) == 12
         assert all(a_init is center.a_of_g for a_init, _ in steps)
 
+    def test_scalar_difference_points_are_solved_once(self, solves):
+        report = check_selfenergy_gradient(SpdMatrix([[1.0]]), DiagonalQuartic([[1.0]]), QUAD)
+        # the centre, then G + FD_STEP and G - FD_STEP
+        assert report.passed and len(solves) == 3
+
 
 class TestSharedPieces:
     X = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
@@ -173,6 +192,43 @@ class TestSharedPieces:
         assert list(report.details) == ["analytic", "finite_difference", "step"]
         wrong = verify._directional_check("logdet", self.logdet, self.X, 2.0 * inv, 7, 1e-7)
         assert not wrong.passed and wrong.metric >= 0.4
+
+    @staticmethod
+    def every_point_evaluated(value, x, gradient, seed):
+        """The check as it reads without sharing: two calls per direction."""
+        rng = np.random.default_rng(seed)
+        analytic, fd = [], []
+        for _ in range(6):
+            r = rng.standard_normal(x.shape)
+            direction = 0.5 * (r + r.T)
+            direction = direction / np.linalg.norm(direction)
+            analytic.append(float(np.sum(gradient * direction)))
+            plus = value(x + verify.FD_STEP * direction)
+            minus = value(x - verify.FD_STEP * direction)
+            fd.append((plus - minus) / (2.0 * verify.FD_STEP))
+        scale = max(np.abs(analytic).max(), verify.DERIVATIVE_SCALE_FLOOR)
+        return analytic, fd, float(np.abs(np.subtract(fd, analytic)).max() / scale)
+
+    @pytest.mark.parametrize("n, calls", [(1, 2), (2, 12)])
+    def test_directional_check_evaluates_each_point_once(self, n, calls):
+        x = self.X[:n, :n]
+        points = []
+
+        def value(mat):
+            points.append(mat.tobytes())
+            return self.logdet(mat)
+
+        for seed in (7, 101, 202):
+            points.clear()
+            report = verify._directional_check("logdet", value, x, np.linalg.inv(x), seed, 1e-7)
+            # at n = 1 every direction is +1 or -1: x + h and x - h are all there is
+            assert len(points) == len(set(points)) == calls
+            analytic, fd, metric = self.every_point_evaluated(
+                self.logdet, x, np.linalg.inv(x), seed
+            )
+            assert report.details["analytic"] == analytic
+            assert report.details["finite_difference"] == fd
+            assert report.metric == metric
 
     def test_pass_rule_directions(self):
         nan = float("nan")
@@ -219,6 +275,37 @@ class TestSuites:
     def test_all_suite_passes(self):
         reports = run_suite("all", QUAD)
         assert len(reports) >= 20 and all(r.passed for r in reports)
+
+    def test_theorem3_orders_share_their_chain(self, solves):
+        first = run_suite("theorem3", QUAD)
+        # the scalar orders 1 and 2 share one chain of len(EPS_GRID) solves
+        assert len(solves) == 2 * len(verify.EPS_GRID) == 18
+        second = run_suite("theorem3", QUAD)
+        assert len(solves) == 36
+        alone = [
+            check_asymptotic_order(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 1, QUAD),
+            check_asymptotic_order(SpdMatrix([[1.0]]), SymMatrix([[1.0]]), 2, QUAD),
+            check_asymptotic_order(SpdMatrix(np.eye(2)), SymMatrix(V2), 2, QUAD),
+        ]
+        assert len(solves) == 36 + 27
+        expected = [r.to_dict() for r in alone]
+        assert [r.to_dict() for r in first] == [r.to_dict() for r in second] == expected
+
+    def test_boundary_checks_share_the_restricted_solve(self, solves):
+        reports = run_suite("boundary", QUAD)
+        # 4 deltas each, and one restricted target DiagonalQuartic([[1.0]]) for both
+        assert len(solves) == 2 * len(DELTA_GRID) + 1
+        alone = check_boundary_continuity(
+            SpdMatrix([[1.0]]), DiagonalQuartic([[1.0, 0.0], [0.0, 0.8]]), QUAD
+        )
+        assert reports[1].to_dict() == alone.to_dict()
+
+    def test_nothing_is_kept_after_a_run(self):
+        run_suite("gaussian", QUAD)
+        assert verify._RUN_SOLVES.get() is None
+        with pytest.raises(ValidationError):
+            run_suite("theorem3", OracleConfig(mode="monte_carlo", samples=1000))
+        assert verify._RUN_SOLVES.get() is None
 
     def test_deterministic(self):
         first = run_suite("gaussian", QUAD)
