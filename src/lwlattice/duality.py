@@ -88,7 +88,7 @@ def _start(
     tol: float | None,
     a_init: SymMatrix | None,
 ):
-    """The point a solve starts from: (A, its report, tol, residual, points).
+    """Where a solve begins: (A, answer, points). It asks only for G-only evaluations.
 
     full_cfg is the solve's configuration with pair moments asked for.
 
@@ -98,18 +98,17 @@ def _start(
     corrected guess is off by O(eps^2), but at strong coupling or large G it
     can land farther from the solution than G^-1. Each candidate with a rival
     left is evaluated G-only, in order; the first within tol (when tol is None,
-    its own default_tolerance) is the answer, returned with its G-only report.
-    So a corrected start within tol is returned even when G^-1 would be
-    closer. Otherwise the candidate of least residual (the earlier on a tie)
-    is evaluated once more, with pair moments, for the first Newton step. A
-    candidate whose evaluation raises is passed over; one with no rival left
-    gets that full evaluation directly.
+    its own default_tolerance) is the answer, and ``answer`` is then its
+    (G-only report, residual), None otherwise. So a corrected start within
+    tol is returned even when G^-1 would be closer. Otherwise A is the
+    candidate of least residual (the earlier on a tie), where the first Newton
+    round opens. A candidate whose evaluation raises is passed over; one with
+    no rival left is not evaluated here.
 
     When keeps_points(u, full_cfg), every candidate, a lone one too, is
-    evaluated G-only and keeps its points, and the closest one's pair block
-    comes from its own points (PointSet.moments) in place of that further
-    evaluation; ``points`` is then its PointSet, and None otherwise. A
-    losing candidate's points are dropped as soon as it loses.
+    evaluated G-only and keeps its points; ``points`` is then the PointSet of
+    the returned A, and None otherwise. A losing candidate's points are
+    dropped as soon as it loses.
     """
     if a_init is not None:
         candidates = [a_init.mat]
@@ -123,14 +122,8 @@ def _start(
             sigma = BoldSeries.build(g_target, v, 1).truncated_sigma(factor)
             candidates = [g_inv + sigma.mat, g_inv]
     keep = keeps_points(u, full_cfg)
-
-    def evaluate(a, cfg):
-        if keep:
-            return PointSet.evaluate(SymMatrix(a), u, cfg)
-        return evaluate_moments(SymMatrix(a), u, cfg), None
-
-    # G-only, and built only when a candidate has a rival to be compared with
-    # or keeps its points, which then give its pair block
+    # built only when a candidate is evaluated: it has a rival to be compared
+    # with, or keeps its points for the first round
     probe = replace(full_cfg, want_fourth_moments=False) if keep or len(candidates) > 1 else None
     best = None  # (residual, index, points) of the closest candidate so far
     for k, a in enumerate(candidates):
@@ -138,41 +131,45 @@ def _start(
         if alone and not keep:
             break
         try:
-            report, points = evaluate(a, probe)
+            if keep:
+                report, points = PointSet.evaluate(SymMatrix(a), u, probe)
+            else:
+                report, points = evaluate_moments(SymMatrix(a), u, probe), None
         except LwlatticeError:
             if alone:
                 raise
             continue
         residual = float(np.linalg.norm(report.green.mat - g_target.mat))
-        a_tol = default_tolerance(full_cfg, report) if tol is None else tol
-        if residual <= a_tol:
-            return a, report, a_tol, residual, None
+        if residual <= (default_tolerance(full_cfg, report) if tol is None else tol):
+            return a, (report, residual), None
         if best is None or residual < best[0]:
             best = (residual, k, points)
     _, k, points = best or (None, len(candidates) - 1, None)
-    a = candidates[k]
-    report = evaluate(a, full_cfg)[0] if points is None else points.moments(SymMatrix(a), full_cfg)
-    if tol is None:
-        tol = default_tolerance(full_cfg, report)
-    return a, report, tol, float(np.linalg.norm(report.green.mat - g_target.mat)), points
+    return candidates[k], None, points
 
 
-def _newton(evaluate, g_target, a, report, residual, tol, steps, quadrature):
-    """Up to ``steps`` damped Newton steps from (a, report), on the moments ``evaluate`` gives.
+def _newton(evaluate, g_target, a, tol, steps, cfg):
+    """One Newton round from ``a`` on the moments ``evaluate`` gives.
 
-    ``evaluate`` maps a SymMatrix to its report with pair moments. Stops
-    early once the residual is within tol or a line search stalls; returns
-    (A, its report, residual, steps taken, stalled).
+    ``evaluate`` maps a SymMatrix to its report with pair moments under cfg:
+    PointSet.moments on stored points, or evaluate_moments. The round opens
+    with the evaluation at ``a``; a tol of None is resolved from that report
+    (default_tolerance). Then up to ``steps`` damped steps, stopping early
+    once the residual is within tol or a line search stalls. Returns (A, its
+    report, residual, tol, steps taken, stalled).
     """
+    report = evaluate(SymMatrix(a))
+    residual = float(np.linalg.norm(report.green.mat - g_target))
+    tol = default_tolerance(cfg, report) if tol is None else tol
     for taken in range(steps):
         if residual <= tol:
-            return a, report, residual, taken, False
+            return a, report, residual, tol, taken, False
         step = _newton_step(report, g_target)
         # halving stops once a trial can no longer move G measurably: in Monte
         # Carlo when the share of the residual it targets drops below one
         # standard error (tol / 3), in quadrature when the step drops below
         # roundoff in A
-        if quadrature:
+        if cfg.mode == "quadrature":
             reach, floor = float(np.linalg.norm(step)), 1e-12 * float(np.linalg.norm(a))
         else:
             reach, floor = residual, tol / 3.0
@@ -192,10 +189,10 @@ def _newton(evaluate, g_target, a, report, residual, tol, steps, quadrature):
             if scale * reach < floor:
                 break
         if not trial_res < residual:
-            return a, report, residual, taken, True
+            return a, report, residual, tol, taken, True
         # trials must lower the residual, so the last point is the best one
         a, report, residual = trial, trial_report, trial_res
-    return a, report, residual, steps, False
+    return a, report, residual, tol, steps, False
 
 
 def solver_controls(tol, max_iter, default=None):
@@ -244,21 +241,19 @@ def _solve_inverse(
     full_cfg = replace(cfg, want_fourth_moments=True)
     gt = g_target.mat
 
-    # the report has pair moments whenever the residual is above tol
-    a, report, tol, residual, points = _start(g_target, u, full_cfg, tol, a_init)
+    a, answer, points = _start(g_target, u, full_cfg, tol, a_init)
+    if answer is not None:
+        return SymMatrix(a), answer[0], 0, answer[1]
     done = 0
     if points is not None:
-        # one round of steps on the start's points, which are dropped before
-        # the one fresh evaluation at the point it reaches
-        a, _, _, done, _ = _newton(
-            lambda t: points.moments(t, full_cfg), gt, a, report, residual, tol, max_iter, True
+        # a round on the start's points, which are dropped before the fresh
+        # round opens with its evaluation at the point this one reaches
+        a, _, _, tol, done, _ = _newton(
+            lambda t: points.moments(t, full_cfg), gt, a, tol, max_iter, full_cfg
         )
         points = None
-        report = evaluate_moments(SymMatrix(a), u, full_cfg)
-        residual = float(np.linalg.norm(report.green.mat - gt))
-    a, report, residual, taken, stalled = _newton(
-        lambda t: evaluate_moments(t, u, full_cfg),
-        gt, a, report, residual, tol, max_iter - done, cfg.mode == "quadrature",
+    a, report, residual, tol, taken, stalled = _newton(
+        lambda t: evaluate_moments(t, u, full_cfg), gt, a, tol, max_iter - done, full_cfg
     )
     if residual <= tol:
         return SymMatrix(a), report, done + taken, residual
@@ -284,20 +279,21 @@ def inverse_map(
 ) -> SymMatrix:
     """The unique A with <x x'>_{A,U} = G_target.
 
-    The start is a_init, or else the first of G^-1 + eps Sigma^(1)[G] (for a
-    scaled diagonal quartic) and G^-1 that lies within tol, which is then the
-    answer, or failing that the closer of the two (see _start). From there a
-    Newton iteration on A takes damped steps (residual-decreasing line search,
-    up to 30 halvings, fewer once a halved step can no longer move G
-    measurably). When oracle.keeps_points(u, cfg) (quadrature on a streamed
-    grid of at most POINT_SET_DIM_CAP = 3 dimensions, a nonzero library
-    quartic), the steps are first taken on the start's stored points
-    (PointSet), until the residual there is within tol or the line search
-    stalls; then one fresh evaluation at the reached A is the answer when
-    within tol, and the starting point of fresh steps otherwise. Iterations
-    count the steps on stored points too. Raises NoConvergence with the best
-    residual seen, or BoundaryTooClose when G_target sits within
-    BOUNDARY_GUARD of the cone boundary.
+    A solve is a start plus Newton rounds. The start (see _start) is a_init,
+    or else the first of G^-1 + eps Sigma^(1)[G] (for a scaled diagonal
+    quartic) and G^-1 that lies within tol, which is then the answer, or
+    failing that the closer of the two; it asks only for G-only evaluations.
+    A round (see _newton) opens with the evaluation at its A, with pair
+    moments, and takes damped steps (residual-decreasing line search, up to
+    30 halvings, fewer once a halved step can no longer move G measurably).
+    When oracle.keeps_points(u, cfg) (quadrature on a streamed grid of at
+    most POINT_SET_DIM_CAP = 3 dimensions, a nonzero library quartic), a
+    first round runs on the start's stored points (PointSet), until the
+    residual there is within tol or the line search stalls. The fresh round,
+    on evaluate_moments, comes last: its opening evaluation is the answer
+    when within tol. Iterations count the steps of both rounds. Raises
+    NoConvergence with the best residual seen, or BoundaryTooClose when
+    G_target sits within BOUNDARY_GUARD of the cone boundary.
     """
     a, _, _, _ = _solve_inverse(g_target, u, cfg, tol, max_iter, a_init)
     return a

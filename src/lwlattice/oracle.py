@@ -669,7 +669,12 @@ class PointSet:
 
     @classmethod
     def evaluate(cls, a: SymMatrix, u: Interaction, cfg: OracleConfig):
-        """(evaluate_moments(a, u, cfg), the PointSet of the points it kept), in quadrature."""
+        """(evaluate_moments(a, u, cfg), the PointSet of the points it kept), in quadrature.
+
+        Raises ValidationError for a Monte Carlo cfg, before any grid is built.
+        """
+        if cfg.mode != "quadrature":
+            raise ValidationError(f"a PointSet keeps quadrature points; got mode {cfg.mode!r}")
         a = SymMatrix.coerce(a)
         env = _checked_envelope(a, u, cfg)
         parts, top = [], -np.inf

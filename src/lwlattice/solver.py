@@ -175,6 +175,24 @@ def _setup(a, u, model, cfg, tol, max_iter, g_init=None):
     return tol, a, model_terms, _initial_green(a) if green is None else green
 
 
+def _record(records: list, residual: float, free_energy: float, tol: float, quantity: str) -> bool:
+    """Append the next IterateRecord; whether its residual is within tol.
+
+    Raises NonFinite, naming ``quantity`` and the iteration, when the
+    residual overflows.
+    """
+    iteration = len(records) + 1
+    if not np.isfinite(residual):
+        raise NonFinite(f"{quantity} overflows at iteration {iteration}")
+    records.append(IterateRecord(iteration, residual, free_energy))
+    return residual <= tol
+
+
+def _trace(records: list, tol: float, green: SpdMatrix) -> SolveTrace:
+    """The trace of a run: converged when its last record lies within tol."""
+    return SolveTrace(tuple(records), bool(records and records[-1].residual <= tol), green)
+
+
 def _initial_green(a: SymMatrix) -> SpdMatrix:
     """A^-1, or the inverse of A repaired to ENVELOPE_FLOOR when A is not SPD."""
     lam = min_eigenvalue(a)
@@ -232,7 +250,6 @@ def dyson_solve(
     history = deque(maxlen=ANDERSON_DEPTH + 1)  # (G, T(G) - G) of accepted iterates
     last = None  # the newest accepted pair, kept across history resets
     records = []
-    converged = False
 
     def damped_retry() -> SpdMatrix:
         nonlocal alpha
@@ -259,13 +276,7 @@ def dyson_solve(
             continue
         target = np.linalg.inv(m)
         residual = _norm(green.inverse() - m)
-        if not np.isfinite(residual):
-            raise NonFinite(f"Dyson residual overflows at iteration {len(records) + 1}")
-        records.append(
-            IterateRecord(len(records) + 1, residual, _free_energy_value(a.mat, green, phi))
-        )
-        if residual <= tol:
-            converged = True
+        if _record(records, residual, _free_energy_value(a.mat, green, phi), tol, "Dyson residual"):
             break
         last = (green.mat, target - green.mat)
         history.append(last)
@@ -274,7 +285,7 @@ def dyson_solve(
         except NotPositiveDefinite:
             green = damped_retry()
 
-    return SolveTrace(iterates=tuple(records), converged=converged, final_green=green)
+    return _trace(records, tol, green)
 
 
 def _trial(a_mat: np.ndarray, model_terms, low: np.ndarray):
@@ -324,16 +335,11 @@ def minimize_free_energy(
     step_size = 0.1
     prev_low = prev_grad = None
     records = []
-    converged = False
 
-    for iteration in range(1, max_iter + 1):
+    for _ in range(max_iter):
         gradient_g = a.mat - green.inverse() - sigma.mat
         residual = _norm(gradient_g)
-        if not np.isfinite(residual):
-            raise NonFinite(f"free-energy gradient overflows at iteration {iteration}")
-        records.append(IterateRecord(iteration, residual, fe))
-        if residual <= tol:
-            converged = True
+        if _record(records, residual, fe, tol, "free-energy gradient"):
             break
         gradient_low = np.tril(gradient_g @ low)
         if prev_low is not None:
@@ -360,4 +366,4 @@ def minimize_free_energy(
         else:
             break  # stalled line search: report the best point reached
 
-    return SolveTrace(iterates=tuple(records), converged=converged, final_green=green)
+    return _trace(records, tol, green)

@@ -27,7 +27,7 @@ from .interactions import (
     restrict,
 )
 from .matrices import LinearMap, SpdMatrix, SymMatrix, congruence, plain
-from .oracle import OracleConfig, evaluate_moments, green_of_a
+from .oracle import QUAD_POINT_CAP, OracleConfig, evaluate_moments, green_of_a
 
 #: Per-check pass thresholds. "asymptotic_margin" and "truncation_margin"
 #: are slope margins (fitted slope must exceed N + margin); the rest bound the
@@ -246,8 +246,11 @@ def check_transformation_rule(
     if cfg.mode == "quadrature":
         tol = 1e-9
         # anisotropic maps stretch G and drive A[G] deep into the
-        # repaired-envelope regime, where 64 nodes leave ~1e-5 bias
-        cfg = replace(cfg, nodes_per_dim=max(cfg.nodes_per_dim, 96))
+        # repaired-envelope regime, where 64 nodes leave ~1e-5 bias; the
+        # lift is taken only where its grid fits the cap (n <= 3)
+        nodes = max(cfg.nodes_per_dim, 96)
+        if nodes**g.n <= QUAD_POINT_CAP:
+            cfg = replace(cfg, nodes_per_dim=nodes)
     lhs = float(_solve(congruence(t, g), u, cfg, tol=tol).phi)
     rhs = float(_solve(g, compose(u, t), cfg, tol=tol).phi)
     details = {"phi_transformed_g": lhs, "phi_composed_u": rhs}

@@ -205,6 +205,46 @@ class TestInitialGuess:
             assert dist[-1] <= eps**2
         assert dist[1] / dist[0] == pytest.approx(0.25, abs=0.03)
 
+    V3 = [[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]]
+    G3 = [[0.4, 0.08, 0.04], [0.08, 0.48, 0.08], [0.04, 0.08, 0.36]]
+
+    @pytest.mark.parametrize(
+        "g, u, cfg, a_init, expected",
+        [
+            # two candidates, compared G-only; neither is within tol
+            ([[3.0, 0.9], [0.9, 2.1]], DiagonalQuartic(V2), QUAD, None, [("fresh", False)] * 2),
+            # a lone candidate that keeps no points is not evaluated at all:
+            # a_init, or G^-1 for an interaction that is no diagonal quartic
+            ([[3.0, 0.9], [0.9, 2.1]], DiagonalQuartic(V2), QUAD, np.eye(2), []),
+            (
+                G3,
+                materialize(compose(DiagonalQuartic(V3), LinearMap(np.eye(3) + np.eye(3, k=1)))),
+                OracleConfig(mode="monte_carlo", samples=6400, seed=4),
+                None,
+                [],
+            ),
+            # both candidates keep their points; none is stepped on here
+            (G3, DiagonalQuartic(V3), QUAD, None, [("kept", False)] * 2),
+        ],
+        ids=["two-candidates", "a-init", "lone-monte-carlo", "kept-points"],
+    )
+    def test_the_start_asks_only_for_g(self, monkeypatch, g, u, cfg, a_init, expected):
+        calls = spied_grids(monkeypatch)
+        stored = oracle.PointSet.moments
+
+        def spy_stored(points, a, cfg):
+            calls.append(("stored", cfg.want_fourth_moments))
+            return stored(points, a, cfg)
+
+        monkeypatch.setattr(oracle.PointSet, "moments", spy_stored)
+        a_init = None if a_init is None else SymMatrix(a_init)
+        start = _start(SpdMatrix(g), u, replace(cfg, want_fourth_moments=True), None, a_init)
+        assert calls == expected
+        a, answer, _ = start
+        assert answer is None
+        if a_init is not None:
+            assert np.array_equal(a, a_init.mat)
+
 
 def logged_oracle(monkeypatch, g):
     """Replace duality's oracle by a pass-through that logs, per call, A, whether
@@ -483,6 +523,23 @@ class TestStoredPointSolves:
                 [[1.937327715475, -0.419043104757, -0.20197529627],
                  [-0.419043104757, 1.484729183119, -0.467620922256],
                  [-0.20197529627, -0.467620922256, 2.296269036037]],
+            ),
+            # G^-1 is the lone start candidate: no G-only probe, and the
+            # statistical tol comes from the first evaluation with pair moments
+            (
+                "monte-carlo-lone-start",
+                [[0.4, 0.08, 0.04], [0.08, 0.48, 0.08], [0.04, 0.08, 0.36]],
+                materialize(
+                    compose(
+                        DiagonalQuartic([[1.0, 0.3, 0.2], [0.3, 1.0, 0.3], [0.2, 0.3, 1.0]]),
+                        LinearMap([[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]]),
+                    )
+                ),
+                OracleConfig(mode="monte_carlo", samples=64_000, seed=4),
+                [True, True, True, True],
+                [[1.728415958015, -0.877393796069, -0.22142280754],
+                 [-0.877393796069, 1.132504088304, -0.745280169167],
+                 [-0.22142280754, -0.745280169167, 2.182912272136]],
             ),
         ],
     )

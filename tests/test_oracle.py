@@ -1172,6 +1172,15 @@ class TestPointSet:
         with pytest.raises(NonFinite, match="non-finite integrand value"):
             points.moments(SymMatrix(self.A_SPD - 1e307 * np.eye(3)), self.FULL)
 
+    def test_monte_carlo_config_is_refused_before_any_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(oracle, "_grid_chunks", no_grid)
+        cfg = OracleConfig(mode="monte_carlo", samples=6400)
+        with pytest.raises(ValidationError, match="quadrature"):
+            PointSet.evaluate(SymMatrix(np.eye(3)), DiagonalQuartic(np.eye(3)), cfg)
+
 
 class TestKeepsPoints:
     """Which solves take their steps on stored points: streamed grids of at most POINT_SET_DIM_CAP dimensions."""

@@ -121,6 +121,21 @@ class TestTransformationRule:
         )
         assert report.passed
 
+    @pytest.mark.parametrize("shift", [0, 1], ids=["identity", "cyclic-shift"])
+    def test_n4_ring_keeps_the_callers_node_count(self, solves, shift):
+        # 96^4 grid points lie above QUAD_POINT_CAP, so at n = 4 the node
+        # count is not lifted to 96: both solves run at the 16 nodes asked for
+        ring = np.eye(4, k=1) + np.eye(4, k=-1) + np.eye(4, k=3) + np.eye(4, k=-3)
+        g = SpdMatrix(0.8 * np.eye(4) + 0.15 * ring)
+        report = check_transformation_rule(
+            g,
+            DiagonalQuartic(np.eye(4) + 0.2 * ring),
+            LinearMap(np.roll(np.eye(4), shift, axis=0)),
+            OracleConfig(nodes_per_dim=16),
+        )
+        assert report.passed and report.metric <= 1e-9
+        assert [args[2].nodes_per_dim for args in solves] == [16, 16]
+
 
 class TestBoundaryContinuity:
     def test_non_interacting(self):
