@@ -227,11 +227,7 @@ def _solve_inverse(
     a_init: SymMatrix | None = None,
 ):
     tol = solver_controls(tol, max_iter)
-    g_target = SpdMatrix.coerce(g_target)
-    if min_eigenvalue(g_target) < BOUNDARY_GUARD:
-        raise BoundaryTooClose(
-            f"lambda_min(G) = {min_eigenvalue(g_target):.3e} below {BOUNDARY_GUARD:.0e}"
-        )
+    g_target = _guarded(g_target)
     if g_target.n != u.n:
         raise DimensionMismatch(f"G has dimension {g_target.n}, interaction has {u.n}")
     if a_init is not None:
@@ -255,18 +251,26 @@ def _solve_inverse(
     a, report, residual, tol, taken, stalled = _newton(
         lambda t: evaluate_moments(t, u, full_cfg), gt, a, tol, max_iter - done, full_cfg
     )
-    if residual <= tol:
-        return SymMatrix(a), report, done + taken, residual
-    if stalled:
-        raise NoConvergence(
-            f"line search stalled at residual {residual:.3e} (tol {tol:.1e})",
-            residual=residual,
+    _require_within(residual, tol, stalled, max_iter)
+    return SymMatrix(a), report, done + taken, residual
+
+
+def _guarded(g: SpdMatrix) -> SpdMatrix:
+    """G coerced; BoundaryTooClose when it lies within BOUNDARY_GUARD of the cone boundary."""
+    g = SpdMatrix.coerce(g)
+    if min_eigenvalue(g) < BOUNDARY_GUARD:
+        raise BoundaryTooClose(
+            f"lambda_min(G) = {min_eigenvalue(g):.3e} below {BOUNDARY_GUARD:.0e}"
         )
-    raise NoConvergence(
-        f"no convergence in {max_iter} iterations; best residual {residual:.3e} "
-        f"(tol {tol:.1e})",
-        residual=residual,
-    )
+    return g
+
+
+def _require_within(residual: float, tol: float, stalled: bool, max_iter: int):
+    """Raise NoConvergence, with the residual, unless a solve's last round ended within tol."""
+    if residual <= tol:
+        return
+    how = "line search stalled at" if stalled else f"no convergence in {max_iter} iterations; best"
+    raise NoConvergence(f"{how} residual {residual:.3e} (tol {tol:.1e})", residual=residual)
 
 
 def inverse_map(
@@ -316,7 +320,31 @@ def lw_evaluate(
     F = entropy - <U> up to solver tolerance.
     """
     g = SpdMatrix.coerce(g)
-    a, report, iterations, residual = _solve_inverse(g, u, cfg, tol, max_iter, a_init)
+    return _lw_report(g, *_solve_inverse(g, u, cfg, tol, max_iter, a_init))
+
+
+def lw_evaluate_on(points: PointSet, g: SpdMatrix, cfg: OracleConfig, tol, max_iter, a_init):
+    """lw_evaluate on the stored points of one quadrature evaluation, from the SymMatrix a_init.
+
+    One Newton round (see _newton) on ``points.moments`` solves the discrete
+    moment match of the set's rule, from a_init, in up to max_iter steps; a
+    tol of None is 1e-8, as in lw_evaluate.
+    On a fixed point set log Z is exactly convex in A, so F is the exact
+    Legendre transform of the set's Omega and Sigma = dPhi/dG holds to tol.
+    Raises BoundaryTooClose as lw_evaluate does, and NoConvergence with the
+    messages of inverse_map when the round ends outside tol.
+    """
+    g = _guarded(g)
+    full_cfg = replace(cfg, want_fourth_moments=True)
+    a, report, residual, tol, taken, stalled = _newton(
+        lambda t: points.moments(t, full_cfg), g.mat, a_init.mat, tol, max_iter, full_cfg
+    )
+    _require_within(residual, tol, stalled, max_iter)
+    return _lw_report(g, SymMatrix(a), report, taken, residual)
+
+
+def _lw_report(g: SpdMatrix, a: SymMatrix, report: MomentReport, iterations, residual) -> LwReport:
+    """The LwReport at G of a solve that reached A, with the oracle's report at A."""
     omega = report.omega
     universal_f = 0.5 * float(np.trace(a.mat @ g.mat)) - omega
     phi0 = g.n * np.log(2.0 * np.pi * np.e)

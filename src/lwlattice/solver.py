@@ -6,23 +6,29 @@ The free energy of a trial Green's function is
 
 whose stationarity condition is the Dyson equation G^-1 = A - Sigma_model[G].
 Phi_model is zero (no self-energy), a truncated bold series, or the exact
-duality route. dyson_solve reaches it as an Anderson-mixed fixed point
-(Walker and Ni, SIAM J. Numer. Anal. 49, 2011); minimize_free_energy descends
-on f directly. Non-convergence is a reportable outcome (trace flag), not an
-exception; only leaving the SPD cone or an overflowing residual aborts a run.
+duality route. In quadrature a solve's exact route evaluates once at the
+given A and solves every iterate on the points that evaluation kept
+(oracle.PointSet): on that fixed set log Z is exactly convex, its F is the
+exact Legendre transform, and Sigma = dPhi/dG holds to the inner tolerance,
+so the minimizer is the forward G of that rule at A (Boyd and Vandenberghe,
+Convex Optimization, sec. 3.3). dyson_solve reaches it as an Anderson-mixed
+fixed point (Walker and Ni, SIAM J. Numer. Anal. 49, 2011);
+minimize_free_energy descends on f directly. Non-convergence is a
+reportable outcome (trace flag), not an exception; only leaving the SPD
+cone or an overflowing residual aborts a run.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from numbers import Real
 
 import numpy as np
 
 from .diagrams import BoldSeries
-from .duality import lw_evaluate, solver_controls
+from .duality import lw_evaluate, lw_evaluate_on, solver_controls
 from .errors import (
     DimensionMismatch,
     IterateLeftCone,
@@ -34,7 +40,7 @@ from .errors import (
 )
 from .interactions import Interaction, as_diagonal_quartic
 from .matrices import SpdMatrix, SymMatrix, cholesky_factor, logdet_spd, min_eigenvalue, plain
-from .oracle import ENVELOPE_FLOOR, OracleConfig
+from .oracle import ENVELOPE_FLOOR, OracleConfig, PointSet
 
 DEFAULT_DAMPING = 0.5
 DAMPING_FLOOR = 1.0 / 64.0
@@ -52,8 +58,11 @@ GREEN_NORM_GUARD = 1e8
 class SigmaModel(Enum):
     """Self-energy model used by the solver.
 
-    EXACT_ORACLE runs a full duality solve per iterate and is intended for
-    small verification instances (n <= 3).
+    EXACT_ORACLE takes Sigma and Phi from the duality route. In a quadrature
+    solve every iterate reweights the points of one evaluation at the given
+    A, from G^-1 plus the previous Sigma: the model is the discrete
+    functional of the rule placed at A. In Monte Carlo, and in free_energy,
+    each call runs a fresh duality solve (lw_evaluate).
     """
 
     NONE = "none"
@@ -93,11 +102,14 @@ def _free_energy_value(a_mat: np.ndarray, g: SpdMatrix, phi: float) -> float:
     )
 
 
-def _model_terms(u: Interaction, model: SigmaModel, cfg: OracleConfig, solver_tol=None):
+def _model_terms(u: Interaction, model: SigmaModel, cfg: OracleConfig, solver_tol=None, a=None):
     """G -> (Sigma_model[G], Phi_model[G]) for one model, picked once per solve.
 
     Each model's function holds only its own state. The bold models check
-    their interaction here, before any iterate.
+    their interaction here, before any iterate. A solve passes its A: the
+    exact model in quadrature then evaluates once at A, keeps the points
+    (PointSet) and solves every iterate on them, from G^-1 plus the
+    previous iterate's Sigma (zero at the first), in up to 100 Newton steps.
     """
     if not isinstance(model, SigmaModel):
         raise ValidationError(f"model must be a SigmaModel, got {model!r}")
@@ -109,15 +121,23 @@ def _model_terms(u: Interaction, model: SigmaModel, cfg: OracleConfig, solver_to
         inner_tol = None
         if solver_tol is not None and cfg.mode == "quadrature":
             inner_tol = min(max(solver_tol / 100.0, 1e-13), 1e-8)
-        warm_sigma = None
+        points, warm_sigma = None, None
+        if a is not None and cfg.mode == "quadrature":
+            # A[G] = A at the solution, so every iterate solves on the points
+            # of one evaluation at A; the first starts from G^-1
+            points = PointSet.evaluate(a, u, replace(cfg, want_fourth_moments=False))[1]
+            warm_sigma = np.zeros((a.n, a.n))
 
         def exact_terms(g: SpdMatrix):
             # A[G] = G^-1 + Sigma[G], and Sigma moves slowly between iterates:
             # G^-1 is exact at the new point, only Sigma is carried over
             nonlocal warm_sigma
-            a_init = None if warm_sigma is None else SymMatrix(g.inverse() + warm_sigma.mat)
-            report = lw_evaluate(g, u, cfg, tol=inner_tol, max_iter=100, a_init=a_init)
-            warm_sigma = report.sigma_exact
+            a_init = None if warm_sigma is None else SymMatrix(g.inverse() + warm_sigma)
+            if points is None:
+                report = lw_evaluate(g, u, cfg, tol=inner_tol, max_iter=100, a_init=a_init)
+            else:
+                report = lw_evaluate_on(points, g, cfg, inner_tol, 100, a_init)
+            warm_sigma = report.sigma_exact.mat
             return report.sigma_exact, report.phi
 
         return exact_terms
@@ -169,7 +189,7 @@ def _setup(a, u, model, cfg, tol, max_iter, g_init=None):
     a = SymMatrix.coerce(a)
     green = None if g_init is None else SpdMatrix.coerce(g_init)
     _check_dimensions(a, U=u, G=green)
-    model_terms = _model_terms(u, model, cfg, solver_tol=tol)
+    model_terms = _model_terms(u, model, cfg, solver_tol=tol, a=a)
     if model is SigmaModel.NONE and min_eigenvalue(a) <= 0.0:
         raise ValidationError("the non-interacting Green's function requires A to be SPD")
     return tol, a, model_terms, _initial_green(a) if green is None else green

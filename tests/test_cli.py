@@ -542,6 +542,19 @@ class TestSolverCommands:
         assert code == 1
         assert "requires A to be SPD" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dyson", "minimize"])
+    def test_exact_model_on_a_divergent_integral_exit_three(self, capsys, model_path, command):
+        # the exact model evaluates once at A, so the possibly divergent
+        # integral there is reported before any inner solve could stall (exit 2)
+        model = {
+            "n": 2,
+            "A": [[-0.2, 0.1], [0.1, 0.5]],
+            "interaction": {"type": "diagonal_quartic", "v": [[1.0, -1.2], [-1.2, 1.0]]},
+        }
+        code = dispatch([command, "--model", model_path(model), "--sigma-model", "exact"])
+        assert code == 3
+        assert "may diverge" in capsys.readouterr().err
+
 
 class TestNonDiagonalModels:
     def test_composed_interaction_oracle(self, capsys, model_path):

@@ -714,6 +714,55 @@ class TestLwEvaluate:
         assert report.universal_f == pytest.approx(oracles.F_QUARTIC_2D, abs=5e-11)
 
 
+class TestLwEvaluateOn:
+    """lw_evaluate as one Newton round on the points of one evaluation (oracle.PointSet)."""
+
+    A = SymMatrix([[1.1, 0.1], [0.1, -0.3]])  # indefinite: the envelope is lifted
+    U = DiagonalQuartic([[1.0, 0.5], [0.5, 1.0]])
+
+    def kept(self):
+        report, points = oracle.PointSet.evaluate(self.A, self.U, QUAD)
+        return report.green, points
+
+    def test_at_its_own_green_the_set_returns_its_a_and_lw_evaluate_values(self):
+        # measured: A within 1.3e-15, every value within 9e-16 of lw_evaluate's
+        g, points = self.kept()
+        on = duality.lw_evaluate_on(points, g, QUAD, 1e-12, 60, SymMatrix(g.inverse()))
+        fresh = lw_evaluate(g, self.U, QUAD, tol=1e-12)
+        assert np.abs(on.a_of_g.mat - self.A.mat).max() <= 1e-12
+        assert on.residual <= 1e-12
+        for name in ("universal_f", "phi", "entropy", "mean_interaction"):
+            assert getattr(on, name) == pytest.approx(getattr(fresh, name), abs=1e-12)
+        assert np.abs(on.sigma_exact.mat - fresh.sigma_exact.mat).max() <= 1e-12
+
+    def test_sigma_is_the_gradient_of_phi_on_a_fixed_set(self):
+        # away from A's own G, fresh rules placed at each A[G] put the
+        # difference quotient 7.8e-6 off Sigma; on one set it is 3.3e-11 off
+        g, points = self.kept()
+        g = SpdMatrix(1.3 * g.mat)
+        step, h = np.array([[0.3, 0.2], [0.2, -0.1]]), 1e-4
+        start = SymMatrix(g.inverse())
+
+        def on(green):
+            return duality.lw_evaluate_on(points, SpdMatrix(green), QUAD, 1e-12, 60, start)
+
+        quotient = (on(g.mat + h * step).phi - on(g.mat - h * step).phi) / (2.0 * h)
+        assert quotient == pytest.approx(np.sum(on(g.mat).sigma_exact.mat * step), abs=1e-9)
+
+    def test_a_round_outside_tol_raises_with_its_residual(self):
+        g, points = self.kept()
+        g = SpdMatrix(1.3 * g.mat)
+        with pytest.raises(NoConvergence, match="no convergence in 0 iterations") as info:
+            duality.lw_evaluate_on(points, g, QUAD, 1e-12, 0, SymMatrix(g.inverse()))
+        assert info.value.residual > 0.1
+
+    def test_boundary_guard(self):
+        _, points = self.kept()
+        g = SpdMatrix(np.diag([1.0, 1e-8]))
+        with pytest.raises(BoundaryTooClose):
+            duality.lw_evaluate_on(points, g, QUAD, 1e-12, 60, SymMatrix(g.inverse()))
+
+
 class TestExactSelfEnergy:
     def test_zero_interaction(self):
         rng = np.random.default_rng(3)

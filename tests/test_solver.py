@@ -7,6 +7,7 @@ from lwlattice.diagrams import BoldSeries
 from lwlattice.duality import lw_evaluate
 from lwlattice.errors import (
     DimensionMismatch,
+    DivergentIntegral,
     IterateLeftCone,
     UnsupportedInteraction,
     ValidationError,
@@ -416,3 +417,49 @@ class TestModelConsistency:
             )
         assert deviations[1] < deviations[0]
         assert deviations[1] <= 0.05
+
+
+class TestFrozenExactModel:
+    """The exact model in quadrature solves every iterate on the points of one
+    evaluation at the given A (oracle.PointSet): on that fixed set log Z is
+    exactly convex and Sigma = dPhi/dG holds to the inner tolerance, so both
+    solvers reach the forward G of that rule at A."""
+
+    def test_minimize_converges_on_the_dyson_exact_inputs(self):
+        # when each iterate placed its own rule, the run stopped unconverged
+        # after 200 iterations; measured 20 iterations, 6.7e-10 from the forward G
+        cfg = OracleConfig(nodes_per_dim=32)
+        u = DiagonalQuartic(V3)
+        trace = minimize_free_energy(SymMatrix(A3), u, SigmaModel.EXACT_ORACLE, cfg, tol=1e-8)
+        assert trace.converged
+        assert len(trace.iterates) <= 40
+        reference = green_of_a(SymMatrix(A3), u, cfg).mat
+        assert np.abs(trace.final_green.mat - reference).max() <= 1e-8
+
+    @pytest.mark.parametrize("solve", [dyson_solve, minimize_free_energy])
+    @pytest.mark.parametrize("a_site", [1.0, -0.5], ids=["spd", "indefinite"])
+    def test_n4_rings_reach_the_forward_green(self, solve, a_site):
+        # measured: within 8.8e-8 of the forward G; against the transfer
+        # matrices as far off as the forward G is (3.2e-5 and 1.2e-3 at 24 nodes)
+        a, v = oracles.ring_matrices(4, a_site, -0.3, 1.0, 0.2)
+        a, u, cfg = SymMatrix(a), DiagonalQuartic(v), OracleConfig(nodes_per_dim=24)
+        trace = solve(a, u, SigmaModel.EXACT_ORACLE, cfg=cfg, tol=1e-7)
+        assert trace.converged
+        forward = green_of_a(a, u, cfg).mat
+        ring = oracles.ring_moments(a.mat, v)[1]
+        assert np.abs(trace.final_green.mat - forward).max() <= 1e-6
+        quadrature_error = np.abs(forward - ring).max()
+        assert np.abs(trace.final_green.mat - ring).max() <= quadrature_error + 1e-6
+
+    @pytest.mark.parametrize("solve", [dyson_solve, minimize_free_energy])
+    def test_divergent_integral_at_a_raised_before_any_iterate(self, monkeypatch, solve):
+        # A is not SPD and v is not copositive: the integral at A itself may
+        # diverge, so the evaluation that keeps the points refuses it
+        def no_iterate(*args):
+            raise AssertionError("an iterate was evaluated")
+
+        monkeypatch.setattr(solver, "lw_evaluate_on", no_iterate)
+        a = SymMatrix([[-0.2, 0.1], [0.1, 0.5]])
+        u = DiagonalQuartic([[1.0, -1.2], [-1.2, 1.0]])
+        with pytest.raises(DivergentIntegral, match="may diverge"):
+            solve(a, u, SigmaModel.EXACT_ORACLE)
