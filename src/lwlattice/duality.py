@@ -90,7 +90,8 @@ def _start(
 ):
     """Where a solve begins: (A, answer, points). It asks only for G-only evaluations.
 
-    full_cfg is the solve's configuration with pair moments asked for.
+    full_cfg is the solve's configuration with pair moments asked for. The
+    candidates, and so A, are SymMatrix values, each built once.
 
     The candidates are a_init alone when given; else, for a (scaled) diagonal
     quartic, G^-1 corrected by the first bold diagram and then plain G^-1:
@@ -111,36 +112,33 @@ def _start(
     dropped as soon as it loses.
     """
     if a_init is not None:
-        candidates = [a_init.mat]
+        candidates = [a_init]
     else:
         g_inv = g_target.inverse()
         try:
             factor, v = as_diagonal_quartic(u)
         except LwlatticeError:
-            candidates = [g_inv]
+            candidates = [SymMatrix(g_inv)]
         else:
             sigma = BoldSeries.build(g_target, v, 1).truncated_sigma(factor)
-            candidates = [g_inv + sigma.mat, g_inv]
+            candidates = [SymMatrix(g_inv + sigma.mat), SymMatrix(g_inv)]
     keep = keeps_points(u, full_cfg)
-    # built only when a candidate is evaluated: it has a rival to be compared
-    # with, or keeps its points for the first round
-    probe = replace(full_cfg, want_fourth_moments=False) if keep or len(candidates) > 1 else None
+    probe = replace(full_cfg, want_fourth_moments=False)
+    # (report, points or None), one kind of evaluation for every candidate
+    evaluate = PointSet.evaluate if keep else lambda *args: (evaluate_moments(*args), None)
     best = None  # (residual, index, points) of the closest candidate so far
     for k, a in enumerate(candidates):
         alone = best is None and k == len(candidates) - 1
         if alone and not keep:
             break
         try:
-            if keep:
-                report, points = PointSet.evaluate(SymMatrix(a), u, probe)
-            else:
-                report, points = evaluate_moments(SymMatrix(a), u, probe), None
+            report, points = evaluate(a, u, probe)
         except LwlatticeError:
             if alone:
                 raise
             continue
         residual = float(np.linalg.norm(report.green.mat - g_target.mat))
-        if residual <= (default_tolerance(full_cfg, report) if tol is None else tol):
+        if residual <= (default_tolerance(report) if tol is None else tol):
             return a, (report, residual), None
         if best is None or residual < best[0]:
             best = (residual, k, points)
@@ -148,19 +146,20 @@ def _start(
     return candidates[k], None, points
 
 
-def _newton(evaluate, g_target, a, tol, steps, cfg):
-    """One Newton round from ``a`` on the moments ``evaluate`` gives.
+def _newton(evaluate, g_target, a, tol, steps):
+    """One Newton round from the SymMatrix ``a`` on the moments ``evaluate`` gives.
 
-    ``evaluate`` maps a SymMatrix to its report with pair moments under cfg:
+    ``evaluate`` maps a SymMatrix to its report with pair moments:
     PointSet.moments on stored points, or evaluate_moments. The round opens
     with the evaluation at ``a``; a tol of None is resolved from that report
     (default_tolerance). Then up to ``steps`` damped steps, stopping early
-    once the residual is within tol or a line search stalls. Returns (A, its
-    report, residual, tol, steps taken, stalled).
+    once the residual is within tol or a line search stalls. The backend is
+    read off each report: Monte Carlo reports carry standard errors. Returns
+    (A, its report, residual, tol, steps taken, stalled).
     """
-    report = evaluate(SymMatrix(a))
+    report = evaluate(a)
     residual = float(np.linalg.norm(report.green.mat - g_target))
-    tol = default_tolerance(cfg, report) if tol is None else tol
+    tol = default_tolerance(report) if tol is None else tol
     for taken in range(steps):
         if residual <= tol:
             return a, report, residual, tol, taken, False
@@ -169,17 +168,17 @@ def _newton(evaluate, g_target, a, tol, steps, cfg):
         # Carlo when the share of the residual it targets drops below one
         # standard error (tol / 3), in quadrature when the step drops below
         # roundoff in A
-        if cfg.mode == "quadrature":
-            reach, floor = float(np.linalg.norm(step)), 1e-12 * float(np.linalg.norm(a))
+        if report.std_errors is None:
+            reach, floor = float(np.linalg.norm(step)), 1e-12 * float(np.linalg.norm(a.mat))
         else:
             reach, floor = residual, tol / 3.0
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
-            trial = a + scale * step
+            trial = SymMatrix(a.mat + scale * step)
             # one evaluation per trial, with pair moments: an accepted trial
             # is the next Newton point and its report gives the next Jacobian
             try:
-                trial_report = evaluate(SymMatrix(trial))
+                trial_report = evaluate(trial)
                 trial_res = float(np.linalg.norm(trial_report.green.mat - g_target))
             except LwlatticeError:
                 trial_res = np.inf
@@ -211,9 +210,9 @@ def solver_controls(tol, max_iter, default=None):
     return tol
 
 
-def default_tolerance(cfg: OracleConfig, report: MomentReport) -> float:
-    """1e-8 in quadrature mode; three standard errors in Monte Carlo mode."""
-    if cfg.mode == "quadrature":
+def default_tolerance(report: MomentReport) -> float:
+    """1e-8 for a quadrature report; three standard errors for a Monte Carlo one."""
+    if report.std_errors is None:
         return DEFAULT_TOL_QUADRATURE
     return 3.0 * float(np.linalg.norm(report.std_errors.green))
 
@@ -239,20 +238,18 @@ def _solve_inverse(
 
     a, answer, points = _start(g_target, u, full_cfg, tol, a_init)
     if answer is not None:
-        return SymMatrix(a), answer[0], 0, answer[1]
+        return a, answer[0], 0, answer[1]
     done = 0
     if points is not None:
         # a round on the start's points, which are dropped before the fresh
         # round opens with its evaluation at the point this one reaches
-        a, _, _, tol, done, _ = _newton(
-            lambda t: points.moments(t, full_cfg), gt, a, tol, max_iter, full_cfg
-        )
+        a, _, _, tol, done, _ = _newton(points.moments, gt, a, tol, max_iter)
         points = None
     a, report, residual, tol, taken, stalled = _newton(
-        lambda t: evaluate_moments(t, u, full_cfg), gt, a, tol, max_iter - done, full_cfg
+        lambda t: evaluate_moments(t, u, full_cfg), gt, a, tol, max_iter - done
     )
     _require_within(residual, tol, stalled, max_iter)
-    return SymMatrix(a), report, done + taken, residual
+    return a, report, done + taken, residual
 
 
 def _guarded(g: SpdMatrix) -> SpdMatrix:
@@ -323,7 +320,7 @@ def lw_evaluate(
     return _lw_report(g, *_solve_inverse(g, u, cfg, tol, max_iter, a_init))
 
 
-def lw_evaluate_on(points: PointSet, g: SpdMatrix, cfg: OracleConfig, tol, max_iter, a_init):
+def lw_evaluate_on(points: PointSet, g: SpdMatrix, tol, max_iter, a_init: SymMatrix):
     """lw_evaluate on the stored points of one quadrature evaluation, from the SymMatrix a_init.
 
     One Newton round (see _newton) on ``points.moments`` solves the discrete
@@ -335,12 +332,9 @@ def lw_evaluate_on(points: PointSet, g: SpdMatrix, cfg: OracleConfig, tol, max_i
     messages of inverse_map when the round ends outside tol.
     """
     g = _guarded(g)
-    full_cfg = replace(cfg, want_fourth_moments=True)
-    a, report, residual, tol, taken, stalled = _newton(
-        lambda t: points.moments(t, full_cfg), g.mat, a_init.mat, tol, max_iter, full_cfg
-    )
+    a, report, residual, tol, taken, stalled = _newton(points.moments, g.mat, a_init, tol, max_iter)
     _require_within(residual, tol, stalled, max_iter)
-    return _lw_report(g, SymMatrix(a), report, taken, residual)
+    return _lw_report(g, a, report, taken, residual)
 
 
 def _lw_report(g: SpdMatrix, a: SymMatrix, report: MomentReport, iterations, residual) -> LwReport:

@@ -653,7 +653,8 @@ class PointSet:
     An evaluation at A sums over the points x = L^-T y of its envelope
     B = A + lift I = L L'. The set holds the points whose log-weight lies
     within _KEPT_LOGW of the largest (see _moments), with their log p and
-    U(x), the matrix ``outer`` = B and the envelope ``env``.
+    U(x), the matrix ``outer`` = B, the envelope ``env`` and ``cfg``, the
+    evaluation's settings with pair moments asked for.
     At another A' the same points give the moments of (A', U) with the
     leftover factor x'(B - A')x / 2 - U(x): the kernel sums them as it
     summed the fresh ones, with no map and no evaluation of U. The rule is
@@ -666,6 +667,7 @@ class PointSet:
     outer: np.ndarray
     env: _Envelope
     chunks: tuple
+    cfg: OracleConfig
 
     @classmethod
     def evaluate(cls, a: SymMatrix, u: Interaction, cfg: OracleConfig):
@@ -699,10 +701,11 @@ class PointSet:
             (xt[:, i : i + QUAD_CHUNK].T, logp[i : i + QUAD_CHUNK], uvals[i : i + QUAD_CHUNK])
             for i in range(0, len(logp), QUAD_CHUNK)
         )
-        return report, cls(u, a.mat + env.lift * np.eye(a.n), env, chunks)
+        outer = a.mat + env.lift * np.eye(a.n)
+        return report, cls(u, outer, env, chunks, replace(cfg, want_fourth_moments=True))
 
-    def moments(self, a: SymMatrix, cfg: OracleConfig) -> MomentReport:
-        """The moments at ``a`` from the stored points.
+    def moments(self, a: SymMatrix) -> MomentReport:
+        """The moments at ``a``, with the pair block, from the stored points.
 
         Raises what a fresh evaluation raises before its grid (dimension
         mismatch, DivergentIntegral for an A that is not positive definite
@@ -710,7 +713,7 @@ class PointSet:
         """
         a = SymMatrix.coerce(a)
         _envelope_lift(a, self.u)
-        return _moments(replace(self.env, rest=self.outer - a.mat), self.u, cfg, self.chunks)
+        return _moments(replace(self.env, rest=self.outer - a.mat), self.u, self.cfg, self.chunks)
 
 
 def _floor_se(se, value):

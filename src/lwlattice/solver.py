@@ -136,7 +136,7 @@ def _model_terms(u: Interaction, model: SigmaModel, cfg: OracleConfig, solver_to
             if points is None:
                 report = lw_evaluate(g, u, cfg, tol=inner_tol, max_iter=100, a_init=a_init)
             else:
-                report = lw_evaluate_on(points, g, cfg, inner_tol, 100, a_init)
+                report = lw_evaluate_on(points, g, inner_tol, 100, a_init)
             warm_sigma = report.sigma_exact.mat
             return report.sigma_exact, report.phi
 

@@ -232,9 +232,9 @@ class TestInitialGuess:
         calls = spied_grids(monkeypatch)
         stored = oracle.PointSet.moments
 
-        def spy_stored(points, a, cfg):
-            calls.append(("stored", cfg.want_fourth_moments))
-            return stored(points, a, cfg)
+        def spy_stored(points, a):
+            calls.append(("stored", points.cfg.want_fourth_moments))
+            return stored(points, a)
 
         monkeypatch.setattr(oracle.PointSet, "moments", spy_stored)
         a_init = None if a_init is None else SymMatrix(a_init)
@@ -244,6 +244,17 @@ class TestInitialGuess:
         assert answer is None
         if a_init is not None:
             assert np.array_equal(a, a_init.mat)
+
+    def test_a_lone_candidate_that_keeps_points_raises_what_its_evaluation_raises(self, monkeypatch):
+        # -I is not positive definite and v_12 < 0 leaves the growth
+        # unverified, so the lone candidate's evaluation, which keeps its
+        # points, refuses it; no candidate is left to fall back on
+        u = DiagonalQuartic([[1.0, -0.6, 0.0], [-0.6, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert oracle.keeps_points(u, QUAD)
+        calls = spied_grids(monkeypatch)
+        with pytest.raises(DivergentIntegral):
+            lw_evaluate(SpdMatrix(self.G3), u, QUAD, a_init=SymMatrix(-np.eye(3)))
+        assert calls == [("kept", False)]
 
 
 def logged_oracle(monkeypatch, g):
@@ -314,6 +325,37 @@ class TestNewtonEvaluations:
         assert np.linalg.eigvalsh(rep.a_of_g.mat).min() == pytest.approx(0.1998, abs=1e-4)
         forward = evaluate_moments(rep.a_of_g, u, QUAD).green.mat
         assert np.abs(forward - g).max() <= 1e-8
+
+
+class TestAnswerBuiltOnce:
+    """Each A of a solve is one SymMatrix: the answer is the value the last evaluation received."""
+
+    G3, V3 = TestInitialGuess.G3, TestInitialGuess.V3
+
+    @pytest.mark.parametrize(
+        "g, u, cfg, tol",
+        [
+            # fresh Newton steps with rejected trials
+            ([[3.0, 0.9], [0.9, 2.1]], DiagonalQuartic(V2), QUAD, None),
+            # the corrected start is the answer
+            ([[0.8, 0.1], [0.1, 0.6]], ScaledInteraction(0.05, DiagonalQuartic(V2)), QUAD, 1e-2),
+            # a round on the start's stored points, then a fresh one
+            (G3, DiagonalQuartic(V3), QUAD, None),
+            (G3, DiagonalQuartic(V3), OracleConfig(mode="monte_carlo", samples=64_000, seed=4), None),
+        ],
+        ids=["newton", "start", "stored-points", "monte-carlo"],
+    )
+    def test_inverse_map_returns_what_its_last_oracle_call_received(self, monkeypatch, g, u, cfg, tol):
+        received = []
+        fresh = duality.evaluate_moments
+
+        def spy(a, u, cfg):
+            received.append(a)
+            return fresh(a, u, cfg)
+
+        monkeypatch.setattr(duality, "evaluate_moments", spy)
+        a = inverse_map(SpdMatrix(g), u, cfg, tol=tol)
+        assert a is received[-1]
 
 
 class TestStartRule:
@@ -727,7 +769,7 @@ class TestLwEvaluateOn:
     def test_at_its_own_green_the_set_returns_its_a_and_lw_evaluate_values(self):
         # measured: A within 1.3e-15, every value within 9e-16 of lw_evaluate's
         g, points = self.kept()
-        on = duality.lw_evaluate_on(points, g, QUAD, 1e-12, 60, SymMatrix(g.inverse()))
+        on = duality.lw_evaluate_on(points, g, 1e-12, 60, SymMatrix(g.inverse()))
         fresh = lw_evaluate(g, self.U, QUAD, tol=1e-12)
         assert np.abs(on.a_of_g.mat - self.A.mat).max() <= 1e-12
         assert on.residual <= 1e-12
@@ -744,7 +786,7 @@ class TestLwEvaluateOn:
         start = SymMatrix(g.inverse())
 
         def on(green):
-            return duality.lw_evaluate_on(points, SpdMatrix(green), QUAD, 1e-12, 60, start)
+            return duality.lw_evaluate_on(points, SpdMatrix(green), 1e-12, 60, start)
 
         quotient = (on(g.mat + h * step).phi - on(g.mat - h * step).phi) / (2.0 * h)
         assert quotient == pytest.approx(np.sum(on(g.mat).sigma_exact.mat * step), abs=1e-9)
@@ -753,14 +795,29 @@ class TestLwEvaluateOn:
         g, points = self.kept()
         g = SpdMatrix(1.3 * g.mat)
         with pytest.raises(NoConvergence, match="no convergence in 0 iterations") as info:
-            duality.lw_evaluate_on(points, g, QUAD, 1e-12, 0, SymMatrix(g.inverse()))
+            duality.lw_evaluate_on(points, g, 1e-12, 0, SymMatrix(g.inverse()))
         assert info.value.residual > 0.1
+
+    def test_the_report_holds_the_value_its_last_step_received(self, monkeypatch):
+        g, points = self.kept()
+        g = SpdMatrix(1.3 * g.mat)
+        received = []
+        moments = oracle.PointSet.moments
+
+        def spy(points, a):
+            received.append(a)
+            return moments(points, a)
+
+        monkeypatch.setattr(oracle.PointSet, "moments", spy)
+        on = duality.lw_evaluate_on(points, g, 1e-12, 60, SymMatrix(g.inverse()))
+        assert len(received) > 1
+        assert on.a_of_g is received[-1]
 
     def test_boundary_guard(self):
         _, points = self.kept()
         g = SpdMatrix(np.diag([1.0, 1e-8]))
         with pytest.raises(BoundaryTooClose):
-            duality.lw_evaluate_on(points, g, QUAD, 1e-12, 60, SymMatrix(g.inverse()))
+            duality.lw_evaluate_on(points, g, 1e-12, 60, SymMatrix(g.inverse()))
 
 
 class TestExactSelfEnergy:

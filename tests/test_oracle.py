@@ -825,10 +825,10 @@ class TestNegligiblePoints:
         stored = []  # the rows of steps on stored points, moved out of rows
         moments = oracle.PointSet.moments
 
-        def on_stored_points(points, a, cfg):
+        def on_stored_points(points, a):
             start = len(rows)
             try:
-                return moments(points, a, cfg)
+                return moments(points, a)
             finally:
                 stored.extend(rows[start:])
                 del rows[start:]
@@ -1141,7 +1141,7 @@ class TestPointSet:
         # the evaluation that keeps the points is a fresh one, bit for bit
         assert report.to_dict() == evaluate_moments(a, u, QUAD).to_dict()
         assert (points.env.lift > 0.0) == (name == "diagonal-lifted")
-        self.assert_reports_agree(points.moments(a, self.FULL), evaluate_moments(a, u, self.FULL), 1e-13)
+        self.assert_reports_agree(points.moments(a), evaluate_moments(a, u, self.FULL), 1e-13)
 
     @pytest.mark.parametrize("name", ["diagonal-spd", "diagonal-lifted", "general"])
     def test_at_a_moved_a_the_set_matches_a_fresh_evaluation(self, name):
@@ -1153,7 +1153,7 @@ class TestPointSet:
         _, points = PointSet.evaluate(SymMatrix(a), u, QUAD)
         fresh = evaluate_moments(moved, u, self.FULL)
         assert np.abs(fresh.green.mat - evaluate_moments(SymMatrix(a), u, QUAD).green.mat).max() > 1e-4
-        self.assert_reports_agree(points.moments(moved, self.FULL), fresh, 1e-8)
+        self.assert_reports_agree(points.moments(moved), fresh, 1e-8)
 
     def test_divergent_a_under_unverified_growth(self):
         # v is positive definite, but v_12 < 0 keeps the growth unverified
@@ -1163,14 +1163,14 @@ class TestPointSet:
         with pytest.raises(DivergentIntegral):
             evaluate_moments(indefinite, u, QUAD)
         with pytest.raises(DivergentIntegral):
-            points.moments(indefinite, self.FULL)
+            points.moments(indefinite)
 
     def test_non_finite_weights(self):
         # B - A' of 1e307 overflows x'(B - A')x / 2 on the stored points
         u = DiagonalQuartic(self.V3)
         _, points = PointSet.evaluate(SymMatrix(self.A_SPD), u, QUAD)
         with pytest.raises(NonFinite, match="non-finite integrand value"):
-            points.moments(SymMatrix(self.A_SPD - 1e307 * np.eye(3)), self.FULL)
+            points.moments(SymMatrix(self.A_SPD - 1e307 * np.eye(3)))
 
     def test_monte_carlo_config_is_refused_before_any_grid(self, monkeypatch):
         def no_grid(*args):

@@ -390,6 +390,31 @@ class TestMinimize:
         assert np.abs(trace.final_green.mat - dyson.final_green.mat).max() <= 10 * tol
 
 
+class TestTrialRejections:
+    """minimize_free_energy's trial point (solver._trial) rejects a step instead of failing the run."""
+
+    LOW = np.array([[1.0, 0.0], [0.3, 0.8]])
+
+    @staticmethod
+    def model(phi):
+        return lambda g: (SymMatrix(np.zeros((g.n, g.n))), phi)
+
+    @pytest.mark.parametrize("diagonal", [[1.0, 0.0], [-0.5, 0.8]], ids=["zero", "negative"])
+    def test_a_factor_with_a_nonpositive_diagonal_is_rejected_before_the_model(self, diagonal):
+        def no_model(g):
+            raise AssertionError("the model was evaluated")
+
+        low = np.array([[diagonal[0], 0.0], [0.3, diagonal[1]]])
+        assert solver._trial(A2, no_model, low) is None
+
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_free_energy_is_rejected(self, phi):
+        assert solver._trial(A2, self.model(phi), self.LOW) is None
+        # the same factor under a finite Phi is a trial point
+        low, green, _, _, fe = solver._trial(A2, self.model(0.0), self.LOW)
+        assert np.array_equal(green.mat, self.LOW @ self.LOW.T) and np.isfinite(fe)
+
+
 class TestMonteCarloMode:
     def test_exact_oracle_under_sampling_noise(self):
         # common random numbers keep the noisy fixed point solvable; the
