@@ -118,10 +118,10 @@ def _start(
         try:
             factor, v = as_diagonal_quartic(u)
         except LwlatticeError:
-            candidates = [SymMatrix(g_inv)]
+            candidates = [SymMatrix._of(g_inv)]
         else:
             sigma = BoldSeries.build(g_target, v, 1).truncated_sigma(factor)
-            candidates = [SymMatrix(g_inv + sigma.mat), SymMatrix(g_inv)]
+            candidates = [SymMatrix._of(g_inv + sigma.mat), SymMatrix._of(g_inv)]
     keep = keeps_points(u, full_cfg)
     probe = replace(full_cfg, want_fourth_moments=False)
     # (report, points or None), one kind of evaluation for every candidate
@@ -174,10 +174,12 @@ def _newton(evaluate, g_target, a, tol, steps):
             reach, floor = residual, tol / 3.0
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
-            trial = SymMatrix(a.mat + scale * step)
             # one evaluation per trial, with pair moments: an accepted trial
-            # is the next Newton point and its report gives the next Jacobian
+            # is the next Newton point and its report gives the next Jacobian;
+            # a trial that overflows a matrix value is rejected like one whose
+            # evaluation fails
             try:
+                trial = SymMatrix._of(a.mat + scale * step)
                 trial_report = evaluate(trial)
                 trial_res = float(np.linalg.norm(trial_report.green.mat - g_target))
             except LwlatticeError:
@@ -343,7 +345,7 @@ def _lw_report(g: SpdMatrix, a: SymMatrix, report: MomentReport, iterations, res
     universal_f = 0.5 * float(np.trace(a.mat @ g.mat)) - omega
     phi0 = g.n * np.log(2.0 * np.pi * np.e)
     phi = 2.0 * universal_f - logdet_spd(g) - phi0
-    sigma = SymMatrix(a.mat - g.inverse())
+    sigma = SymMatrix._of(a.mat - g.inverse())
     # entropy of rho_G computed from the oracle's own moments at A[G]
     entropy = (
         0.5 * float(np.trace(a.mat @ report.green.mat))

@@ -264,13 +264,13 @@ class _Envelope:
     def of(cls, a: SymMatrix, lift: float) -> "_Envelope":
         """A + lift I factored; NonFinite when it is not numerically positive definite."""
         try:
-            low = np.linalg.cholesky(a.mat + lift * np.eye(a.n))
+            low = np.linalg.cholesky(a.mat + lift * np.eye(a.n) if lift else a.mat)
         except np.linalg.LinAlgError:
             # the lift is lost to rounding when |A| dwarfs ENVELOPE_FLOOR
             raise NonFinite(
                 f"envelope A + {lift:.3e} I is not numerically positive definite"
             ) from None
-        log_front = 0.5 * a.n * np.log(2.0 * np.pi) - np.sum(np.log(np.diag(low)))
+        log_front = 0.5 * a.n * np.log(2.0 * np.pi) - np.sum(np.log(low.diagonal()))
         return cls(lift, np.linalg.inv(low).T, log_front)
 
 
@@ -559,6 +559,12 @@ def _moments(
     built and factored by its caller: this kernel only sums. A callable
     ``on_kept`` is handed each chunk's kept points as (x, log p, U(x), their
     log-weights less the chunk's shift, that shift).
+
+    A call of one chunk (a grid of at most QUAD_CHUNK folded points, a
+    PointSet of at most QUAD_CHUNK points) takes that chunk's sums as they
+    are: its scale in the reduction would be exp(0) = 1 exactly, so the bits
+    are the same. U goes through ``u.evaluate``, not ``u._evaluate``:
+    perfbench's tracer wraps the public method to count calls and points.
     """
     shifts, s0, s2, su, s4 = [], [], [], [], []
     for x, logp, *stored in chunks:
@@ -572,7 +578,7 @@ def _moments(
                 phi += 0.5 * np.einsum("mi,mi->m", x @ env.rest, x)
             elif env.lift:
                 phi += 0.5 * env.lift * np.einsum("mi,mi->m", x, x)
-        if not np.all(np.isfinite(phi)):
+        if not np.isfinite(phi).all():
             raise NonFinite(f"non-finite integrand value in {cfg.mode} mode")
         logw = phi + logp
         shifts.append(logw.max())
@@ -595,21 +601,24 @@ def _moments(
         if cfg.want_fourth_moments:
             pairs = pair_products(x)
             s4.append((w[:, None] * pairs).T @ pairs)
-    shifts, s0, s2, su = np.array(shifts), np.array(s0), np.array(s2), np.array(su)
-
-    # fixed-order reduction with one global shift: deterministic and stable
-    shift = shifts.max()
-    scale = np.exp(shifts - shift)
-    tot0 = float(scale @ s0)
+    if len(shifts) == 1:  # one chunk: the reduction's bits without its work
+        shift, tot0, tot2, totu = shifts[0], float(s0[0]), s2[0], float(su[0])
+        tot4 = s4[0] if s4 else None
+    else:
+        # fixed-order reduction with one global shift: deterministic and stable
+        shifts, s0, s2, su = np.array(shifts), np.array(s0), np.array(s2), np.array(su)
+        shift = shifts.max()
+        scale = np.exp(shifts - shift)
+        tot0 = float(scale @ s0)
+        tot2 = np.einsum("b,bij->ij", scale, s2)
+        totu = float(scale @ su)
+        tot4 = np.einsum("b,bpq->pq", scale, np.array(s4)) if s4 else None
     log_z = env.log_front + shift + np.log(tot0)
     if not np.isfinite(log_z):
         raise NonFinite("partition function overflowed or vanished")
-    green = SpdMatrix(np.einsum("b,bij->ij", scale, s2) / tot0)
-    mean_u = float(scale @ su) / tot0
-    pair_moments = None
-    if cfg.want_fourth_moments:
-        s4 = np.array(s4)
-        pair_moments = np.einsum("b,bpq->pq", scale, s4) / tot0
+    green = SpdMatrix._of(tot2 / tot0)
+    mean_u = totu / tot0
+    pair_moments = None if tot4 is None else tot4 / tot0
 
     errors = None
     if cfg.mode == "monte_carlo":
@@ -712,7 +721,10 @@ class PointSet:
         under a U of unverified growth) and NonFinite for non-finite weights.
         """
         a = SymMatrix.coerce(a)
-        _envelope_lift(a, self.u)
+        # under a confining U the lift's eigvalsh could not raise, and the
+        # stored envelope serves: only the dimension is checked
+        if a.n != self.u.n or validate_growth(self.u).kind is not Growth.SUPERQUADRATIC:
+            _envelope_lift(a, self.u)
         return _moments(replace(self.env, rest=self.outer - a.mat), self.u, self.cfg, self.chunks)
 
 

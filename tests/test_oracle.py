@@ -1165,6 +1165,19 @@ class TestPointSet:
         with pytest.raises(DivergentIntegral):
             points.moments(indefinite)
 
+    def test_a_step_under_a_confining_u_runs_no_eigendecomposition(self, monkeypatch):
+        # v >= 0 entrywise: U is superquadratic, so no A can make the sum diverge
+        u = DiagonalQuartic(self.V3)
+        _, points = PointSet.evaluate(SymMatrix(self.A_SPD), u, QUAD)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        report = points.moments(SymMatrix(self.A_SPD - 0.1 * np.eye(3)))
+        assert np.isfinite(report.omega)
+        assert calls == []
+        with pytest.raises(DimensionMismatch):
+            points.moments(SymMatrix(np.eye(2)))
+
     def test_non_finite_weights(self):
         # B - A' of 1e307 overflows x'(B - A')x / 2 on the stored points
         u = DiagonalQuartic(self.V3)

@@ -2,10 +2,13 @@
 
 Equal values hash alike, pickle and deep-copy round trips return equal values
 whose arrays stay read-only, and interactions survive their constructors and
-their model files unchanged.
+their model files unchanged. Every public entry point checks the matrices it
+is handed before the oracle runs; inside, the library builds the values of
+its own arrays without coercion or shape checks (``SymMatrix._of``).
 """
 
 import copy
+import functools
 import pickle
 
 import numpy as np
@@ -13,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lwlattice.errors import LwlatticeError
+from lwlattice import oracle, verify
+from lwlattice.duality import exact_self_energy, inverse_map, lw_evaluate, rho_g_logdensity
+from lwlattice.errors import LwlatticeError, ValidationError
 from lwlattice.interactions import (
     ComposedInteraction,
     DiagonalQuartic,
@@ -26,7 +31,8 @@ from lwlattice.interactions import (
 )
 from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix, _FrozenMatrix
 from lwlattice.modelio import ModelFile, load_model, save_model
-from lwlattice.oracle import OracleConfig
+from lwlattice.oracle import OracleConfig, PointSet, evaluate_moments, green_of_a
+from lwlattice.solver import SigmaModel, dyson_solve, free_energy, minimize_free_energy
 from test_interactions import library_subclasses, symmetric_tensor
 
 #: Every matrix class, each built from the same entries in the contract test.
@@ -153,3 +159,71 @@ class TestValueContract:
         assert u != DiagonalQuartic([[2.0]])
         assert u != ScaledInteraction(1.0, u)
         assert GeneralQuartic([[[[0.125]]]]) != u
+
+
+#: Matrices that no public entry point may accept in the place of a 2 x 2 value.
+UNCHECKED = {
+    "non-symmetric": [[1.0, 0.5], [0.0, 1.0]],
+    "nan": [[np.nan, 0.0], [0.0, 1.0]],
+    "non-square": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+}
+U2 = DiagonalQuartic([[1.0, 0.5], [0.5, 1.0]])
+I2 = SymMatrix(np.eye(2))
+QUAD = OracleConfig()
+EXACT = SigmaModel.EXACT_ORACLE
+
+
+@functools.cache
+def _point_set():
+    """A set at I2; its own evaluation runs the oracle, so it is built before the spy."""
+    return PointSet.evaluate(I2, U2, QUAD)[1]
+
+
+#: Each public entry point that takes a matrix value, as a function of the
+#: unchecked matrix.
+DOORS = {
+    "evaluate_moments": lambda m: evaluate_moments(m, U2, QUAD),
+    "green_of_a": lambda m: green_of_a(m, U2, QUAD),
+    "PointSet.evaluate": lambda m: PointSet.evaluate(m, U2, QUAD),
+    "PointSet.moments": lambda m: _point_set().moments(m),
+    "inverse_map": lambda m: inverse_map(m, U2, QUAD),
+    "lw_evaluate": lambda m: lw_evaluate(m, U2, QUAD),
+    "exact_self_energy": lambda m: exact_self_energy(m, U2, QUAD),
+    "rho_g_logdensity": lambda m: rho_g_logdensity(m, U2, [0.0, 0.0], QUAD),
+    "free_energy(A)": lambda m: free_energy(m, I2, U2, EXACT, QUAD),
+    "free_energy(G)": lambda m: free_energy(I2, m, U2, EXACT, QUAD),
+    "dyson_solve(A)": lambda m: dyson_solve(m, U2, EXACT, cfg=QUAD),
+    "dyson_solve(g_init)": lambda m: dyson_solve(I2, U2, EXACT, cfg=QUAD, g_init=m),
+    # minimize_free_energy takes no g_init
+    "minimize_free_energy(A)": lambda m: minimize_free_energy(m, U2, EXACT, QUAD),
+    "check_gradient_omega": lambda m: verify.check_gradient_omega(m, U2, QUAD),
+    "check_bijection": lambda m: verify.check_bijection(m, U2, QUAD),
+    "check_asymptotic_order": lambda m: verify.check_asymptotic_order(m, U2.v, 1, QUAD),
+    "check_transformation_rule": lambda m: verify.check_transformation_rule(
+        m, U2, LinearMap.identity(2), QUAD
+    ),
+    "check_boundary_continuity": lambda m: verify.check_boundary_continuity(
+        m, DiagonalQuartic(np.eye(3)), QUAD
+    ),
+    "check_selfenergy_gradient": lambda m: verify.check_selfenergy_gradient(m, U2, QUAD),
+    "check_truncation_lemma": lambda m: verify.check_truncation_lemma(m, U2.v, 2, QUAD),
+}
+
+
+class TestPublicDoors:
+    """Every public entry point rejects an unchecked matrix before the oracle sums a point."""
+
+    def test_every_check_is_a_door(self):
+        checks = {name for name in dir(verify) if name.startswith("check_")}
+        assert checks <= set(DOORS)
+
+    @pytest.mark.parametrize("kind", UNCHECKED)
+    @pytest.mark.parametrize("door", DOORS)
+    def test_rejected_before_the_oracle(self, monkeypatch, door, kind):
+        _point_set()
+        sums = []
+        moments = oracle._moments
+        monkeypatch.setattr(oracle, "_moments", lambda *args, **kw: sums.append(args) or moments(*args, **kw))
+        with pytest.raises(ValidationError):
+            DOORS[door](np.array(UNCHECKED[kind]))
+        assert sums == []
