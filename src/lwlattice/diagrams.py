@@ -33,7 +33,7 @@ def _coefficient(order: int, mat: np.ndarray) -> SymMatrix:
     where an entry overflowed or left the range a matrix value holds."""
     if not np.abs(mat).max() <= ENTRY_LIMIT:
         raise NonFinite(f"bold self-energy overflows at order {order}")
-    return SymMatrix._of(mat)
+    return SymMatrix(mat)
 
 
 def sigma1(g: SpdMatrix, v: SymMatrix) -> SymMatrix:
@@ -90,7 +90,7 @@ class BoldSeries:
         return coupled_sum(eps, self.phi_terms)
 
     def truncated_sigma(self, eps: float) -> SymMatrix:
-        return SymMatrix._of(coupled_sum(eps, [sig.mat for sig in self.sigma_terms]))
+        return SymMatrix(coupled_sum(eps, [sig.mat for sig in self.sigma_terms]))
 
 
 def coupled_sum(eps: float, terms, first: int = 1, total=0.0):

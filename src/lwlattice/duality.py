@@ -118,10 +118,10 @@ def _start(
         try:
             factor, v = as_diagonal_quartic(u)
         except LwlatticeError:
-            candidates = [SymMatrix._of(g_inv)]
+            candidates = [SymMatrix(g_inv)]
         else:
             sigma = BoldSeries.build(g_target, v, 1).truncated_sigma(factor)
-            candidates = [SymMatrix._of(g_inv + sigma.mat), SymMatrix._of(g_inv)]
+            candidates = [SymMatrix(g_inv + sigma.mat), SymMatrix(g_inv)]
     keep = keeps_points(u, full_cfg)
     probe = replace(full_cfg, want_fourth_moments=False)
     # (report, points or None), one kind of evaluation for every candidate
@@ -167,19 +167,22 @@ def _newton(evaluate, g_target, a, tol, steps):
         # halving stops once a trial can no longer move G measurably: in Monte
         # Carlo when the share of the residual it targets drops below one
         # standard error (tol / 3), in quadrature when the step drops below
-        # roundoff in A
+        # roundoff in A (a norm past the float range reads inf)
         if report.std_errors is None:
-            reach, floor = float(np.linalg.norm(step)), 1e-12 * float(np.linalg.norm(a.mat))
+            with np.errstate(over="ignore"):
+                reach, floor = float(np.linalg.norm(step)), 1e-12 * float(np.linalg.norm(a.mat))
         else:
             reach, floor = residual, tol / 3.0
         scale = 1.0
         for _ in range(MAX_STEP_HALVINGS):
             # one evaluation per trial, with pair moments: an accepted trial
             # is the next Newton point and its report gives the next Jacobian;
-            # a trial that overflows a matrix value is rejected like one whose
-            # evaluation fails
+            # a trial whose entries overflow fails its value's checks and is
+            # rejected like one whose evaluation fails
             try:
-                trial = SymMatrix._of(a.mat + scale * step)
+                with np.errstate(over="ignore"):
+                    mat = a.mat + scale * step
+                trial = SymMatrix(mat)
                 trial_report = evaluate(trial)
                 trial_res = float(np.linalg.norm(trial_report.green.mat - g_target))
             except LwlatticeError:
@@ -345,7 +348,7 @@ def _lw_report(g: SpdMatrix, a: SymMatrix, report: MomentReport, iterations, res
     universal_f = 0.5 * float(np.trace(a.mat @ g.mat)) - omega
     phi0 = g.n * np.log(2.0 * np.pi * np.e)
     phi = 2.0 * universal_f - logdet_spd(g) - phi0
-    sigma = SymMatrix._of(a.mat - g.inverse())
+    sigma = SymMatrix(a.mat - g.inverse())
     # entropy of rho_G computed from the oracle's own moments at A[G]
     entropy = (
         0.5 * float(np.trace(a.mat @ report.green.mat))

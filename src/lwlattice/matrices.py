@@ -10,14 +10,10 @@ a LinearMap never equals a SymMatrix.
 Values are checked at the public doors: the constructors, and ``coerce`` in
 every public function that takes a matrix, turn any input into a float array
 and check its shape, its entries, its symmetry and, for an SpdMatrix, its
-Cholesky pivots. Inside, the library builds the values of its own float64
-square arrays (the oracle's G, Newton trials and start points, Sigma, bold
-coefficients, the theorem checks' difference points) with the private
-``SymMatrix._of`` / ``SpdMatrix._of``. It skips the coercion and the shape
-checks, which such an array passes by construction, and keeps every check a
-computed array can fail: finite entries within ENTRY_LIMIT, the asymmetry
-bound, the symmetrization 0.5 (a + a') and the Cholesky pivot test. Its
-values and errors are the public constructor's, bit for bit.
+Cholesky pivots. The library builds the values of its own arrays (the
+oracle's G, Newton trials, Sigma) through the same constructors, so a
+computed array that overflowed, lost its symmetry or a pivot fails as an
+input would.
 """
 
 from __future__ import annotations
@@ -52,22 +48,17 @@ def float_array(entries, what: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def _square_array(entries, what: str) -> np.ndarray:
-    """A float copy of a square, non-empty matrix."""
+def _square_array(entries, what: str):
+    """(arr, largest |entry|) of a square, finite, non-empty float matrix."""
     arr = float_array(entries, what)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{what} must be a square matrix, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{what} must have positive dimension")
-    return arr
-
-
-def _largest(arr: np.ndarray, what: str) -> float:
-    """The largest |entry| of arr; ValidationError when one is not finite or above ENTRY_LIMIT."""
     largest = np.abs(arr).max()
     if not largest <= ENTRY_LIMIT:
         raise ValidationError(f"{what} has non-finite entries or entries above {ENTRY_LIMIT:.2e}")
-    return float(largest)
+    return arr, float(largest)
 
 
 def cholesky_factor(arr: np.ndarray) -> np.ndarray:
@@ -175,24 +166,7 @@ class SymMatrix(_FrozenMatrix):
     _family = "symmetric"
 
     def __init__(self, entries):
-        self._set(_square_array(entries, "symmetric matrix"))
-
-    @classmethod
-    def _of(cls, arr: np.ndarray):
-        """The value of a float64 square array that the library computed itself.
-
-        Skips the coercion and shape checks of the public constructor, which
-        such an array passes by construction; keeps the checks a computed
-        array can fail (an entry that overflowed, an asymmetry, for an
-        SpdMatrix a pivot), with the same errors, and the same bits.
-        """
-        value = object.__new__(cls)
-        value._set(arr)
-        return value
-
-    def _set(self, arr: np.ndarray):
-        """Store the square float array arr symmetrized, once its entries and asymmetry pass."""
-        largest = _largest(arr, "symmetric matrix")
+        arr, largest = _square_array(entries, "symmetric matrix")
         asym = np.abs(arr - arr.T).max()
         bound = SYM_TOLERANCE * max(1.0, largest)
         if asym > bound:
@@ -215,9 +189,8 @@ class SpdMatrix(SymMatrix):
 
     __slots__ = ("chol",)
 
-    def _set(self, arr: np.ndarray):
-        """Store arr symmetrized, with its Cholesky factor; NotPositiveDefinite at a small pivot."""
-        super()._set(arr)
+    def __init__(self, entries):
+        super().__init__(entries)
         self._freeze(chol=cholesky_factor(self.mat))
 
     def inverse(self) -> np.ndarray:
@@ -234,8 +207,7 @@ class LinearMap(_FrozenMatrix):
     _family = "map"
 
     def __init__(self, entries):
-        arr = _square_array(entries, "linear map")
-        _largest(arr, "linear map")
+        arr = _square_array(entries, "linear map")[0]
         rcond = 1.0 / np.linalg.cond(arr)
         if rcond < INV_TOLERANCE:
             raise SingularMap(f"reciprocal condition number {rcond:.3e} below {INV_TOLERANCE:.0e}")

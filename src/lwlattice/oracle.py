@@ -222,6 +222,25 @@ class MomentReport:
         return plain(self)
 
 
+def _check_integrable(a: SymMatrix, u: Interaction) -> bool:
+    """Validate integrability; True when U is confining (super-quadratic).
+
+    A confining U makes exp(-x'Ax/2 - U) integrable for every A; without
+    one, A must be positive definite.
+    """
+    if a.n != u.n:
+        raise DimensionMismatch(f"A has dimension {a.n}, interaction has {u.n}")
+    growth = validate_growth(u)
+    if growth.kind is Growth.SUPERQUADRATIC:
+        return True
+    if np.linalg.eigvalsh(a.mat)[0] <= 0.0:
+        raise DivergentIntegral(
+            "A is not positive definite and the interaction growth is "
+            f"{growth.kind.value}; the partition function may diverge"
+        )
+    return False
+
+
 def _envelope_lift(a: SymMatrix, u: Interaction) -> float:
     """Validate integrability; returns the scalar lift of the envelope B = A + lift I.
 
@@ -230,18 +249,10 @@ def _envelope_lift(a: SymMatrix, u: Interaction) -> float:
     SPD and is itself the exact envelope, so repairing it would only push
     the nodes off a wide Gaussian.
     """
-    if a.n != u.n:
-        raise DimensionMismatch(f"A has dimension {a.n}, interaction has {u.n}")
-    growth = validate_growth(u)
+    if not _check_integrable(a, u):
+        return 0.0
     lam_min = np.linalg.eigvalsh(a.mat)[0]
-    if growth.kind is Growth.SUPERQUADRATIC:
-        return ENVELOPE_FLOOR - lam_min if lam_min < ENVELOPE_FLOOR else 0.0
-    if lam_min <= 0.0:
-        raise DivergentIntegral(
-            "A is not positive definite and the interaction growth is "
-            f"{growth.kind.value}; the partition function may diverge"
-        )
-    return 0.0
+    return ENVELOPE_FLOOR - lam_min if lam_min < ENVELOPE_FLOOR else 0.0
 
 
 @dataclass(frozen=True)
@@ -616,7 +627,7 @@ def _moments(
     log_z = env.log_front + shift + np.log(tot0)
     if not np.isfinite(log_z):
         raise NonFinite("partition function overflowed or vanished")
-    green = SpdMatrix._of(tot2 / tot0)
+    green = SpdMatrix(tot2 / tot0)
     mean_u = totu / tot0
     pair_moments = None if tot4 is None else tot4 / tot0
 
@@ -721,10 +732,8 @@ class PointSet:
         under a U of unverified growth) and NonFinite for non-finite weights.
         """
         a = SymMatrix.coerce(a)
-        # under a confining U the lift's eigvalsh could not raise, and the
-        # stored envelope serves: only the dimension is checked
-        if a.n != self.u.n or validate_growth(self.u).kind is not Growth.SUPERQUADRATIC:
-            _envelope_lift(a, self.u)
+        # the stored envelope serves: no lift is computed at a
+        _check_integrable(a, self.u)
         return _moments(replace(self.env, rest=self.outer - a.mat), self.u, self.cfg, self.chunks)
 
 

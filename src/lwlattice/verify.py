@@ -157,7 +157,7 @@ def check_gradient_omega(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> Che
     green = evaluate_moments(a, u, cfg).green.mat
     return _directional_check(
         "gradient_omega",
-        lambda mat: evaluate_moments(SymMatrix._of(mat), u, cfg).omega,
+        lambda mat: evaluate_moments(SymMatrix(mat), u, cfg).omega,
         a.mat,
         0.5 * green,
         101,
@@ -290,7 +290,7 @@ def check_boundary_continuity(
         full = np.zeros((n, n))
         full[:p, :p] = g_p.mat
         full[range(p, n), range(p, n)] = delta
-        phis[k] = _solve(SpdMatrix._of(full), u, cfg).phi
+        phis[k] = _solve(SpdMatrix(full), u, cfg).phi
     limit = _polynomial_extrapolation(deltas, phis)
     target = float(_solve(g_p, restrict(u, p), cfg).phi)
     details = {
@@ -310,7 +310,7 @@ def check_selfenergy_gradient(g: SpdMatrix, u: Interaction, cfg: OracleConfig) -
     # the finite-difference points lie within FD_STEP of g: A[g] starts their solves
     return _directional_check(
         "selfenergy_gradient",
-        lambda mat: _solve(SpdMatrix._of(mat), u, cfg, tol=1e-10, a_init=center.a_of_g).phi,
+        lambda mat: _solve(SpdMatrix(mat), u, cfg, tol=1e-10, a_init=center.a_of_g).phi,
         g.mat,
         center.sigma_exact.mat,
         202,
@@ -334,7 +334,7 @@ def check_truncation_lemma(
     eps_values = np.asarray(LEMMA_EPS_GRID)
     residuals = np.empty(len(eps_values))
     for k, eps in enumerate(eps_values):
-        bare = SymMatrix._of(g.inverse() + series.truncated_sigma(eps).mat)
+        bare = SymMatrix(g.inverse() + series.truncated_sigma(eps).mat)
         u_eps = ScaledInteraction(eps, DiagonalQuartic(v))
         regenerated = green_of_a(bare, u_eps, cfg)
         residuals[k] = np.linalg.norm(regenerated.mat - g.mat)

@@ -36,7 +36,7 @@ from lwlattice.interactions import (
     validate_growth,
 )
 from lwlattice.matrices import LinearMap, SpdMatrix, SymMatrix
-from lwlattice.oracle import MomentReport, OracleConfig, evaluate_moments, green_of_a
+from lwlattice.oracle import MomentReport, OracleConfig, StdErrors, evaluate_moments, green_of_a
 
 QUAD = OracleConfig()
 QUAD_TIGHT = OracleConfig(nodes_per_dim=192)
@@ -436,6 +436,46 @@ class TestStalledLineSearch:
                 last_search += 1
         assert 1 <= last_search < MAX_STEP_HALVINGS
         assert excinfo.value.residual == current
+
+    def test_an_infinite_step_is_a_rejected_trial(self):
+        # the off-diagonal pair's variance is 1e-320, so its Newton step
+        # overflows: every trial holds an infinite entry
+        g_target = np.array([[0.9, 0.1], [0.1, 0.9]])
+        pairs = np.diag([3.0, 1e-320, 3.0])
+        pairs[0, 2] = pairs[2, 0] = 1.0
+        opening = MomentReport(0.0, SpdMatrix(np.eye(2)), 0.0, pairs)
+        assert not np.isfinite(_newton_step(opening, g_target)).all()
+        a, u, calls = SymMatrix(np.eye(2)), ZeroInteraction(2), []
+
+        def evaluate(trial):
+            calls.append(trial)
+            return opening if trial is a else evaluate_moments(trial, u, OracleConfig(want_fourth_moments=True))
+
+        reached, report, residual, _, taken, stalled = duality._newton(evaluate, g_target, a, 1e-8, 3)
+        # each trial is rejected where its value is built, before any evaluation
+        assert calls == [a]
+        assert (reached, report, taken, stalled) == (a, opening, 0, True)
+        assert residual == np.linalg.norm(np.eye(2) - g_target)
+
+    @pytest.mark.parametrize("std_errors", [None, StdErrors(0.1, np.full((2, 2), 0.1))], ids=["quadrature", "monte_carlo"])
+    def test_a_finite_step_that_overflows_is_a_rejected_trial(self, monkeypatch, std_errors):
+        # A + step overflows an entry at scale 1 and leaves ENTRY_LIMIT at
+        # scales 1/2 to 1/8; the round stalls instead of raising the add's
+        # overflow warning, an error under -W error
+        a, step = SymMatrix(np.diag([8e307, 1.0])), np.diag([1e308, 0.0])
+        monkeypatch.setattr(duality, "_newton_step", lambda report, g_target: step)
+        opening = MomentReport(0.0, SpdMatrix(np.eye(2)), 0.0, None, std_errors)
+        calls = []
+
+        def evaluate(trial):
+            calls.append(trial)
+            if trial is a:
+                return opening
+            raise NonFinite("partition function overflowed or vanished")
+
+        reached, report, _, _, taken, stalled = duality._newton(evaluate, 0.5 * np.eye(2), a, 1e-8, 3)
+        assert (reached, report, taken, stalled) == (a, opening, 0, True)
+        assert calls[0] is a and calls[1].mat[0, 0] == 8e307 + 1e308 / 16
 
 
 def spied_grids(monkeypatch):

@@ -1,20 +1,14 @@
-import pickle
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lwlattice import duality
 from lwlattice.errors import (
     DimensionMismatch,
-    LwlatticeError,
     NotPositiveDefinite,
     SingularMap,
     ValidationError,
 )
-from lwlattice.interactions import DiagonalQuartic, ZeroInteraction
 from lwlattice.matrices import (
     LinearMap,
     SpdMatrix,
@@ -24,8 +18,6 @@ from lwlattice.matrices import (
     logdet_spd,
     min_eigenvalue,
 )
-from lwlattice.oracle import MomentReport, OracleConfig, evaluate_moments
-from test_values import symmetric_arrays
 
 
 def random_spd(n, rng, lo=0.5, hi=2.5):
@@ -204,96 +196,6 @@ class TestConstruction:
         rng = np.random.default_rng(3)
         g = SpdMatrix(random_spd(3, rng))
         assert np.allclose(g.inverse() @ g.mat, np.eye(3), atol=1e-12)
-
-
-class TestPrivateConstructor:
-    """``_of``, the constructor of arrays the library computed itself, against the public one.
-
-    It skips the coercion and shape checks and keeps every check a computed
-    array can fail, so on any float64 square array it builds the public
-    constructor's value, bit for bit, or raises the public constructor's error.
-    """
-
-    @staticmethod
-    def assert_same_value(private, public):
-        assert type(private) is type(public)
-        assert private.mat.tobytes() == public.mat.tobytes()
-        if isinstance(public, SpdMatrix):
-            assert private.chol.tobytes() == public.chol.tobytes()
-            assert not private.chol.flags.writeable
-        assert not private.mat.flags.writeable
-        assert private == public and hash(private) == hash(public)
-        again = pickle.loads(pickle.dumps(private))
-        assert type(again) is type(public) and again.mat.tobytes() == public.mat.tobytes()
-
-    @staticmethod
-    def assert_same_error(cls, arr):
-        with pytest.raises(LwlatticeError) as public:
-            cls(arr)
-        with pytest.raises(type(public.value), match=re.escape(str(public.value))):
-            cls._of(arr)
-
-    @settings(max_examples=200, deadline=None)
-    @given(symmetric_arrays(), st.sampled_from([SymMatrix, SpdMatrix]))
-    def test_bit_for_bit_on_symmetric_arrays(self, arr, cls):
-        try:
-            public = cls(arr)
-        except LwlatticeError:
-            self.assert_same_error(cls, arr)
-        else:
-            self.assert_same_value(cls._of(arr), public)
-
-    @pytest.mark.parametrize(
-        "a, u",
-        [
-            # one chunk of 2048 folded points, under a lifted envelope
-            (SymMatrix([[1.0, 0.3], [0.3, -0.2]]), DiagonalQuartic([[1.0, 0.5], [0.5, 1.0]])),
-            # a streamed grid of 8 chunks
-            (SymMatrix([[2.5, 0.2, 0.1], [0.2, 2.1, 0.2], [0.1, 0.2, 2.8]]), DiagonalQuartic(np.eye(3))),
-        ],
-    )
-    def test_bit_for_bit_on_an_oracle_green(self, monkeypatch, a, u):
-        raws = []
-        of = SpdMatrix._of.__func__
-        monkeypatch.setattr(SpdMatrix, "_of", classmethod(lambda cls, arr: raws.append(arr) or of(cls, arr)))
-        report = evaluate_moments(a, u, OracleConfig())
-        (raw,) = raws
-        self.assert_same_value(report.green, SpdMatrix(raw))
-
-    @pytest.mark.parametrize(
-        "cls, arr",
-        [
-            (SymMatrix, [[np.inf, 0.0], [0.0, 1.0]]),
-            (SpdMatrix, [[np.nan, 0.0], [0.0, 1.0]]),
-            (SymMatrix, [[1e308, 0.0], [0.0, 1.0]]),
-            (SymMatrix, [[1.0, 0.5], [0.0, 2.0]]),
-            (SpdMatrix, [[1e8, 1e8 * (1 + 1e-6)], [1e8, 2e8]]),
-            (SpdMatrix, [[1.0, 0.0], [0.0, -1.0]]),
-            (SpdMatrix, [[1.0, 0.0], [0.0, 1e-14]]),
-        ],
-    )
-    def test_raises_the_public_errors(self, cls, arr):
-        self.assert_same_error(cls, np.array(arr))
-
-    def test_an_overflowing_newton_trial_is_rejected(self):
-        # the off-diagonal pair's variance is 1e-320, so its Newton step
-        # overflows: every trial holds an infinite entry
-        g_target = np.array([[0.9, 0.1], [0.1, 0.9]])
-        pairs = np.diag([3.0, 1e-320, 3.0])
-        pairs[0, 2] = pairs[2, 0] = 1.0
-        opening = MomentReport(0.0, SpdMatrix(np.eye(2)), 0.0, pairs)
-        assert not np.isfinite(duality._newton_step(opening, g_target)).all()
-        a, u, calls = SymMatrix(np.eye(2)), ZeroInteraction(2), []
-
-        def evaluate(trial):
-            calls.append(trial)
-            return opening if trial is a else evaluate_moments(trial, u, OracleConfig(want_fourth_moments=True))
-
-        reached, report, residual, _, taken, stalled = duality._newton(evaluate, g_target, a, 1e-8, 3)
-        # each trial is rejected where its value is built, before any evaluation
-        assert calls == [a]
-        assert (reached, report, taken, stalled) == (a, opening, 0, True)
-        assert residual == np.linalg.norm(np.eye(2) - g_target)
 
 
 class TestLinearMap:

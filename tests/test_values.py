@@ -3,8 +3,7 @@
 Equal values hash alike, pickle and deep-copy round trips return equal values
 whose arrays stay read-only, and interactions survive their constructors and
 their model files unchanged. Every public entry point checks the matrices it
-is handed before the oracle runs; inside, the library builds the values of
-its own arrays without coercion or shape checks (``SymMatrix._of``).
+is handed before the oracle runs.
 """
 
 import copy
