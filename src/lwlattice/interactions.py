@@ -98,16 +98,17 @@ class Interaction(_Frozen):
 
     @cached_property
     def _quartic_forms(self):
-        """(W, W over pair products) of ``quartic_tensor``, or None: built on first use, once per value.
+        """(W, W over pair products, S), or None: built on first use, once per value.
 
-        The second, which the oracle's grid screen reads, is W[., ., a, b]
-        over the pairs a <= b of ``pair_basis``, off-diagonal pairs counted
-        twice: an (n n, P) matrix. Built only when asked for, so a value at
-        Monte Carlo sizes never does the n^4 work; kept in the instance dict,
-        outside ``to_dict``, so that equality, copies and pickles do not see
-        it. Both arrays are read-only.
+        W is ``quartic_tensor``'s and S ``quartic_scale``'s, both read by the
+        oracle's grid screen, as is the second, W[., ., a, b] over the pairs
+        a <= b of ``pair_basis``, off-diagonal pairs counted twice: an
+        (n n, P) matrix. Built only when asked for, so a value at Monte Carlo
+        sizes never does the n^4 work; kept in the instance dict, outside
+        ``to_dict``, so that equality, copies and pickles do not see it. Both
+        arrays are read-only.
         """
-        factor, base, t, _ = _unwound(self)
+        factor, base, t, stretch = _unwound(self)
         if factor == 0.0:
             return None
         n = self.n
@@ -115,10 +116,13 @@ class Interaction(_Frozen):
             eye = np.eye(n)
             v = factor * base.v.mat
             w = _symmetrize_quartic_tensor(np.einsum("ik,ij,kl->ijkl", 0.125 * v, eye, eye))
+            coefficients = base.v.mat / 8.0
         elif isinstance(base, GeneralQuartic):
             w = factor * base.w
+            coefficients = base.w
         else:
             return None
+        scale = factor * stretch * np.abs(coefficients).max()
         if t is not None:
             # W'_abcd = W_ijkl t_ia t_jb t_kc t_ld, one axis at a time: each step
             # contracts the leading axis and appends the new one, O(n^5) in all
@@ -128,7 +132,7 @@ class Interaction(_Frozen):
         w_pairs = w.reshape(n * n, n * n)[:, rows * n + cols] * mult
         for arr in (w, w_pairs):
             arr.setflags(write=False)
-        return w, w_pairs
+        return w, w_pairs, scale
 
 
 class ZeroInteraction(Interaction):
@@ -359,19 +363,19 @@ def quartic_tensor(u: Interaction):
     return None if forms is None else forms[0]
 
 
-def quartic_scale(u: Interaction) -> float:
+def quartic_scale(u: Interaction):
     """S such that U's terms at x sum to at most S ||x||_1^4 in magnitude, as evaluated.
 
-    For an interaction that ``quartic_tensor`` builds a tensor for. The base
-    sums terms of at most c ||z||_1^4 at its argument z, where c is
-    max|v| / 8 for a diagonal quartic and max|W| for a general one; each
-    wrapper scales that by its factor, or by sum|T|^4 for a map T, which
-    bounds ||T x||_1 / ||x||_1 as evaluated, one map at a time. The entries
-    of ``quartic_tensor(u)`` are at most S too.
+    None where ``quartic_tensor`` is None. The base sums terms of at most
+    c ||z||_1^4 at its argument z, where c is max|v| / 8 for a diagonal
+    quartic and max|W| for a general one; each wrapper scales that by its
+    factor, or by sum|T|^4 for a map T, which bounds ||T x||_1 / ||x||_1 as
+    evaluated, one map at a time. The entries of ``quartic_tensor(u)`` are
+    at most S too. Read off the record that holds the tensor, built once
+    per value.
     """
-    factor, base, _, stretch = _unwound(u)
-    coefficients = base.v.mat / 8.0 if isinstance(base, DiagonalQuartic) else base.w
-    return factor * stretch * np.abs(coefficients).max()
+    forms = u._quartic_forms
+    return None if forms is None else forms[2]
 
 
 def materialize(u: Interaction) -> Interaction:

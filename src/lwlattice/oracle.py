@@ -12,12 +12,12 @@ y with their probabilities p (summing to one over the whole set):
 * self-normalized importance sampling with proposal N(0, B^-1), 64 batches of
   equally weighted draws and batch-means standard errors.
 
-Each call builds its envelope once, as one value (_Envelope): the lift, L^-T
-for B = L L' and the envelope's log normalizer. The point source takes it and
-yields the mapped points x = L^-T y: a Monte Carlo batch or a one-chunk grid
-with one matrix product, a streamed grid as sums of its head and tail
-coordinates mapped once per call (see _grid_chunks), pre-screened so that it
-yields only the points where weight can remain. The kernel only sums: it
+Each call builds its envelope once, as one value (_Envelope): the matrix B,
+the lift, L^-T for B = L L' and the envelope's log normalizer. The point
+source takes it and yields the mapped points x = L^-T y: a Monte Carlo batch
+or a one-chunk grid with one matrix product, a streamed grid as sums of its
+head and tail coordinates mapped once per call (see _grid_chunks),
+pre-screened so that it yields only the points where weight can remain. The kernel only sums: it
 accumulates log-weighted sums over the chunks under the envelope it is
 handed; fourth moments are the block over the n(n+1)/2 pair products
 x_i x_j (i <= j), the statistics behind the duality solver's Newton Jacobian.
@@ -55,11 +55,10 @@ from .interactions import (
     Interaction,
     pair_basis,
     pair_products,
-    quartic_scale,
     quartic_tensor,
     validate_growth,
 )
-from .matrices import SpdMatrix, SymMatrix, plain
+from .matrices import ENTRY_LIMIT, SpdMatrix, SymMatrix, plain
 
 QUAD_DIM_CAP = 6
 DEFAULT_NODES_PER_DIM = 64
@@ -241,48 +240,36 @@ def _check_integrable(a: SymMatrix, u: Interaction) -> bool:
     return False
 
 
-def _envelope_lift(a: SymMatrix, u: Interaction) -> float:
-    """Validate integrability; returns the scalar lift of the envelope B = A + lift I.
-
-    The floor repair presumes a confining (super-quadratic) interaction that
-    keeps the leftover factor integrable and narrow; without one, A must be
-    SPD and is itself the exact envelope, so repairing it would only push
-    the nodes off a wide Gaussian.
-    """
-    if not _check_integrable(a, u):
-        return 0.0
-    lam_min = np.linalg.eigvalsh(a.mat)[0]
-    return ENVELOPE_FLOOR - lam_min if lam_min < ENVELOPE_FLOOR else 0.0
-
-
 @dataclass(frozen=True)
 class _Envelope:
     """The Gaussian envelope exp(-x'Bx/2) of one call, B = A + lift I = L L'.
 
-    ``linv_t`` = L^-T maps the N(0, I) points y of a point source to
+    ``b`` is B itself, formed once, where the lift is decided
+    (_checked_envelope). ``linv_t`` = L^-T maps the N(0, I) points y of a point source to
     x = L^-T y, and ``log_front`` = log((2 pi)^{n/2} / det L) is the log of
     the envelope's own integral. ``rest`` is the matrix B - A when the
     points are summed at an A other than the one B was built for (a
     PointSet's); None when B - A = lift I.
     """
 
+    b: np.ndarray
     lift: float
     linv_t: np.ndarray
     log_front: float
     rest: np.ndarray | None = None
 
     @classmethod
-    def of(cls, a: SymMatrix, lift: float) -> "_Envelope":
-        """A + lift I factored; NonFinite when it is not numerically positive definite."""
+    def of(cls, b: np.ndarray, lift: float) -> "_Envelope":
+        """B factored; NonFinite when it is not numerically positive definite."""
         try:
-            low = np.linalg.cholesky(a.mat + lift * np.eye(a.n) if lift else a.mat)
+            low = np.linalg.cholesky(b)
         except np.linalg.LinAlgError:
             # the lift is lost to rounding when |A| dwarfs ENVELOPE_FLOOR
             raise NonFinite(
                 f"envelope A + {lift:.3e} I is not numerically positive definite"
             ) from None
-        log_front = 0.5 * a.n * np.log(2.0 * np.pi) - np.sum(np.log(low.diagonal()))
-        return cls(lift, np.linalg.inv(low).T, log_front)
+        log_front = 0.5 * len(b) * np.log(2.0 * np.pi) - np.sum(np.log(low.diagonal()))
+        return cls(b, lift, np.linalg.inv(low).T, log_front)
 
 
 def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentReport:
@@ -305,10 +292,10 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
     DimensionCap
         Quadrature requested beyond the tensor-grid cap.
     NonFinite
-        Overflow or NaN in the integrand, or an envelope matrix that is not
+        Overflow or NaN in the integrand, second or pair moments beyond the
+        range a matrix value holds, or an envelope matrix that is not
         numerically positive definite.
     """
-    a = SymMatrix.coerce(a)
     env = _checked_envelope(a, u, cfg)
     if cfg.mode == "monte_carlo":
         return _moments(env, u, cfg, _sample_chunks(cfg, env))
@@ -316,9 +303,18 @@ def evaluate_moments(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> MomentR
 
 
 def _checked_envelope(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> _Envelope:
-    """The envelope of an evaluation, after its checks in their order: mismatch,
-    divergence, the quadrature caps, then NonFinite from the factor."""
-    lift = _envelope_lift(a, u)
+    """The envelope B = A + lift I of an evaluation, after its checks in their
+    order: mismatch, divergence, the quadrature caps, then NonFinite from the factor.
+
+    The floor repair presumes a confining (super-quadratic) interaction that
+    keeps the leftover factor integrable and narrow; without one, A must be
+    SPD and is itself the exact envelope, so repairing it would only push
+    the nodes off a wide Gaussian.
+    """
+    a = SymMatrix.coerce(a)
+    lift = 0.0
+    if _check_integrable(a, u):
+        lift = max(ENVELOPE_FLOOR - np.linalg.eigvalsh(a.mat)[0], 0.0)
     n = a.n
     if cfg.mode == "quadrature":
         if n > QUAD_DIM_CAP:
@@ -333,7 +329,7 @@ def _checked_envelope(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> _Envel
                 f"tensor grid of {cfg.nodes_per_dim}^{n} points exceeds the "
                 f"{QUAD_POINT_CAP:.0e} cap; lower nodes_per_dim"
             )
-    return _Envelope.of(a, lift)
+    return _Envelope.of(a.mat + lift * np.eye(n) if lift else a.mat, lift)
 
 
 def green_of_a(a: SymMatrix, u: Interaction, cfg: OracleConfig) -> SpdMatrix:
@@ -427,11 +423,11 @@ def _grid_screen(u: Interaction, env: _Envelope, nodes: int, lead: int, head_x, 
     2 + 2n + P of them.
 
     The terms of this expansion, like those of the kernel's own phi, sum in
-    magnitude to at most S r^4 + lift r^2 / 2, where S = quartic_scale(u)
-    covers a map that the kernel applies before U and the expansion has
-    contracted into W, r = max|y| sum|L^-T| bounds the largest ||h||_1 plus
-    the largest ||t||_1, and each sum takes at most a few hundred roundings
-    at n <= 6; log p, summed in another order than _chunk_logp's, and the
+    magnitude to at most S r^4 + lift r^2 / 2, where S (quartic_scale, read
+    off the record that holds W) covers a map that the kernel applies before
+    U and the expansion has contracted into W, r = max|y| sum|L^-T| bounds
+    the largest ||h||_1 plus the largest ||t||_1, and each sum takes at most
+    a few hundred roundings at n <= 6; log p, summed in another order than _chunk_logp's, and the
     kernel's shift add at most n max|log p_1| + log 2 and _NEGLIGIBLE_LOGW.
     So delta = _SCREEN_ULPS eps (S r^4 + lift r^2 + those two) bounds the
     difference of the two log-weights and their rounding around the chunk's
@@ -447,14 +443,12 @@ def _grid_screen(u: Interaction, env: _Envelope, nodes: int, lead: int, head_x, 
         forms = u._quartic_forms
         if forms is None:
             return None
-        w, w_pairs = forms
+        w, w_pairs, scale = forms
         y1, logp1 = _rule(nodes)
         n = len(w)
         reach = np.abs(y1).max() * np.abs(env.linv_t).sum()
         logs = n * np.abs(logp1).max() + np.log(2.0) + _NEGLIGIBLE_LOGW
-        delta = _SCREEN_ULPS * np.finfo(float).eps * (
-            quartic_scale(u) * reach**4 + env.lift * reach**2 + logs
-        )
+        delta = _SCREEN_ULPS * np.finfo(float).eps * (scale * reach**4 + env.lift * reach**2 + logs)
         if not delta <= 1.0:
             return None
         rows, cols, mult = pair_basis(n)
@@ -580,8 +574,8 @@ def _moments(
     shifts, s0, s2, su, s4 = [], [], [], [], []
     for x, logp, *stored in chunks:
         # an overflow or NaN is reported once, as NonFinite, and not also as a
-        # numpy warning, which a warning filter would turn into another error;
-        # the scope is this narrow because ufuncs run slower inside errstate
+        # numpy warning, which a warning filter would turn into another error:
+        # in phi here, in the second and pair moments after the reduction
         with np.errstate(over="ignore", invalid="ignore"):
             uvals = stored[0] if stored else u.evaluate(x)
             phi = -uvals
@@ -589,29 +583,29 @@ def _moments(
                 phi += 0.5 * np.einsum("mi,mi->m", x @ env.rest, x)
             elif env.lift:
                 phi += 0.5 * env.lift * np.einsum("mi,mi->m", x, x)
-        if not np.isfinite(phi).all():
-            raise NonFinite(f"non-finite integrand value in {cfg.mode} mode")
-        logw = phi + logp
-        shifts.append(logw.max())
-        # compared after the shift: shift - _NEGLIGIBLE_LOGW rounds to shift
-        # once |shift| passes about 3.6e17, which would drop the largest point
-        logw -= shifts[-1]
-        keep = logw > -_NEGLIGIBLE_LOGW
-        if not keep.all():  # a Monte Carlo batch usually keeps every draw: no copy
-            # compressing the rows of x.T keeps x F-ordered
-            x, uvals, logw = x.T.compress(keep, axis=1).T, uvals[keep], logw[keep]
-            logp = logp if on_kept is None else logp[keep]
-        if on_kept is not None:
-            on_kept(x, logp, uvals, logw, shifts[-1])
-        w = np.exp(logw)
-        s0.append(w.sum())
-        s2.append((w[:, None] * x).T @ x)
-        # not w @ uvals: OpenBLAS threads a dot product of more than 10000
-        # elements, which can stall for milliseconds on a loaded host
-        su.append(np.einsum("m,m->", w, uvals))
-        if cfg.want_fourth_moments:
-            pairs = pair_products(x)
-            s4.append((w[:, None] * pairs).T @ pairs)
+            if not np.isfinite(phi).all():
+                raise NonFinite(f"non-finite integrand value in {cfg.mode} mode")
+            logw = phi + logp
+            shifts.append(logw.max())
+            # compared after the shift: shift - _NEGLIGIBLE_LOGW rounds to shift
+            # once |shift| passes about 3.6e17, which would drop the largest point
+            logw -= shifts[-1]
+            keep = logw > -_NEGLIGIBLE_LOGW
+            if not keep.all():  # a Monte Carlo batch usually keeps every draw: no copy
+                # compressing the rows of x.T keeps x F-ordered
+                x, uvals, logw = x.T.compress(keep, axis=1).T, uvals[keep], logw[keep]
+                logp = logp if on_kept is None else logp[keep]
+            if on_kept is not None:
+                on_kept(x, logp, uvals, logw, shifts[-1])
+            w = np.exp(logw)
+            s0.append(w.sum())
+            s2.append((w[:, None] * x).T @ x)
+            # not w @ uvals: OpenBLAS threads a dot product of more than 10000
+            # elements, which can stall for milliseconds on a loaded host
+            su.append(np.einsum("m,m->", w, uvals))
+            if cfg.want_fourth_moments:
+                pairs = pair_products(x)
+                s4.append((w[:, None] * pairs).T @ pairs)
     if len(shifts) == 1:  # one chunk: the reduction's bits without its work
         shift, tot0, tot2, totu = shifts[0], float(s0[0]), s2[0], float(su[0])
         tot4 = s4[0] if s4 else None
@@ -627,9 +621,18 @@ def _moments(
     log_z = env.log_front + shift + np.log(tot0)
     if not np.isfinite(log_z):
         raise NonFinite("partition function overflowed or vanished")
-    green = SpdMatrix(tot2 / tot0)
-    mean_u = totu / tot0
+    # tot0 >= 1 (the largest point of the largest chunk has weight 1), so an
+    # entry beyond ENTRY_LIMIT, or NaN, means the sums overflowed: SpdMatrix
+    # rejects one in G, which it checks anyway, and the pair block is checked here
     pair_moments = None if tot4 is None else tot4 / tot0
+    try:
+        green = SpdMatrix(tot2 / tot0)
+        finite = pair_moments is None or np.abs(pair_moments).max() <= ENTRY_LIMIT
+    except ValidationError:
+        finite = False
+    if not finite:
+        raise NonFinite(f"moments overflowed in {cfg.mode} mode")
+    mean_u = totu / tot0
 
     errors = None
     if cfg.mode == "monte_carlo":
@@ -673,8 +676,8 @@ class PointSet:
     An evaluation at A sums over the points x = L^-T y of its envelope
     B = A + lift I = L L'. The set holds the points whose log-weight lies
     within _KEPT_LOGW of the largest (see _moments), with their log p and
-    U(x), the matrix ``outer`` = B, the envelope ``env`` and ``cfg``, the
-    evaluation's settings with pair moments asked for.
+    U(x), the envelope ``env`` and ``cfg``, the evaluation's settings with
+    pair moments asked for.
     At another A' the same points give the moments of (A', U) with the
     leftover factor x'(B - A')x / 2 - U(x): the kernel sums them as it
     summed the fresh ones, with no map and no evaluation of U. The rule is
@@ -684,7 +687,6 @@ class PointSet:
     """
 
     u: Interaction
-    outer: np.ndarray
     env: _Envelope
     chunks: tuple
     cfg: OracleConfig
@@ -697,7 +699,6 @@ class PointSet:
         """
         if cfg.mode != "quadrature":
             raise ValidationError(f"a PointSet keeps quadrature points; got mode {cfg.mode!r}")
-        a = SymMatrix.coerce(a)
         env = _checked_envelope(a, u, cfg)
         parts, top = [], -np.inf
 
@@ -721,8 +722,7 @@ class PointSet:
             (xt[:, i : i + QUAD_CHUNK].T, logp[i : i + QUAD_CHUNK], uvals[i : i + QUAD_CHUNK])
             for i in range(0, len(logp), QUAD_CHUNK)
         )
-        outer = a.mat + env.lift * np.eye(a.n)
-        return report, cls(u, outer, env, chunks, replace(cfg, want_fourth_moments=True))
+        return report, cls(u, env, chunks, replace(cfg, want_fourth_moments=True))
 
     def moments(self, a: SymMatrix) -> MomentReport:
         """The moments at ``a``, with the pair block, from the stored points.
@@ -734,7 +734,7 @@ class PointSet:
         a = SymMatrix.coerce(a)
         # the stored envelope serves: no lift is computed at a
         _check_integrable(a, self.u)
-        return _moments(replace(self.env, rest=self.outer - a.mat), self.u, self.cfg, self.chunks)
+        return _moments(replace(self.env, rest=self.env.b - a.mat), self.u, self.cfg, self.chunks)
 
 
 def _floor_se(se, value):

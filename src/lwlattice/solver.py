@@ -118,11 +118,9 @@ def _model_terms(u: Interaction, model: SigmaModel, cfg: OracleConfig, solver_to
     if model is SigmaModel.EXACT_ORACLE:
         # the exact model must resolve Sigma well below the outer tolerance;
         # in Monte Carlo mode the duality solve keeps its statistical default
-        inner_tol = None
-        if solver_tol is not None and cfg.mode == "quadrature":
-            inner_tol = min(max(solver_tol / 100.0, 1e-13), 1e-8)
-        points, warm_sigma = None, None
+        inner_tol, points, warm_sigma = None, None, None
         if a is not None and cfg.mode == "quadrature":
+            inner_tol = min(max(solver_tol / 100.0, 1e-13), 1e-8)
             # A[G] = A at the solution, so every iterate solves on the points
             # of one evaluation at A; the first starts from G^-1
             points = PointSet.evaluate(a, u, replace(cfg, want_fourth_moments=False))[1]
@@ -262,9 +260,10 @@ def dyson_solve(
     halved); at the floor of 1/64 the run aborts with IterateLeftCone. The
     default start is A^-1 (repaired when A is not SPD); g_init overrides it.
     """
-    tol, a, model_terms, green = _setup(a, u, model, cfg, tol, max_iter, g_init)
+    # before _setup, which may already evaluate the exact model's points
     if isinstance(damping, bool) or not isinstance(damping, Real) or not 0.0 < damping <= 1.0:
         raise ValidationError(f"damping must be a number in (0, 1], got {damping!r}")
+    tol, a, model_terms, green = _setup(a, u, model, cfg, tol, max_iter, g_init)
 
     alpha = damping
     history = deque(maxlen=ANDERSON_DEPTH + 1)  # (G, T(G) - G) of accepted iterates

@@ -244,6 +244,21 @@ class TestOracleCommand:
         assert code == 0 and "z" not in payload and "z" not in payload["std_errors"]
         assert np.isfinite(payload["omega"])
 
+    def test_overflowing_moments_exit_three(self, capsys, model_path, tmp_path):
+        # G near 1e310 at A = 1e-310; the pair block near 3e600 at A[G] = 1e-300
+        wide = {"n": 1, "A": [[1e-310]], "interaction": {"type": "zero"}}
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps([[1e300]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = [
+                dispatch(["oracle", "--model", model_path(wide)]),
+                dispatch(["invert", "--model", model_path(GAUSS_1D), "--G", str(g)]),
+            ]
+        assert codes == [3, 3]
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == ["error: moments overflowed in quadrature mode"] * 2
+
     def test_missing_model_file(self, capsys, tmp_path):
         code = dispatch(["oracle", "--model", str(tmp_path / "none.json")])
         assert code == 1

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lwlattice import duality, oracle
+from lwlattice import duality, interactions, oracle
 from lwlattice.diagrams import sigma1
 from lwlattice.errors import (
     DimensionCap,
@@ -37,8 +37,8 @@ from lwlattice.oracle import (
     OracleConfig,
     PointSet,
     _chunk_logp,
+    _checked_envelope,
     _Envelope,
-    _envelope_lift,
     _grid_chunks,
     _moments,
     _sample_chunks,
@@ -296,7 +296,7 @@ class TestOneChunkGrid:
 
 def envelope(linv_t, lift=0.0):
     """An envelope with L^-T = ``linv_t`` for the point sources, which read no log_front."""
-    return _Envelope(lift, linv_t, 0.0)
+    return _Envelope(np.linalg.inv(linv_t @ linv_t.T), lift, linv_t, 0.0)
 
 
 def streamed_grid(n, nodes, linv_t=None):
@@ -432,7 +432,7 @@ class TestChunkBufferReuse:
     def assert_stream_matches_whole_grid(a, u, nodes):
         """The folded stream against _moments over the whole unfolded grid."""
         cfg = OracleConfig(nodes_per_dim=nodes, want_fourth_moments=True)
-        env = _Envelope.of(a, _envelope_lift(a, u))
+        env = _checked_envelope(a, u, cfg)
         streamed = _moments(env, u, cfg, _grid_chunks(nodes, ZeroInteraction(3), env))
         y, logp = whole_grid(3, nodes)
         whole = _moments(env, u, cfg, [((env.linv_t @ y.T).T, logp)])
@@ -618,7 +618,7 @@ class TestScreenedGrid:
         indefinite = SymMatrix([[1.0, 0.3, 0.1], [0.3, -0.2, 0.2], [0.1, 0.2, 0.8]])
         for a in (spd, indefinite):
             for u in self.interactions(3):
-                env = _Envelope.of(a, _envelope_lift(a, u))
+                env = _checked_envelope(a, u, cfg)
                 whole = _moments(env, u, cfg, _grid_chunks(64, ZeroInteraction(3), env))
                 screened = evaluate_moments(a, u, cfg)
                 assert screened.to_dict() == whole.to_dict()
@@ -678,7 +678,7 @@ class TestScreenedGrid:
             warnings.simplefilter("error")
             got = evaluate_moments(a, u, cfg)
         assert (yielded_share() < 1.0) == screened
-        env = _Envelope.of(a, 0.0)
+        env = _Envelope.of(a.mat, 0.0)
         whole = _moments(env, u, cfg, oracle._grid_chunks(64, ZeroInteraction(3), env))
         assert got.to_dict() == whole.to_dict()
         assert np.array_equal(got.pair_moments, whole.pair_moments)
@@ -745,6 +745,18 @@ class TestScreenedGrid:
             warnings.simplefilter("error")
             with pytest.raises(NonFinite, match="non-finite integrand value"):
                 evaluate_moments(SymMatrix(np.eye(3)), u, QUAD)
+
+    def test_scale_is_read_off_the_cached_record(self, monkeypatch):
+        # the screen's S comes with the tensor: a second streamed call on the
+        # same value walks its wrappers no more
+        a, u = SymMatrix(np.eye(3) + 0.1), self.interactions(3)[1]
+        first = evaluate_moments(a, u, QUAD)
+        calls = []
+        unwound = interactions._unwound
+        monkeypatch.setattr(interactions, "_unwound", lambda v: calls.append(v) or unwound(v))
+        again = evaluate_moments(a, u, QUAD)
+        assert calls == []
+        assert again.to_dict() == first.to_dict()
 
 
 class TestTransferMatrixRings:
@@ -1007,6 +1019,30 @@ class TestErrors:
         u = DiagonalQuartic([[1.0, -0.1], [-0.1, 1.0]])
         rep = evaluate_moments(SymMatrix(np.eye(2)), u, QUAD)
         assert np.isfinite(rep.omega)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            # G near 1e310 overflows in the second moments
+            lambda: evaluate_moments(SymMatrix([[1e-310]]), ZeroInteraction(1), QUAD),
+            # the pair block near 3e600 overflows, G near 1e300 does not
+            lambda: evaluate_moments(
+                SymMatrix([[1e-300]]), ZeroInteraction(1), OracleConfig(want_fourth_moments=True)
+            ),
+            # 64 batch sums near 1e307 overflow in the reduction
+            lambda: evaluate_moments(
+                SymMatrix([[1e-305]]), ZeroInteraction(1), OracleConfig(mode="monte_carlo", samples=6400)
+            ),
+            # the solve's pair block near 3e600, at A near 1e-300
+            lambda: duality.inverse_map(SpdMatrix([[1e300]]), ZeroInteraction(1), QUAD),
+        ],
+        ids=["green", "pair-block", "monte-carlo", "inverse-map"],
+    )
+    def test_overflowing_moments_are_nonfinite(self, solve):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="moments overflowed"):
+                solve()
 
     def test_envelope_lost_to_rounding_is_numerical_failure(self):
         # the lift 0.5 + 1e17 rounds to 1e17, so A + lift I is singular

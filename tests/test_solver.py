@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lwlattice import solver
+from lwlattice import oracle, solver
 from lwlattice.diagrams import BoldSeries
 from lwlattice.duality import lw_evaluate
 from lwlattice.errors import (
@@ -273,6 +273,24 @@ class TestSolverControls:
         # "0.5" raised a TypeError from the range check, True was taken as 1
         with pytest.raises(ValidationError, match="damping must"):
             dyson_solve(SymMatrix(A2), DiagonalQuartic(V2), SigmaModel.BOLD1, damping=damping)
+
+    @pytest.mark.parametrize(
+        "a, v",
+        [
+            (np.eye(2), np.eye(2)),
+            # a U of unverified growth at an A that is not SPD: the exact
+            # model's evaluation at A would raise DivergentIntegral
+            (-np.eye(2), [[1.0, -0.6], [-0.6, 1.0]]),
+        ],
+        ids=["spd", "divergent"],
+    )
+    def test_damping_checked_before_the_exact_model_evaluates(self, monkeypatch, a, v):
+        calls = []
+        moments = oracle._moments
+        monkeypatch.setattr(oracle, "_moments", lambda *args: calls.append(1) or moments(*args))
+        with pytest.raises(ValidationError, match="damping must"):
+            dyson_solve(SymMatrix(a), DiagonalQuartic(v), SigmaModel.EXACT_ORACLE, damping=2.0)
+        assert calls == []
 
     @pytest.mark.parametrize("solve", [dyson_solve, minimize_free_energy])
     def test_model_must_be_a_sigma_model(self, solve):
