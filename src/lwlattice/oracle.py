@@ -149,7 +149,7 @@ _KEPT_LOGW = 40.0
 #: epsilon times the summed magnitudes of phi's terms (see _grid_screen).
 _SCREEN_ULPS = 1024.0
 #: Statistical errors cannot resolve below float rounding; they are floored
-#: at a few ulps so that reported errors stay strictly positive.
+#: at a few ulps so that reported errors stay strictly positive (_batch_se).
 _SE_FLOOR_ULPS = 4.0
 
 MODES = ("quadrature", "monte_carlo")
@@ -496,20 +496,30 @@ def _screen_features(w_pairs: np.ndarray, lift: float, z: np.ndarray, logp: np.n
 def _chunk_logp(n: int, nodes: int, lead: int, start: int, stop: int):
     """Folded log p of head points start:stop times the whole tail; read-only because shared.
 
-    The order of _tensor_grid, ((l0 + l1) + l2), then the fold's log 2 for
-    the head points with y_0 < 0; the folded head grid is the start of the
-    whole one, whose log p have no log 2 yet.
+    The folded head grid is the start of the whole one, whose log p have no
+    log 2 yet: _block_logp adds the fold last, as _tensor_grid does.
     """
     head_y, head_logp = _tensor_grid(lead, nodes, fold=False)
-    logp1 = _rule(nodes)[1]
-    logp = head_logp[start:stop]
-    for _ in range(n - lead):
-        logp = np.add.outer(logp, logp1)
-    logp = logp.reshape(stop - start, -1)  # a fresh array: the fold goes in last
-    logp += np.where(head_y[start:stop, 0] < 0.0, np.log(2.0), 0.0)[:, None]
-    logp = logp.ravel()
+    logp = _block_logp(head_logp[start:stop], head_y[start:stop, 0], nodes, n - lead)
     logp.setflags(write=False)
     return logp
+
+
+def _block_logp(lead_logp: np.ndarray, lead_y0, nodes: int, axes: int):
+    """log p of leading points times ``axes`` whole trailing axes, row-major: the grid's one sum rule.
+
+    The axes are summed in order, ((l0 + l1) + l2), and with the leading
+    points' first coordinates ``lead_y0`` the fold's log 2 is added last to
+    every point with y_0 < 0, which stands for its mirror too (None: no
+    fold). That add makes a fresh array, fold or not: the leading block may
+    be a slice of _rule's cached log p.
+    """
+    logp1 = _rule(nodes)[1]
+    logp = lead_logp
+    for _ in range(axes):
+        logp = np.add.outer(logp, logp1)
+    fold = 0.0 if lead_y0 is None else np.where(lead_y0 < 0.0, np.log(2.0), 0.0)[:, None]
+    return (logp.reshape(len(lead_logp), -1) + fold).ravel()
 
 
 @lru_cache(maxsize=32)
@@ -523,17 +533,13 @@ def _rule(nodes: int):
 def _tensor_grid(n: int, nodes: int, fold: bool):
     """Row-major tensor product of n 1-D rules as (y, log p), read-only because it is shared.
 
-    log p sums the axes in order, ((l0 + l1) + l2). With ``fold``, axis 0
-    keeps its nodes y <= 0, and log 2 is added last to every point with
-    y_0 < 0, which stands for its mirror too.
+    With ``fold``, axis 0 keeps its nodes y <= 0 and log p carries the
+    fold's log 2 (see _block_logp).
     """
     y1, logp1 = _rule(nodes)
-    keep = (nodes + 1) // 2 if fold else nodes
-    index = np.indices((keep,) + (nodes,) * (n - 1)).reshape(n, -1)
-    y = np.stack([y1[i] for i in index], axis=-1)
-    logp = sum(logp1[i] for i in index)
-    if fold:
-        logp = logp + np.where(y[:, 0] < 0.0, np.log(2.0), 0.0)
+    lead = y1[: (nodes + 1) // 2 if fold else nodes]
+    y = np.stack(np.meshgrid(lead, *[y1] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n)
+    logp = _block_logp(logp1[: len(lead)], lead if fold else None, nodes, n - 1)
     y.setflags(write=False)
     logp.setflags(write=False)
     return y, logp
@@ -639,11 +645,7 @@ def _moments(
         # batch-means errors from per-batch self-normalized estimates; each
         # batch carries probability 1 / MC_BATCHES
         log_z_b = env.log_front + shifts + np.log(s0 * MC_BATCHES)
-        root = np.sqrt(MC_BATCHES)
-        errors = StdErrors(
-            omega=_floor_se(log_z_b.std(ddof=1) / root, float(-log_z)),
-            green=_floor_se((s2 / s0[:, None, None]).std(axis=0, ddof=1) / root, green.mat),
-        )
+        errors = StdErrors(_batch_se(log_z_b, log_z), _batch_se(s2 / s0[:, None, None], green.mat))
     return MomentReport(
         omega=float(-log_z),
         green=green,
@@ -651,6 +653,23 @@ def _moments(
         pair_moments=pair_moments,
         std_errors=errors,
     )
+
+
+def _batch_se(batches: np.ndarray, value):
+    """Batch-means standard error of ``value`` from its MC_BATCHES batch values, floored.
+
+    Each entry's batch values are scaled by the power of two of their largest
+    magnitude before the spread, and the spread is scaled back: exact, so a
+    spread that neither overflows nor underflows keeps its bits, and one of
+    values near 1e160 stays finite. The floor is _SE_FLOOR_ULPS ulps of
+    max(1, |value|): statistical errors cannot resolve below rounding, and a
+    reported error stays strictly positive.
+    """
+    exponent = np.frexp(np.abs(batches).max(axis=0))[1]
+    spread = np.ldexp(batches, -exponent).std(axis=0, ddof=1) / np.sqrt(MC_BATCHES)
+    floor = _SE_FLOOR_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(value))
+    se = np.maximum(np.ldexp(spread, exponent), floor)
+    return float(se) if np.ndim(se) == 0 else se
 
 
 def keeps_points(u: Interaction, cfg: OracleConfig) -> bool:
@@ -735,9 +754,3 @@ class PointSet:
         # the stored envelope serves: no lift is computed at a
         _check_integrable(a, self.u)
         return _moments(replace(self.env, rest=self.env.b - a.mat), self.u, self.cfg, self.chunks)
-
-
-def _floor_se(se, value):
-    floor = _SE_FLOOR_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(value))
-    out = np.maximum(se, floor)
-    return float(out) if np.ndim(out) == 0 else out

@@ -51,7 +51,8 @@ DEFAULT_MAX_ITER = 200
 #: Line-search acceptance slack: descent is enforced up to this tolerance.
 DESCENT_SLACK = 1e-12
 #: Trial iterates beyond this Frobenius norm are treated as divergence of an
-#: unbounded (truncated) objective and rejected.
+#: unbounded (truncated) objective and rejected; dyson_solve doubles a start
+#: outside the cone only while it stays within this norm.
 GREEN_NORM_GUARD = 1e8
 
 
@@ -259,6 +260,11 @@ def dyson_solve(
     retaken from the last accepted iterate with the mixing halved (it stays
     halved); at the floor of 1/64 the run aborts with IterateLeftCone. The
     default start is A^-1 (repaired when A is not SPD); g_init overrides it.
+    A start where A - Sigma[G] leaves the cone is retried from 2 G, with no
+    record and no iteration spent, while 2 |G| stays within GREEN_NORM_GUARD;
+    past it the run aborts with IterateLeftCone. The bold-1 Sigma is linear
+    in G, so where -Sigma1[G] is positive definite (a repulsive v) doubling
+    G moves A - Sigma[G] into the cone, as on a double-well ring.
     """
     # before _setup, which may already evaluate the exact model's points
     if isinstance(damping, bool) or not isinstance(damping, Real) or not 0.0 < damping <= 1.0:
@@ -287,11 +293,12 @@ def dyson_solve(
         try:
             cholesky_factor(m)
         except NotPositiveDefinite:
-            if last is None:
-                raise IterateLeftCone(
-                    "A - Sigma[G] not SPD at the initial iterate"
-                ) from None
-            green = damped_retry()
+            if last is not None:
+                green = damped_retry()
+            elif _norm(2.0 * green.mat) <= GREEN_NORM_GUARD:
+                green = SpdMatrix(2.0 * green.mat)  # a start outside the cone: retry from 2 G
+            else:
+                raise IterateLeftCone("A - Sigma[G] not SPD at the initial iterate") from None
             continue
         target = np.linalg.inv(m)
         residual = _norm(green.inverse() - m)

@@ -244,6 +244,21 @@ class TestOracleCommand:
         assert code == 0 and "z" not in payload and "z" not in payload["std_errors"]
         assert np.isfinite(payload["omega"])
 
+    def test_monte_carlo_errors_near_1e160_are_strict_json(self, capsys, model_path):
+        # G near 1e160: the batch-means errors stay finite, so no Infinity is printed
+        wide = {"n": 1, "A": [[1e-160]], "interaction": {"type": "zero"}}
+        argv = ["oracle", "--model", model_path(wide), "--mode", "mc", "--mc-samples", "6400"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(argv)
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert 0.0 < payload["std_errors"]["green"][0][0] < payload["green"][0][0]
+
     def test_overflowing_moments_exit_three(self, capsys, model_path, tmp_path):
         # G near 1e310 at A = 1e-310; the pair block near 3e600 at A[G] = 1e-300
         wide = {"n": 1, "A": [[1e-310]], "interaction": {"type": "zero"}}
@@ -465,6 +480,22 @@ class TestBoldOverflow:
     def test_exit_three_with_warnings_shown(self, model_path, tmp_path, argv, model, message):
         done = self.run(model_path, tmp_path, argv, model, ["-W", "default"])
         assert (done.returncode, done.stderr, done.stdout) == (3, f"error: {message}\n", "")
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("dyson", "Dyson residual overflows at iteration 1"),
+            ("minimize", "free-energy gradient overflows at iteration 1"),
+        ],
+    )
+    def test_unscaled_bold1_residual_exits_three(self, capsys, model_path, command, message):
+        # v = 1e200 itself, not a scaled coupling: the bold-1 residual overflows
+        argv = [command, "--model", model_path(self.UNSCALED), "--sigma-model", "bold1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err, captured.out) == (3, f"error: {message}\n", "")
 
     def test_first_order_stays_finite(self, capsys, model_path, tmp_path):
         g = tmp_path / "g.json"

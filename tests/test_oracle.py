@@ -964,6 +964,32 @@ class TestMonteCarlo:
         err = np.abs(blocks.mean(axis=0) - at_pairs(wick(np.linalg.inv(A3))))
         assert np.all(err <= 4.0 * se)
 
+    @pytest.mark.parametrize("a", [1e-160, 1e-200, 1e-290])
+    def test_batch_errors_stay_finite_at_large_green(self, a):
+        # G near 1 / a: the squares of its batch deviations pass the float
+        # range unless each entry's batch values are scaled by a power of two first
+        cfg = OracleConfig(mode="monte_carlo", samples=6400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = evaluate_moments(SymMatrix([[1.0]]), ZeroInteraction(1), cfg)
+            wide = evaluate_moments(SymMatrix([[a]]), ZeroInteraction(1), cfg)
+        assert np.isfinite(wide.std_errors.omega) and np.isfinite(wide.std_errors.green).all()
+        relative = wide.std_errors.green / wide.green.mat
+        assert relative == pytest.approx(unit.std_errors.green / unit.green.mat, rel=1e-12, abs=0.0)
+
+    def test_batch_error_scaling_keeps_the_bits(self):
+        # a power-of-two scale is exact: where the squares neither overflow nor
+        # underflow, the error is the plain spread, floored at 4 ulps of max(1, |G|)
+        rng = np.random.default_rng(5)
+        batches = rng.normal(1.0, 0.1, (MC_BATCHES, 3, 3)) * 10.0 ** rng.integers(-100, 100, (3, 3))
+        estimate = batches.mean(axis=0)
+        plain_se = batches.std(axis=0, ddof=1) / np.sqrt(MC_BATCHES)
+        floor = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(estimate))
+        assert np.array_equal(oracle._batch_se(batches, estimate), np.maximum(plain_se, floor))
+        assert oracle._batch_se(batches[:, 0, 0], 1e300) == pytest.approx(
+            4.0 * np.finfo(float).eps * 1e300, rel=1e-15
+        )
+
     def test_quadrature_has_no_std_errors(self):
         rep = evaluate_moments(SymMatrix([[1.0]]), ZeroInteraction(1), QUAD)
         assert rep.std_errors is None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from lwlattice.errors import (
     DimensionMismatch,
     DivergentIntegral,
     IterateLeftCone,
+    NoConvergence,
+    NonFinite,
     UnsupportedInteraction,
     ValidationError,
 )
@@ -431,6 +435,108 @@ class TestTrialRejections:
         # the same factor under a finite Phi is a trial point
         low, green, _, _, fe = solver._trial(A2, self.model(0.0), self.LOW)
         assert np.array_equal(green.mat, self.LOW @ self.LOW.T) and np.isfinite(fe)
+
+
+    def test_a_model_that_raises_at_the_first_trial_halves_the_step(self, monkeypatch):
+        # the first trial's evaluation raises NoConvergence: the line search
+        # halves the step and goes on; measured 13 records, converged
+        model_terms = solver._model_terms
+        greens = []
+
+        def failing_once(*args, **kwargs):
+            terms = model_terms(*args, **kwargs)
+
+            def terms_or_raise(g):
+                greens.append(g.mat)
+                if len(greens) == 2:  # the start, then the first trial
+                    raise NoConvergence("the first trial's model did not converge")
+                return terms(g)
+
+            return terms_or_raise
+
+        monkeypatch.setattr(solver, "_model_terms", failing_once)
+        u = ScaledInteraction(0.3, DiagonalQuartic(V2))
+        trace = minimize_free_energy(SymMatrix(A2), u, SigmaModel.BOLD12)
+        assert trace.converged and len(trace.iterates) == 13
+        # the next trial lies half as far from the start along the same gradient
+        start, rejected, halved = (np.linalg.cholesky(g) for g in greens[:3])
+        assert np.allclose(start - rejected, 2.0 * (start - halved), rtol=0.0, atol=1e-12)
+
+
+class TestOverflowingResidual:
+    """A residual that overflows ends a run in NonFinite, naming the iteration (solver._record)."""
+
+    U = DiagonalQuartic([[1e200]])
+
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            (dyson_solve, "Dyson residual overflows at iteration 1"),
+            (minimize_free_energy, "free-energy gradient overflows at iteration 1"),
+        ],
+    )
+    def test_bold1_residual_overflows_at_the_first_iterate(self, solve, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=message):
+                solve(SymMatrix([[1.0]]), self.U, SigmaModel.BOLD1)
+
+
+class TestBold1Start:
+    """A start where A - Sigma[G] leaves the cone is retried from 2 G (dyson_solve)."""
+
+    @pytest.mark.parametrize("n", [4, 8, 20])
+    def test_double_well_rings_reach_the_minimizer(self, n):
+        # A_ii = -2: the default start, A repaired to ENVELOPE_FLOOR, puts
+        # A - Sigma1[G0] outside the cone; one doubling was enough on each
+        # ring (11, 15 and 16 iterates, within 1.4e-8 of the minimizer)
+        a, v = oracles.ring_matrices(n, -2.0, -0.3, 1.0, 0.2)
+        a, u = SymMatrix(a), DiagonalQuartic(v)
+        trace = dyson_solve(a, u, SigmaModel.BOLD1)
+        assert trace.converged and len(trace.iterates) <= 20
+        minimum = minimize_free_energy(a, u, SigmaModel.BOLD1)
+        assert minimum.converged
+        assert np.abs(trace.final_green.mat - minimum.final_green.mat).max() <= 1e-7
+
+    @staticmethod
+    def evaluated_greens(monkeypatch):
+        """The G of every model evaluation of the solves that follow, in order."""
+        model_terms = solver._model_terms
+        greens = []
+
+        def recorded(*args, **kwargs):
+            terms = model_terms(*args, **kwargs)
+            return lambda g: greens.append(g.mat) or terms(g)
+
+        monkeypatch.setattr(solver, "_model_terms", recorded)
+        return greens
+
+    def test_a_retry_spends_no_iteration(self, monkeypatch):
+        # one iteration allowed: the start is evaluated, then 2 G, which is recorded
+        a, v = oracles.ring_matrices(4, -2.0, -0.3, 1.0, 0.2)
+        greens = self.evaluated_greens(monkeypatch)
+        trace = dyson_solve(SymMatrix(a), DiagonalQuartic(v), SigmaModel.BOLD1, max_iter=1)
+        assert len(greens) == 2 and np.array_equal(greens[1], 2.0 * greens[0])
+        assert [record.iteration for record in trace.iterates] == [1]
+
+    def test_retries_stop_at_the_norm_guard(self, monkeypatch):
+        # test_cone_exit_raises' case: an attractive v keeps A - Sigma[G] out of
+        # the cone at every width, so the start doubles up to the guard and raises
+        greens = self.evaluated_greens(monkeypatch)
+        with pytest.raises(IterateLeftCone, match="initial iterate"):
+            dyson_solve(SymMatrix([[0.5]]), DiagonalQuartic([[-40.0]]), SigmaModel.BOLD1)
+        norms = [np.linalg.norm(g) for g in greens]
+        assert norms == [2.0 * 2.0**k for k in range(len(norms))]
+        assert norms[-1] <= solver.GREEN_NORM_GUARD < 2.0 * norms[-1]
+
+    def test_a_g_init_is_retried_the_same_way(self):
+        a, v = oracles.ring_matrices(4, -2.0, -0.3, 1.0, 0.2)
+        a, u = SymMatrix(a), DiagonalQuartic(v)
+        default = dyson_solve(a, u, SigmaModel.BOLD1).final_green.mat
+        g_init = SpdMatrix(0.1 * np.eye(4))
+        trace = dyson_solve(a, u, SigmaModel.BOLD1, g_init=g_init)
+        assert trace.converged
+        assert np.abs(trace.final_green.mat - default).max() <= 1e-7
 
 
 class TestMonteCarloMode:
